@@ -2,7 +2,8 @@
 //
 // Tables (deterministic, fixed seeds):
 //   * session convergence vs symmetric drop rate — attempts, retry ticks,
-//     and convergence fraction of the SessionDriver over a FaultyChannel;
+//     and convergence fraction of serial retried sessions
+//     (core::run_serial) over a FaultyChannel;
 //   * robust-readout overhead — evaluate() vs the k-of-n majority
 //     evaluate_robust() used by derive_robust()/CRP re-enrollment.
 //
@@ -42,6 +43,16 @@ SessionFixture make_fixture() {
   return f;
 }
 
+// One retried mutual-auth session; every session gets its own DRBG seed.
+core::SessionReport run_auth(SessionFixture& f, net::DuplexChannel& channel,
+                             std::uint64_t seed, std::uint64_t session_base) {
+  return core::run_serial(seed, [&](crypto::ChaChaDrbg& rng) {
+    return std::make_unique<core::AuthSessionMachine>(
+        channel, core::RetryPolicy{}, rng, *f.verifier, *f.device,
+        session_base);
+  });
+}
+
 void print_convergence_table() {
   bench::banner("E13", "Session convergence vs symmetric frame-drop rate");
   std::printf("  %-12s %-12s %-14s %-12s %-14s\n", "drop rate", "converged",
@@ -52,13 +63,11 @@ void print_convergence_table() {
     faults::FaultyChannel faulty(
         channel, faults::symmetric_faults(faults::symmetric_drop(drop)),
         0xBEEF);
-    core::SessionDriver driver(channel, core::RetryPolicy{});
     constexpr unsigned kSessions = 40;
     unsigned converged = 0;
     std::uint64_t attempts = 0, polls = 0, backoff = 0;
     for (unsigned s = 0; s < kSessions; ++s) {
-      const auto report =
-          driver.run_mutual_auth(*f.verifier, *f.device, 1000 * (s + 1));
+      const auto report = run_auth(f, channel, s + 1, 1000 * (s + 1));
       if (report.result == core::SessionResult::kConverged) ++converged;
       attempts += report.attempts;
       polls += report.poll_ticks;
@@ -101,20 +110,19 @@ void print_tables() {
   print_robust_overhead_table();
 }
 
-// Session throughput through the retry driver at 0 / 1% / 5% drop. The
-// session base advances every iteration so session ids never collide.
+// Session throughput through the retry loop at 0 / 1% / 5% drop. The
+// session base (and seed) advances every iteration so session ids never
+// collide.
 void BM_AuthSessionAtDropPermille(benchmark::State& state) {
   SessionFixture f = make_fixture();
   net::DuplexChannel channel;
   const double drop = static_cast<double>(state.range(0)) / 1000.0;
   faults::FaultyChannel faulty(
       channel, faults::symmetric_faults(faults::symmetric_drop(drop)), 0xD0);
-  core::SessionDriver driver(channel, core::RetryPolicy{});
   std::uint64_t base = 0;
   for (auto _ : state) {
     base += 1000;
-    benchmark::DoNotOptimize(
-        driver.run_mutual_auth(*f.verifier, *f.device, base));
+    benchmark::DoNotOptimize(run_auth(f, channel, base / 1000, base));
   }
 }
 BENCHMARK(BM_AuthSessionAtDropPermille)

@@ -3,6 +3,7 @@
 
 Usage:
   bench_regress.py OLD.json NEW.json [--threshold 0.10] [--allow-missing]
+                   [--cross-host]
       Compares benchmarks present in both files by name. A benchmark
       regresses when its new throughput falls more than THRESHOLD
       (fraction) below the old one; any regression makes the exit
@@ -14,6 +15,11 @@ Usage:
       otherwise read as "no regression" forever. Pass --allow-missing
       when the new run is intentionally a subset of the baseline (e.g.
       one binary's smoke run against the merged baseline).
+
+      Runs from different hosts are refused: when the two files'
+      `context.num_cpus` or `context.host_name` differ, throughput ratios
+      measure the machines, not the change. Re-record the baseline on
+      this host, or pass --cross-host to compare anyway (with a warning).
 
   bench_regress.py --check-schema FILE [FILE...]
       Validates that each file parses as google-benchmark JSON output
@@ -154,10 +160,36 @@ def cmd_merge(out_path: str, in_paths: list[str]) -> int:
     return 0
 
 
+HOST_KEYS = ("num_cpus", "host_name")
+
+
+def host_differences(old_doc: dict, new_doc: dict) -> list[str]:
+    """The HOST_KEYS whose context values differ, as 'key: old vs new'."""
+    old_ctx = old_doc.get("context") or {}
+    new_ctx = new_doc.get("context") or {}
+    return [
+        f"{key}: {old_ctx.get(key)!r} vs {new_ctx.get(key)!r}"
+        for key in HOST_KEYS
+        if old_ctx.get(key) != new_ctx.get(key)
+    ]
+
+
 def cmd_compare(old_path: str, new_path: str, threshold: float,
-                allow_missing: bool) -> int:
-    old = best_by_name(load(old_path))
-    new = best_by_name(load(new_path))
+                allow_missing: bool, cross_host: bool) -> int:
+    old_doc = load(old_path)
+    new_doc = load(new_path)
+    differences = host_differences(old_doc, new_doc)
+    if differences:
+        detail = "; ".join(differences)
+        if not cross_host:
+            print(f"bench_regress: {old_path} and {new_path} come from "
+                  f"different hosts ({detail}). Re-record the baseline on "
+                  f"this host, or pass --cross-host to compare anyway.",
+                  file=sys.stderr)
+            return 1
+        print(f"bench_regress: WARNING: cross-host comparison ({detail})")
+    old = best_by_name(old_doc)
+    new = best_by_name(new_doc)
     common = sorted(set(old) & set(new))
     if not common:
         print("bench_regress: no common benchmarks to compare",
@@ -211,6 +243,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--allow-missing", action="store_true",
                         help="tolerate baseline benchmarks absent from "
                              "NEW.json (intentional-subset runs)")
+    parser.add_argument("--cross-host", action="store_true",
+                        help="compare runs whose context.num_cpus or "
+                             "context.host_name differ")
     args = parser.parse_args(argv)
 
     if args.check_schema:
@@ -226,7 +261,7 @@ def main(argv: list[str]) -> int:
     if not 0.0 <= args.threshold < 1.0:
         parser.error("--threshold must be in [0, 1)")
     return cmd_compare(args.files[0], args.files[1], args.threshold,
-                       args.allow_missing)
+                       args.allow_missing, args.cross_host)
 
 
 if __name__ == "__main__":

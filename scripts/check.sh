@@ -18,22 +18,20 @@
 #   scripts/check.sh chaos      # fault-injection sweep only: runs the
 #                               # ctest label `chaos` (tests/chaos) under
 #                               # BOTH ASan and UBSan — held-frame queues,
-#                               # retry/backoff loops, and corrupted-blob
-#                               # parsing are exactly where lifetime and UB
-#                               # bugs would hide
-#   scripts/check.sh tsan       # concurrency sweep only: runs the ctest
-#                               # label `concurrency` (sharded CrpDatabase
-#                               # stress, SessionEngine determinism, reactor
-#                               # alloc/park-wake suites) under
-#                               # ThreadSanitizer — the shard locks and the
-#                               # engine's schedulers are the only
+#                               # retry/backoff loops, corrupted-blob
+#                               # parsing, and admission control's
+#                               # shedding/eviction under flood storms are
+#                               # exactly where lifetime and UB bugs would
+#                               # hide
+#   scripts/check.sh reactor    # concurrency sweep: one ThreadSanitizer
+#                               # build, then ctest -L concurrency (sharded
+#                               # CrpDatabase stress, SessionEngine
+#                               # determinism, reactor alloc/park-wake
+#                               # suites) under NEUROPULS_THREADS=1 (serial
+#                               # fallback / degenerate reactor) and =4
+#                               # (real steal and park/wake traffic) — the
+#                               # shard locks and the reactor are the only
 #                               # cross-thread surfaces in the stack
-#   scripts/check.sh reactor    # reactor sweep: one ThreadSanitizer build,
-#                               # then ctest -L concurrency under
-#                               # NEUROPULS_THREADS=1 (serial fallback /
-#                               # degenerate reactor) and =4 (real steal and
-#                               # park/wake traffic) — the two widths where
-#                               # scheduler bugs live
 #   scripts/check.sh durability # durable-store sweep: runs the ctest
 #                               # label `io` (POSIX io layer, durable CRP
 #                               # store round trips, crash-point
@@ -41,13 +39,6 @@
 #                               # AddressSanitizer — recovery replays
 #                               # attacker-shaped byte images, exactly
 #                               # where lifetime bugs would hide
-#   scripts/check.sh abuse      # abuse-resistance sweep: runs the ctest
-#                               # label `chaos` (flood storms, replay and
-#                               # half-open exhaustion, park/wake churn)
-#                               # under AddressSanitizer — hostile-load
-#                               # shedding and eviction juggle session
-#                               # lifetimes, exactly where use-after-free
-#                               # bugs would hide
 #   scripts/check.sh fleet      # fleet-scale sweep: runs the ctest label
 #                               # `fleet` (streaming estimators, chunked
 #                               # uniqueness, FleetSimulator campaigns,
@@ -93,10 +84,8 @@ FLAVORS=(
   "undefined   full suite under UBSan"
   "native      full suite with -DNEUROPULS_NATIVE=ON (host-ISA lane kernels)"
   "chaos       ctest -L chaos under ASan AND UBSan (fault injection)"
-  "tsan        ctest -L concurrency under ThreadSanitizer"
   "reactor     ctest -L concurrency under TSan at NEUROPULS_THREADS=1 and =4"
   "durability  ctest -L io under ASan (durable CRP store, crash sweeps)"
-  "abuse       ctest -L chaos under ASan (flood storms, admission control)"
   "fleet       ctest -L fleet under ASan (fleet simulator, streaming metrics)"
   "lint        ctlint + fixtures + bench schema + clang-tidy/thread-safety"
 )
@@ -125,7 +114,7 @@ mkdir -p build-check
 
 run_config() {
   local config="$1"
-  local label="${2:-}"   # optional ctest -L label (chaos/tsan flavors)
+  local label="${2:-}"   # optional ctest -L label (sweep flavors)
   local build_dir="build-check/${config}${label:+-${label}}"
   local sanitize=""
   local native="OFF"
@@ -230,14 +219,8 @@ for config in "${CONFIGS[@]}"; do
       run_config address chaos
       run_config undefined chaos
       ;;
-    tsan)
-      run_config thread concurrency
-      ;;
     durability)
       run_config address io
-      ;;
-    abuse)
-      run_config address chaos
       ;;
     fleet)
       run_config address fleet
@@ -260,7 +243,7 @@ for config in "${CONFIGS[@]}"; do
 done
 
 # The bench smoke + standalone ctlint tail needs a full-matrix build tree;
-# a chaos-/tsan-only invocation has none, and that is fine — those are the
+# a sweep-only invocation (chaos, reactor, ...) has none, and that is fine — those are the
 # targeted sanitizer sweeps, not the pre-push gate.
 if [ ${#FULL_CONFIGS[@]} -eq 0 ]; then
   echo "==> flavor-only run: skipping bench smoke + standalone ctlint"

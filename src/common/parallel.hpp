@@ -28,9 +28,9 @@
 // provides the two building blocks of a work-stealing scheduler —
 // `StealDeque` (per-worker run queue, LIFO for the owner, FIFO for
 // thieves) and `ParkingLot` (token-counted park/unpark). They carry the
-// readiness-driven `core::SessionEngine` reactor, which replaced the
-// wave multiplexer: the pool contributes the threads (via parallel_for
-// over worker ids), these structures contribute the scheduling.
+// readiness-driven `core::SessionEngine` reactor, the stack's one session
+// scheduler: the pool contributes the threads (via parallel_for over
+// worker ids), these structures contribute the scheduling.
 //
 // Concurrency contracts: every mutex here is an annotated common::Mutex
 // and every guarded field carries NP_GUARDED_BY, so a Clang build with

@@ -276,28 +276,12 @@ SessionMachine::FrameOutcome EkeSessionMachine::on_frame(
   }
 }
 
-SessionDriver::SessionDriver(net::DuplexChannel& channel, RetryPolicy policy)
-    : channel_(channel),
-      policy_(policy),
-      rng_(session_driver_seed_bytes(policy.seed)) {}
-
-SessionReport SessionDriver::run_mutual_auth(AuthVerifier& verifier,
-                                             AuthDevice& device,
-                                             std::uint64_t session_base) {
-  AuthSessionMachine machine(channel_, policy_, rng_, verifier, device,
-                             session_base);
-  while (machine.step()) {
+SessionReport run_serial(std::uint64_t seed, const MachineFactory& build) {
+  crypto::ChaChaDrbg rng(session_driver_seed_bytes(seed));
+  const std::unique_ptr<SessionMachine> machine = build(rng);
+  while (machine->step()) {
   }
-  return machine.report();
-}
-
-SessionReport SessionDriver::run_eke(EkeParty& initiator, EkeParty& responder,
-                                     std::uint64_t session_base) {
-  EkeSessionMachine machine(channel_, policy_, rng_, initiator, responder,
-                            session_base);
-  while (machine.step()) {
-  }
-  return machine.report();
+  return machine->report();
 }
 
 }  // namespace neuropuls::core

@@ -2,8 +2,8 @@
 //
 // `run_auth_session` / `run_eke_handshake` assume every frame arrives;
 // over a faulty link (faults::FaultyChannel) a dropped or corrupted frame
-// would either hang the naive driver or abort the whole exchange. The
-// SessionDriver wraps one protocol exchange in a bounded
+// would either hang the naive driver or abort the whole exchange. A
+// SessionMachine wraps one protocol exchange in a bounded
 // retry/timeout/backoff state machine:
 //
 //   attempt k (session id = base + k):
@@ -20,22 +20,24 @@
 //     check and trigger a retry, never complete a session with divergent
 //     secrets;
 //   * bounded work — every receive and every backoff consumes budget, so
-//     the driver terminates for any fault schedule (no deadlock at 100%
+//     a session terminates for any fault schedule (no deadlock at 100%
 //     drop);
-//   * determinism — nonces and backoff jitter come from a ChaCha DRBG
-//     seeded by `RetryPolicy::seed` (protocol layer: crypto DRBG, never
-//     the simulation PRNGs), so the same seeds reproduce the same
-//     transcript byte-for-byte.
+//   * determinism — nonces and backoff jitter come from a per-session
+//     ChaCha DRBG seeded by the session's seed (protocol layer: crypto
+//     DRBG, never the simulation PRNGs), so the same seeds reproduce the
+//     same transcript byte-for-byte.
 //
-// The retry loop itself lives in the resumable SessionMachine classes
-// below: step() advances a session until its next channel poll (the unit
-// of simulated time) and then yields. SessionDriver::run_* simply steps
-// one machine to completion, so a blocking serial run and a multiplexed
-// core::SessionEngine run execute the identical operation sequence per
-// session — that equivalence is what the engine's determinism tests pin.
+// step() advances a session until its next channel poll (the unit of
+// simulated time) and then yields. run_serial() steps one machine to
+// completion on the calling thread; core::SessionEngine multiplexes many.
+// Both take the same (seed, factory) pair, so a serial run and an engine
+// run execute the identical operation sequence per session — that
+// equivalence is what the engine's determinism tests pin.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 
 #include "core/aka_eke.hpp"
@@ -54,8 +56,6 @@ struct RetryPolicy {
   /// min(base << (k-1), max) + jitter ticks, jitter in [0, base).
   std::size_t backoff_base_polls = 2;
   std::size_t backoff_max_polls = 32;
-  /// Seeds the driver DRBG (nonces + backoff jitter).
-  std::uint64_t seed = 1;
   /// Stale/duplicate frames one step may discard before yielding back to
   /// the scheduler — bounds per-step work under a frame flood so one
   /// hostile session cannot monopolise a worker. The budget only defers
@@ -76,10 +76,9 @@ enum class SessionResult {
   kEvicted,    // killed half-open by admission control's eviction policy
 };
 
-/// DRBG seed bytes of a session-driver stream ("np-session-driver" ||
-/// seed big-endian) — shared by SessionDriver and core::SessionEngine so
-/// an engine session with seed s reproduces a serial driver constructed
-/// with RetryPolicy::seed == s byte-for-byte.
+/// DRBG seed bytes of a session stream ("np-session-driver" || seed
+/// big-endian) — shared by run_serial and core::SessionEngine so an
+/// engine session with seed s reproduces run_serial(s, ...) byte-for-byte.
 crypto::Bytes session_driver_seed_bytes(std::uint64_t seed);
 
 struct SessionReport {
@@ -96,6 +95,8 @@ struct SessionReport {
   /// Last verifier-side status of a failed mutual-auth attempt (kOk when
   /// the session converged; meaningless for EKE).
   AuthStatus last_auth_status = AuthStatus::kOk;
+
+  bool operator==(const SessionReport&) const = default;
 };
 
 /// One retried protocol exchange as a resumable state machine. step()
@@ -106,9 +107,8 @@ struct SessionReport {
 /// attempt) are exactly those of the former blocking driver loops.
 ///
 /// The machine borrows everything it touches — channel, DRBG, protocol
-/// endpoints — and owns only control state, so the caller decides sharing
-/// (the serial driver reuses one DRBG across runs; the engine gives every
-/// session its own).
+/// endpoints — and owns only control state; run_serial and the engine
+/// each give a session its own DRBG.
 class SessionMachine {
  public:
   virtual ~SessionMachine() = default;
@@ -214,28 +214,16 @@ class EkeSessionMachine final : public SessionMachine {
   unsigned phase_ = 0;
 };
 
-/// Drives one protocol exchange at a time over `channel`. Both endpoints
-/// run in-process (as everywhere in this stack); the driver owns the
-/// retry loop, not the endpoints' secrets. Implemented by stepping one
-/// SessionMachine to completion.
-class SessionDriver {
- public:
-  explicit SessionDriver(net::DuplexChannel& channel, RetryPolicy policy = {});
+/// Builds one session's machine bound to the session's DRBG, which stays
+/// at a stable address for the machine's lifetime. The caller keeps the
+/// channel and protocol endpoints the machine borrows alive until the
+/// session completes.
+using MachineFactory =
+    std::function<std::unique_ptr<SessionMachine>(crypto::ChaChaDrbg& rng)>;
 
-  /// HSC-IoT mutual authentication with retries.
-  SessionReport run_mutual_auth(AuthVerifier& verifier, AuthDevice& device,
-                                std::uint64_t session_base);
-
-  /// EKE AKA with retries.
-  SessionReport run_eke(EkeParty& initiator, EkeParty& responder,
-                        std::uint64_t session_base);
-
-  const RetryPolicy& policy() const noexcept { return policy_; }
-
- private:
-  net::DuplexChannel& channel_;
-  RetryPolicy policy_;
-  crypto::ChaChaDrbg rng_;
-};
+/// The serial reference: seeds a DRBG from session_driver_seed_bytes(seed),
+/// builds the machine, and steps it to completion on the calling thread.
+/// Takes exactly what SessionEngine::submit takes.
+SessionReport run_serial(std::uint64_t seed, const MachineFactory& build);
 
 }  // namespace neuropuls::core

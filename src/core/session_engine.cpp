@@ -10,6 +10,10 @@ namespace neuropuls::core {
 
 namespace {
 constexpr std::uint64_t kNoDeadline = std::numeric_limits<std::uint64_t>::max();
+/// Max step() calls per activation before a session yields back to the
+/// run queue (bounds how long one session can monopolise a worker while
+/// others are runnable).
+constexpr std::size_t kStepsPerSlice = 32;
 }  // namespace
 
 // Per-session control record, arena-allocated at submit() and destroyed
@@ -206,7 +210,7 @@ struct SessionEngine::Reactor {
   /// Also guards every Session's sstate/park_epoch transition (a
   /// cross-object contract the annotations cannot name — Session fields
   /// cannot reference a Reactor member — so it is documented here and
-  /// checked by the TSan flavors instead).
+  /// checked by the TSan flavor instead).
   common::Mutex sched_mutex;
   TimerWheel wheel NP_GUARDED_BY(sched_mutex);
   std::vector<Session*> ready NP_GUARDED_BY(sched_mutex);
@@ -403,8 +407,7 @@ struct SessionEngine::Reactor {
     std::uint64_t executed = 0;
     bool done = false;
     std::size_t hint = 0;
-    const std::size_t slice = engine.config_.steps_per_slice;
-    for (std::size_t k = 0; k < slice; ++k) {
+    for (std::size_t k = 0; k < kStepsPerSlice; ++k) {
       ++executed;
       if (!s->machine->step()) {
         done = true;
@@ -457,8 +460,6 @@ SessionEngine::SessionEngine(common::ThreadPool& pool,
                              SessionEngineConfig config)
     : pool_(pool), config_(std::move(config)) {
   config_.max_in_flight = std::max<std::size_t>(1, config_.max_in_flight);
-  config_.steps_per_wave = std::max<std::size_t>(1, config_.steps_per_wave);
-  config_.steps_per_slice = std::max<std::size_t>(1, config_.steps_per_slice);
   config_.park_threshold = std::max<std::size_t>(1, config_.park_threshold);
 }
 
@@ -485,25 +486,8 @@ std::vector<SessionReport> SessionEngine::run() {
   // Reports are keyed by submission index: completion order is
   // schedule-dependent, the result must not be.
   std::vector<SessionReport> reports(queue.size());
-  if (!queue.empty()) {
-    if (config_.mode == EngineMode::kDeterministic) {
-      run_waves(queue, reports);
-    } else {
-      run_reactor(queue, reports);
-    }
-  }
-  arena_.reset();  // every Session record of this run dies together
-  return reports;
-}
+  if (queue.empty()) return reports;
 
-void SessionEngine::notify(std::size_t index) {
-  common::MutexLock lock(notify_mutex_);
-  if (active_ == nullptr || index >= active_->all.size()) return;
-  active_->wake(active_->all[index]);
-}
-
-void SessionEngine::run_reactor(std::vector<Session*>& queue,
-                                std::vector<SessionReport>& reports) {
   const std::size_t width =
       std::max<std::size_t>(1, std::min(pool_.thread_count(), queue.size()));
   Reactor reactor(*this, queue, reports, width);
@@ -569,87 +553,15 @@ void SessionEngine::run_reactor(std::vector<Session*>& queue,
   stats_.evicted_half_open +=
       reactor.evicted_half_open.load(std::memory_order_relaxed);
   stats_.malformed += reactor.malformed.load(std::memory_order_relaxed);
+
+  arena_.reset();  // every Session record of this run dies together
+  return reports;
 }
 
-void SessionEngine::run_waves(std::vector<Session*>& queue,
-                              std::vector<SessionReport>& reports) {
-  std::vector<Session*> active;
-  active.reserve(std::min(config_.max_in_flight, queue.size()));
-  std::size_t next = 0;
-  AdmissionController* ctl = config_.admission;
-
-  // Everything here runs between waves on the submitting thread, so the
-  // admission bookkeeping needs no synchronization beyond the
-  // controller's own lock.
-  const auto finish = [&](Session* session, SessionReport report) {
-    reports[session->index] = report;
-    ++stats_.completed;
-    if (report.result == SessionResult::kConverged) ++stats_.converged;
-    stats_.malformed += report.malformed_frames;
-    if (ctl != nullptr && session->machine) {
-      ctl->complete(session->index);
-      if (report.malformed_frames > 0) {
-        ctl->note_malformed(session->client_id, report.malformed_frames);
-      }
-    }
-    if (config_.on_complete) config_.on_complete(session->index);
-  };
-
-  while (next < queue.size() || !active.empty()) {
-    while (active.size() < config_.max_in_flight && next < queue.size()) {
-      Session* session = queue[next];
-      ++next;
-      if (ctl != nullptr) {
-        const AdmitResult verdict = ctl->try_admit(
-            session->client_id, session->index, session->cost_bytes);
-        if (verdict.decision != AdmitDecision::kAdmitted) {
-          SessionReport report;
-          report.result = SessionResult::kShed;
-          if (verdict.decision == AdmitDecision::kShedRateLimited) {
-            ++stats_.shed_rate_limited;
-          } else {
-            ++stats_.shed_memory;
-          }
-          finish(session, report);
-          continue;
-        }
-        ++stats_.admitted;
-        if (verdict.evicted) {
-          queue[verdict.evicted_handle]->evicted.store(
-              true, std::memory_order_release);
-          ++stats_.evicted_half_open;
-        }
-      }
-      session->machine = session->build(session->rng);
-      active.push_back(session);
-    }
-
-    ++stats_.waves;
-    pool_.parallel_for(active.size(), [&](std::size_t i) {
-      if (active[i]->evicted.load(std::memory_order_acquire)) return;
-      SessionMachine& machine = *active[i]->machine;
-      for (std::size_t k = 0; k < config_.steps_per_wave && !machine.done();
-           ++k) {
-        machine.step();
-      }
-    });
-
-    // Retire finished sessions and compact the in-flight set; freed slots
-    // refill from the queue on the next wave.
-    std::size_t keep = 0;
-    for (Session* session : active) {
-      if (session->evicted.load(std::memory_order_acquire)) {
-        SessionReport report = session->machine->report();
-        report.result = SessionResult::kEvicted;
-        finish(session, report);
-      } else if (session->machine->done()) {
-        finish(session, session->machine->report());
-      } else {
-        active[keep++] = session;
-      }
-    }
-    active.resize(keep);
-  }
+void SessionEngine::notify(std::size_t index) {
+  common::MutexLock lock(notify_mutex_);
+  if (active_ == nullptr || index >= active_->all.size()) return;
+  active_->wake(active_->all[index]);
 }
 
 }  // namespace neuropuls::core

@@ -7,43 +7,33 @@
 // at the OS thread budget; the engine instead keeps M sessions in flight
 // as resumable core::SessionMachine state machines.
 //
-// Two scheduling runtimes share the submission/report API:
+// The engine is a readiness-driven work-stealing reactor. Every worker
+// owns a run queue (common::StealDeque: LIFO for the owner so the
+// cache-warm session runs next, FIFO for thieves so the coldest work
+// migrates). A machine whose channel has nothing readable and whose
+// wait_hint() says it will only burn poll ticks is parked on a
+// hierarchical timer wheel and re-queued when its virtual deadline
+// expires — or immediately when a frame lands on its channel
+// (net::DuplexChannel wakeup hook) — instead of being busy-polled. Idle
+// workers steal, then advance the wheel, then park in a
+// common::ParkingLot. Per-session control records live in a
+// common::Arena, and the steady-state step path — deque push/pop,
+// stepping a waiting machine, parking — performs zero heap allocations
+// (pinned by tests/core/test_engine_alloc.cpp).
 //
-//   * kReactor (default) — a readiness-driven work-stealing reactor.
-//     Every worker owns a run queue (common::StealDeque: LIFO for the
-//     owner so the cache-warm session runs next, FIFO for thieves so the
-//     coldest work migrates). A machine whose channel has nothing
-//     readable and whose wait_hint() says it will only burn poll ticks is
-//     parked on a hierarchical timer wheel and re-queued when its
-//     virtual deadline expires — or immediately when a frame lands on
-//     its channel (net::DuplexChannel wakeup hook) — instead of being
-//     busy-polled. Idle workers steal, then advance the wheel, then park
-//     in a common::ParkingLot. Per-session control records live in a
-//     common::Arena, and the steady-state step path — deque push/pop,
-//     stepping a waiting machine, parking — performs zero heap
-//     allocations (pinned by tests/core/test_engine_alloc.cpp).
-//
-//   * kDeterministic — the original wave multiplexer: synchronized
-//     parallel_for rounds of steps_per_wave steps per active session.
-//     Kept as the reference scheduler for the determinism contract and
-//     as the baseline the reactor is benchmarked against (bench_server's
-//     skewed-latency scenario is exactly where waves collapse: one slow
-//     session holds its whole wave at the barrier).
-//
-// Determinism contract (both modes, pinned by
-// tests/core/test_session_engine.cpp): every session owns its channel,
-// protocol endpoints, and a private ChaCha DRBG seeded exactly like a
-// serial SessionDriver with RetryPolicy::seed == the submitted seed
-// (session_driver_seed_bytes). Sessions share no mutable state and every
-// channel poll is an explicit machine step, so no schedule — wave order,
-// steal order, park/wake timing, even spurious notify() calls — can
-// influence any session's operation order: per-session transcripts are
-// byte-identical to serial SessionDriver runs, faulty channels included.
+// Determinism contract (pinned by tests/core/test_session_engine.cpp):
+// every session owns its channel, protocol endpoints, and a private
+// ChaCha DRBG seeded exactly like core::run_serial with the submitted
+// seed (session_driver_seed_bytes). Sessions share no mutable state and
+// every channel poll is an explicit machine step, so no schedule — steal
+// order, park/wake timing, even spurious notify() calls — can influence
+// any session's operation order: per-session transcripts are
+// byte-identical to run_serial(seed, build) with the same factory,
+// faulty channels included.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -52,30 +42,14 @@
 #include "common/thread_annotations.hpp"
 #include "core/admission_control.hpp"
 #include "core/session_driver.hpp"
-#include "crypto/chacha20.hpp"
 
 namespace neuropuls::core {
-
-enum class EngineMode {
-  /// Work-stealing readiness reactor (run queues + timer wheel).
-  kReactor,
-  /// Synchronized-wave multiplexer — the legacy engine, kept as the
-  /// deterministic reference scheduler.
-  kDeterministic,
-};
 
 struct SessionEngineConfig {
   /// Sessions stepped concurrently; admission is in submission order.
   std::size_t max_in_flight = 64;
-  /// Wave mode: step() calls per session per scheduling wave.
-  std::size_t steps_per_wave = 8;
-  EngineMode mode = EngineMode::kReactor;
-  /// Reactor: max step() calls per activation before the session yields
-  /// back to the run queue (bounds how long one session can monopolise a
-  /// worker while others are runnable).
-  std::size_t steps_per_slice = 32;
-  /// Reactor: smallest wait_hint() worth a park — shorter waits are
-  /// cheaper to burn in place than to route through the wheel.
+  /// Smallest wait_hint() worth a park — shorter waits are cheaper to
+  /// burn in place than to route through the wheel.
   std::size_t park_threshold = 4;
   /// Invoked (from whichever worker retires the session) with the
   /// submission index the moment a session completes. Must be
@@ -103,22 +77,20 @@ struct SubmitOptions {
 struct SessionEngineStats {
   std::size_t completed = 0;
   std::size_t converged = 0;
-  /// Wave mode: parallel_for rounds run.
-  std::uint64_t waves = 0;
-  /// Reactor: machine.step() calls executed.
+  /// machine.step() calls executed.
   std::uint64_t steps = 0;
-  /// Reactor: sessions taken from another worker's run queue.
+  /// Sessions taken from another worker's run queue.
   std::uint64_t steals = 0;
-  /// Reactor: sessions parked on the timer wheel.
+  /// Sessions parked on the timer wheel.
   std::uint64_t parks = 0;
-  /// Reactor: parked sessions re-queued by a channel wakeup or notify()
-  /// before their wheel deadline.
+  /// Parked sessions re-queued by a channel wakeup or notify() before
+  /// their wheel deadline.
   std::uint64_t wakeups = 0;
-  /// Reactor: virtual-time advances of the wheel.
+  /// Virtual-time advances of the wheel.
   std::uint64_t wheel_ticks = 0;
-  /// Reactor: workers that went to sleep in the parking lot.
+  /// Workers that went to sleep in the parking lot.
   std::uint64_t worker_parks = 0;
-  /// Reactor: deepest run queue observed (scheduling-pressure signal).
+  /// Deepest run queue observed (scheduling-pressure signal).
   std::size_t peak_queue_depth = 0;
   /// Admission (zero when no controller is configured): sessions the
   /// controller let in / shed at the gate / killed half-open.
@@ -137,13 +109,6 @@ struct SessionEngineStats {
 /// from any thread *while run() executes* to wake a parked session.
 class SessionEngine {
  public:
-  /// Builds the machine for one session, bound to the engine-owned DRBG
-  /// (stable address for the machine's lifetime). The caller keeps the
-  /// channel and protocol endpoints the machine borrows alive until run()
-  /// returns.
-  using MachineFactory =
-      std::function<std::unique_ptr<SessionMachine>(crypto::ChaChaDrbg& rng)>;
-
   explicit SessionEngine(common::ThreadPool& pool,
                          SessionEngineConfig config = {});
   ~SessionEngine();
@@ -174,11 +139,6 @@ class SessionEngine {
   struct Session;
   struct Reactor;
 
-  void run_waves(std::vector<Session*>& queue,
-                 std::vector<SessionReport>& reports);
-  void run_reactor(std::vector<Session*>& queue,
-                   std::vector<SessionReport>& reports);
-
   common::ThreadPool& pool_;
   SessionEngineConfig config_;
   /// Owns every Session control record between submit() and the end of
@@ -188,7 +148,7 @@ class SessionEngine {
   std::vector<Session*> pending_;
   SessionEngineStats stats_;
   std::size_t submitted_ = 0;
-  /// Guards active_ against notify() racing run_reactor() teardown.
+  /// Guards active_ against notify() racing run() teardown.
   /// Ordered above the reactor's sched_mutex (notify() holds it across
   /// wake()); nothing acquires it with sched_mutex held.
   common::Mutex notify_mutex_;

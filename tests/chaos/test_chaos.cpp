@@ -35,7 +35,6 @@ namespace {
 using core::AuthDevice;
 using core::AuthVerifier;
 using core::RetryPolicy;
-using core::SessionDriver;
 using core::SessionResult;
 using faults::ChannelFaultConfig;
 using faults::DeviceFaultConfig;
@@ -98,6 +97,17 @@ crypto::Bytes serialize_transcript(const DuplexChannel& channel) {
   return out;
 }
 
+// One serial mutual-auth session over the harness channel. Every
+// session gets its own DRBG seed.
+core::SessionReport run_auth(AuthHarness& h, std::uint64_t seed,
+                             std::uint64_t session_base,
+                             const RetryPolicy& policy = {}) {
+  return core::run_serial(seed, [&](crypto::ChaChaDrbg& rng) {
+    return std::make_unique<core::AuthSessionMachine>(
+        *h.channel, policy, rng, *h.verifier, *h.device, session_base);
+  });
+}
+
 // ---------------------------------------------------------- mutual auth
 
 TEST(ChaosAuth, ConvergesAtOnePercentDrop) {
@@ -105,13 +115,11 @@ TEST(ChaosAuth, ConvergesAtOnePercentDrop) {
   FaultyChannel faulty(*h.channel,
                        faults::symmetric_faults(faults::symmetric_drop(0.01)),
                        0xC1);
-  SessionDriver driver(*h.channel, RetryPolicy{});
   constexpr unsigned kSessions = 10;
   for (unsigned s = 0; s < kSessions; ++s) {
-    const auto report =
-        driver.run_mutual_auth(*h.verifier, *h.device, 1000 * (s + 1));
+    const auto report = run_auth(h, s + 1, 1000 * (s + 1));
     ASSERT_EQ(report.result, SessionResult::kConverged) << "session " << s;
-    EXPECT_LE(report.attempts, driver.policy().max_attempts);
+    EXPECT_LE(report.attempts, RetryPolicy{}.max_attempts);
     EXPECT_TRUE(in_sync(h)) << "session " << s;
   }
   EXPECT_EQ(h.device->completed_sessions(), kSessions);
@@ -125,10 +133,8 @@ TEST(ChaosAuth, NoFalseAcceptAtAnyCorruptionRate) {
     {
       FaultyChannel faulty(*h.channel, faults::symmetric_faults(rates),
                            0xC2 + static_cast<std::uint64_t>(rate * 100));
-      SessionDriver driver(*h.channel, RetryPolicy{});
       for (unsigned s = 0; s < 8; ++s) {
-        const auto report =
-            driver.run_mutual_auth(*h.verifier, *h.device, 1000 * (s + 1));
+        const auto report = run_auth(h, s + 1, 1000 * (s + 1));
         // THE invariant: convergence always means agreement. A corrupted
         // frame may cost attempts but can never complete a session with
         // divergent secrets.
@@ -139,9 +145,7 @@ TEST(ChaosAuth, NoFalseAcceptAtAnyCorruptionRate) {
     }
     // Whatever the carnage, a clean channel recovers the pairing (the
     // verifier's one-deep fallback absorbs lost confirms).
-    SessionDriver driver(*h.channel, RetryPolicy{});
-    const auto report =
-        driver.run_mutual_auth(*h.verifier, *h.device, 100000);
+    const auto report = run_auth(h, 1, 100000);
     EXPECT_EQ(report.result, SessionResult::kConverged) << "rate " << rate;
     EXPECT_TRUE(in_sync(h)) << "rate " << rate;
   }
@@ -153,13 +157,12 @@ TEST(ChaosAuth, TotalLossExhaustsCleanlyThenRecovers) {
     FaultyChannel faulty(*h.channel,
                          faults::symmetric_faults(faults::symmetric_drop(1.0)),
                          0xC3);
-    SessionDriver driver(*h.channel, RetryPolicy{});
-    const auto report = driver.run_mutual_auth(*h.verifier, *h.device, 1000);
+    const RetryPolicy p;
+    const auto report = run_auth(h, 1, 1000, p);
     EXPECT_EQ(report.result, SessionResult::kExhausted);
-    EXPECT_EQ(report.attempts, driver.policy().max_attempts);
+    EXPECT_EQ(report.attempts, p.max_attempts);
     // Bounded work: every attempt can burn at most the per-receive budget
     // on each of its three expect() calls, plus capped backoff.
-    const auto& p = driver.policy();
     EXPECT_LE(report.poll_ticks,
               static_cast<std::uint64_t>(p.max_attempts) * 3 *
                   p.receive_poll_budget);
@@ -169,8 +172,7 @@ TEST(ChaosAuth, TotalLossExhaustsCleanlyThenRecovers) {
     EXPECT_EQ(h.device->completed_sessions(), 0u);
   }
   // The faulty layer is gone; the same endpoints converge immediately.
-  SessionDriver driver(*h.channel, RetryPolicy{});
-  const auto report = driver.run_mutual_auth(*h.verifier, *h.device, 2000);
+  const auto report = run_auth(h, 1, 2000);
   EXPECT_EQ(report.result, SessionResult::kConverged);
   EXPECT_TRUE(in_sync(h));
 }
@@ -183,8 +185,7 @@ TEST(ChaosAuth, BackoffSaturatesAtCapForLargeAttemptCounts) {
   RetryPolicy policy;
   policy.max_attempts = 70;  // drives the backoff shift past 63
   policy.receive_poll_budget = 1;
-  SessionDriver driver(*h.channel, policy);
-  const auto report = driver.run_mutual_auth(*h.verifier, *h.device, 3000);
+  const auto report = run_auth(h, 1, 3000, policy);
   EXPECT_EQ(report.result, SessionResult::kExhausted);
   EXPECT_EQ(report.attempts, policy.max_attempts);
 
@@ -214,30 +215,36 @@ TEST(ChaosAuth, MixedFaultSweepMaintainsInvariants) {
   {
     FaultyChannel faulty(*h.channel,
                          faults::symmetric_faults(mixed_rates(0.05)), 0xC4);
-    SessionDriver driver(*h.channel, RetryPolicy{});
     for (unsigned s = 0; s < kSessions; ++s) {
-      const auto report =
-          driver.run_mutual_auth(*h.verifier, *h.device, 1000 * (s + 1));
+      const auto report = run_auth(h, s + 1, 1000 * (s + 1));
       if (report.result == SessionResult::kConverged) {
         ++converged;
         EXPECT_TRUE(in_sync(h)) << "session " << s;
       }
-      EXPECT_LE(report.attempts, driver.policy().max_attempts);
+      EXPECT_LE(report.attempts, RetryPolicy{}.max_attempts);
     }
     faulty.flush();
   }
   // At 5% per fault family most sessions get through within the retry
   // budget; all of them must have kept the endpoints consistent.
   EXPECT_GE(converged, kSessions / 2);
-  SessionDriver driver(*h.channel, RetryPolicy{});
-  EXPECT_EQ(driver.run_mutual_auth(*h.verifier, *h.device, 100000).result,
-            SessionResult::kConverged);
+  EXPECT_EQ(run_auth(h, 1, 100000).result, SessionResult::kConverged);
   EXPECT_TRUE(in_sync(h));
 }
 
 // ------------------------------------------------------------ eke chaos
 
 const crypto::DhGroup& group() { return crypto::DhGroup::modp1536(); }
+
+core::SessionReport run_eke(DuplexChannel& channel, core::EkeParty& initiator,
+                            core::EkeParty& responder,
+                            std::uint64_t session_base,
+                            const RetryPolicy& policy = {}) {
+  return core::run_serial(1, [&](crypto::ChaChaDrbg& rng) {
+    return std::make_unique<core::EkeSessionMachine>(
+        channel, policy, rng, initiator, responder, session_base);
+  });
+}
 
 TEST(ChaosEke, ConvergedKeysAlwaysMatch) {
   const crypto::Bytes secret = crypto::bytes_of("chaos shared crp response");
@@ -250,8 +257,7 @@ TEST(ChaosEke, ConvergedKeysAlwaysMatch) {
   rates.drop = 0.05;
   rates.corrupt = 0.10;
   FaultyChannel faulty(channel, faults::symmetric_faults(rates), 0xE1);
-  SessionDriver driver(channel, RetryPolicy{});
-  const auto report = driver.run_eke(initiator, responder, 5000);
+  const auto report = run_eke(channel, initiator, responder, 5000);
   ASSERT_EQ(report.result, SessionResult::kConverged);
   EXPECT_EQ(initiator.session_key().size(), 32u);
   EXPECT_TRUE(common::ct_equal(initiator.session_key(),
@@ -271,8 +277,7 @@ TEST(ChaosEke, TotalLossExhaustsWithoutAKey) {
   // Two attempts keep the (modexp-heavy) exhaustion path cheap.
   RetryPolicy policy;
   policy.max_attempts = 2;
-  SessionDriver driver(channel, policy);
-  const auto report = driver.run_eke(initiator, responder, 6000);
+  const auto report = run_eke(channel, initiator, responder, 6000, policy);
   EXPECT_EQ(report.result, SessionResult::kExhausted);
   // The initiator never saw a server hello: no key on its side.
   EXPECT_TRUE(initiator.session_key().empty());
@@ -286,11 +291,8 @@ TEST(ChaosDeterminism, SameSeedsByteIdenticalTranscripts) {
     FaultyChannel faulty(*h.channel,
                          faults::symmetric_faults(mixed_rates(0.08)),
                          channel_seed);
-    RetryPolicy policy;
-    policy.seed = 7;
-    SessionDriver driver(*h.channel, policy);
     for (unsigned s = 0; s < 5; ++s) {
-      (void)driver.run_mutual_auth(*h.verifier, *h.device, 1000 * (s + 1));
+      (void)run_auth(h, 7 + s, 1000 * (s + 1));
     }
     faulty.flush();
     return serialize_transcript(*h.channel);

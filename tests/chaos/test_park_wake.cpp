@@ -1,5 +1,5 @@
-// Park/wake race chaos (ctest labels: chaos + concurrency — the TSan
-// flavor of scripts/check.sh covers this binary).
+// Park/wake race chaos (ctest labels: chaos + concurrency — the reactor
+// flavor of scripts/check.sh runs this binary under TSan).
 //
 // The reactor's most delicate window is the park boundary: a session
 // decides its channel cannot progress and goes onto the timer wheel at
@@ -17,8 +17,8 @@
 // (on_complete fires exactly once per submission index), no session is
 // ever stepped by two workers at once (the engine's atomic guard throws,
 // which would fail the run), and — the determinism contract — every
-// per-session transcript stays byte-identical to a serial SessionDriver
-// run no matter how the wakes land.
+// per-session transcript and report stay byte-identical to a
+// core::run_serial run no matter how the wakes land.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,7 +38,6 @@ namespace {
 
 using core::AuthSessionMachine;
 using core::RetryPolicy;
-using core::SessionDriver;
 using core::SessionEngine;
 using core::SessionEngineConfig;
 using core::SessionReport;
@@ -94,15 +93,21 @@ crypto::Bytes serialize_transcript(const DuplexChannel& channel) {
   return out;
 }
 
-void run_serial(std::size_t sessions, std::vector<crypto::Bytes>& transcripts,
-                std::vector<SessionReport>& reports) {
+// The one factory the serial reference and the engine both run.
+core::MachineFactory auth_session(AuthFixture& f, std::uint64_t base) {
+  return [&f, base](crypto::ChaChaDrbg& rng) {
+    return std::make_unique<AuthSessionMachine>(f.channel, RetryPolicy{}, rng,
+                                                *f.verifier, *f.device, base);
+  };
+}
+
+void run_serial_sessions(std::size_t sessions,
+                         std::vector<crypto::Bytes>& transcripts,
+                         std::vector<SessionReport>& reports) {
   for (std::size_t k = 0; k < sessions; ++k) {
     auto f = make_fixture(4000 + k, 0xBEEF + k);
-    RetryPolicy policy;
-    policy.seed = 700 + k;
-    SessionDriver driver(f->channel, policy);
     reports.push_back(
-        driver.run_mutual_auth(*f->verifier, *f->device, 10 * (k + 1)));
+        core::run_serial(700 + k, auth_session(*f, 10 * (k + 1))));
     transcripts.push_back(serialize_transcript(f->channel));
   }
 }
@@ -113,7 +118,7 @@ void run_park_wake_scenario(bool notify_storm) {
   constexpr std::size_t kSessions = 12;
   std::vector<crypto::Bytes> serial_t;
   std::vector<SessionReport> serial_r;
-  run_serial(kSessions, serial_t, serial_r);
+  run_serial_sessions(kSessions, serial_t, serial_r);
 
   std::vector<std::unique_ptr<AuthFixture>> fixtures;
   for (std::size_t k = 0; k < kSessions; ++k) {
@@ -130,13 +135,8 @@ void run_park_wake_scenario(bool notify_storm) {
     completions[index].fetch_add(1, std::memory_order_relaxed);
   };
   SessionEngine engine(pool, config);
-  const RetryPolicy policy;
   for (std::size_t k = 0; k < kSessions; ++k) {
-    AuthFixture& f = *fixtures[k];
-    engine.submit(700 + k, [&f, &policy, k](crypto::ChaChaDrbg& rng) {
-      return std::make_unique<AuthSessionMachine>(
-          f.channel, policy, rng, *f.verifier, *f.device, 10 * (k + 1));
-    });
+    engine.submit(700 + k, auth_session(*fixtures[k], 10 * (k + 1)));
   }
 
   std::atomic<bool> stop{false};
@@ -167,12 +167,7 @@ void run_park_wake_scenario(bool notify_storm) {
     // the storm, when enabled).
     EXPECT_EQ(serial_t[k], serialize_transcript(fixtures[k]->channel))
         << "session " << k;
-    EXPECT_EQ(reports[k].result, serial_r[k].result) << "session " << k;
-    EXPECT_EQ(reports[k].attempts, serial_r[k].attempts) << "session " << k;
-    EXPECT_EQ(reports[k].poll_ticks, serial_r[k].poll_ticks)
-        << "session " << k;
-    EXPECT_EQ(reports[k].backoff_ticks, serial_r[k].backoff_ticks)
-        << "session " << k;
+    EXPECT_EQ(reports[k], serial_r[k]) << "session " << k;
   }
   EXPECT_EQ(engine.stats().completed, kSessions);
 }
@@ -192,11 +187,7 @@ TEST(ParkWakeChaos, NotifyOutsideRunIsANoOp) {
   SessionEngine engine(pool, SessionEngineConfig{});
   engine.notify(0);  // nothing submitted, nothing running
   auto f = make_fixture(4100, 0xD00D);
-  const RetryPolicy policy;
-  engine.submit(900, [&](crypto::ChaChaDrbg& rng) {
-    return std::make_unique<AuthSessionMachine>(f->channel, policy, rng,
-                                                *f->verifier, *f->device, 10);
-  });
+  engine.submit(900, auth_session(*f, 10));
   const auto reports = engine.run();
   ASSERT_EQ(reports.size(), 1u);
   engine.notify(0);  // after the run: session records are gone

@@ -1,10 +1,10 @@
 // SessionEngine (ctest label: concurrency): the multiplexed verifier
 // engine must be a pure scheduling transform — K sessions run
 // concurrently produce byte-identical per-session transcripts and
-// reports to the same K sessions run serially through SessionDriver,
+// reports to the same K sessions run one by one through core::run_serial,
 // clean links and faulty links alike. Sessions share no mutable state,
-// so these tests are also the TSan probe for the engine's wave scheduler
-// (`scripts/check.sh tsan`).
+// so these tests are also the TSan probe for the engine's reactor
+// (`scripts/check.sh reactor`).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,7 +23,6 @@ namespace {
 
 using core::AuthSessionMachine;
 using core::RetryPolicy;
-using core::SessionDriver;
 using core::SessionEngine;
 using core::SessionEngineConfig;
 using core::SessionReport;
@@ -75,39 +74,34 @@ crypto::Bytes serialize_transcript(const DuplexChannel& channel) {
   return out;
 }
 
-bool reports_equal(const SessionReport& a, const SessionReport& b) {
-  return a.result == b.result && a.attempts == b.attempts &&
-         a.poll_ticks == b.poll_ticks && a.backoff_ticks == b.backoff_ticks &&
-         a.discarded_frames == b.discarded_frames &&
-         a.last_auth_status == b.last_auth_status;
+// The one factory both paths run: serial and engine sessions build the
+// identical machine from the identical (seed, factory) pair.
+core::MachineFactory auth_session(AuthFixture& f, std::size_t k) {
+  return [&f, k](crypto::ChaChaDrbg& rng) {
+    return std::make_unique<AuthSessionMachine>(
+        f.channel, RetryPolicy{}, rng, *f.verifier, *f.device, 10 * (k + 1));
+  };
 }
 
-// Runs K auth sessions serially (one SessionDriver per session, seeded
-// per session) and returns per-session transcripts + reports.
-void run_serial(std::size_t sessions, double drop_rate,
-                std::vector<crypto::Bytes>& transcripts,
-                std::vector<SessionReport>& reports) {
+// Runs K auth sessions serially (each with its own seed) and returns
+// per-session transcripts + reports.
+void run_serial_sessions(std::size_t sessions, double drop_rate,
+                         std::vector<crypto::Bytes>& transcripts,
+                         std::vector<SessionReport>& reports) {
   for (std::size_t k = 0; k < sessions; ++k) {
     auto f = make_auth_fixture(1000 + k, drop_rate, 0xF00 + k);
-    RetryPolicy policy;
-    policy.seed = 100 + k;
-    SessionDriver driver(f->channel, policy);
-    reports.push_back(
-        driver.run_mutual_auth(*f->verifier, *f->device, 10 * (k + 1)));
+    reports.push_back(core::run_serial(100 + k, auth_session(*f, k)));
     transcripts.push_back(serialize_transcript(f->channel));
   }
 }
 
 // Runs the same K sessions through the engine with the given in-flight
-// width, thread count, and scheduler mode (reactor by default — the
-// byte-identity assertions below are thereby the reactor's determinism
-// contract; kDeterministic pins the legacy wave scheduler to the same
-// contract).
+// width and thread count; the byte-identity assertions below are thereby
+// the reactor's determinism contract.
 void run_engine(std::size_t sessions, double drop_rate, std::size_t in_flight,
                 std::size_t threads,
                 std::vector<crypto::Bytes>& transcripts,
-                std::vector<SessionReport>& reports,
-                core::EngineMode mode = core::EngineMode::kReactor) {
+                std::vector<SessionReport>& reports) {
   std::vector<std::unique_ptr<AuthFixture>> fixtures;
   for (std::size_t k = 0; k < sessions; ++k) {
     fixtures.push_back(make_auth_fixture(1000 + k, drop_rate, 0xF00 + k));
@@ -115,15 +109,9 @@ void run_engine(std::size_t sessions, double drop_rate, std::size_t in_flight,
   common::ThreadPool pool(threads);
   SessionEngineConfig config;
   config.max_in_flight = in_flight;
-  config.mode = mode;
   SessionEngine engine(pool, config);
-  const RetryPolicy policy;  // seed overridden per session via submit()
   for (std::size_t k = 0; k < sessions; ++k) {
-    AuthFixture& f = *fixtures[k];
-    engine.submit(100 + k, [&f, &policy, k](crypto::ChaChaDrbg& rng) {
-      return std::make_unique<AuthSessionMachine>(
-          f.channel, policy, rng, *f.verifier, *f.device, 10 * (k + 1));
-    });
+    engine.submit(100 + k, auth_session(*fixtures[k], k));
   }
   reports = engine.run();
   for (const auto& fixture : fixtures) {
@@ -135,13 +123,13 @@ TEST(SessionEngineConcurrency, CleanLinkMatchesSerialByteForByte) {
   constexpr std::size_t kSessions = 8;
   std::vector<crypto::Bytes> serial_t, engine_t;
   std::vector<SessionReport> serial_r, engine_r;
-  run_serial(kSessions, 0.0, serial_t, serial_r);
+  run_serial_sessions(kSessions, 0.0, serial_t, serial_r);
   run_engine(kSessions, 0.0, /*in_flight=*/kSessions, /*threads=*/2,
              engine_t, engine_r);
   ASSERT_EQ(engine_r.size(), kSessions);
   for (std::size_t k = 0; k < kSessions; ++k) {
     EXPECT_EQ(serial_t[k], engine_t[k]) << "session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], engine_r[k])) << "session " << k;
+    EXPECT_EQ(serial_r[k], engine_r[k]) << "session " << k;
     EXPECT_EQ(engine_r[k].result, SessionResult::kConverged);
   }
 }
@@ -151,12 +139,12 @@ TEST(SessionEngineConcurrency, FaultyLinkMatchesSerialByteForByte) {
   constexpr double kDrop = 0.10;
   std::vector<crypto::Bytes> serial_t, engine_t;
   std::vector<SessionReport> serial_r, engine_r;
-  run_serial(kSessions, kDrop, serial_t, serial_r);
+  run_serial_sessions(kSessions, kDrop, serial_t, serial_r);
   run_engine(kSessions, kDrop, /*in_flight=*/4, /*threads=*/2,
              engine_t, engine_r);
   for (std::size_t k = 0; k < kSessions; ++k) {
     EXPECT_EQ(serial_t[k], engine_t[k]) << "session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], engine_r[k])) << "session " << k;
+    EXPECT_EQ(serial_r[k], engine_r[k]) << "session " << k;
   }
 }
 
@@ -177,30 +165,9 @@ TEST(SessionEngineConcurrency, ScheduleShapeCannotChangeResults) {
         EXPECT_EQ(base_t[k], t[k])
             << "session " << k << " in_flight " << in_flight << " threads "
             << threads;
-        EXPECT_TRUE(reports_equal(base_r[k], r[k])) << "session " << k;
+        EXPECT_EQ(base_r[k], r[k]) << "session " << k;
       }
     }
-  }
-}
-
-// The wave scheduler (deterministic mode) and the reactor must both be
-// invisible scheduling transforms: serial, wave, and reactor runs agree
-// byte-for-byte over the same faulty links.
-TEST(SessionEngineConcurrency, WaveModeMatchesReactorAndSerial) {
-  constexpr std::size_t kSessions = 8;
-  constexpr double kDrop = 0.10;
-  std::vector<crypto::Bytes> serial_t, wave_t, reactor_t;
-  std::vector<SessionReport> serial_r, wave_r, reactor_r;
-  run_serial(kSessions, kDrop, serial_t, serial_r);
-  run_engine(kSessions, kDrop, /*in_flight=*/4, /*threads=*/2, wave_t, wave_r,
-             core::EngineMode::kDeterministic);
-  run_engine(kSessions, kDrop, /*in_flight=*/4, /*threads=*/2, reactor_t,
-             reactor_r, core::EngineMode::kReactor);
-  for (std::size_t k = 0; k < kSessions; ++k) {
-    EXPECT_EQ(serial_t[k], wave_t[k]) << "wave session " << k;
-    EXPECT_EQ(serial_t[k], reactor_t[k]) << "reactor session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], wave_r[k])) << "session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], reactor_r[k])) << "session " << k;
   }
 }
 
@@ -220,13 +187,8 @@ TEST(SessionEngineConcurrency, ReactorStatsAccountForScheduling) {
   config.max_in_flight = 4;
   config.park_threshold = 1;
   SessionEngine engine(pool, config);
-  const RetryPolicy policy;
   for (std::size_t k = 0; k < kSessions; ++k) {
-    AuthFixture& f = *fixtures[k];
-    engine.submit(100 + k, [&f, &policy, k](crypto::ChaChaDrbg& rng) {
-      return std::make_unique<AuthSessionMachine>(
-          f.channel, policy, rng, *f.verifier, *f.device, 10 * (k + 1));
-    });
+    engine.submit(100 + k, auth_session(*fixtures[k], k));
   }
   const auto reports = engine.run();
   ASSERT_EQ(reports.size(), kSessions);
@@ -241,11 +203,11 @@ TEST(SessionEngineConcurrency, ReactorStatsAccountForScheduling) {
   // Transcripts still byte-identical to serial despite the wheel churn.
   std::vector<crypto::Bytes> serial_t;
   std::vector<SessionReport> serial_r;
-  run_serial(kSessions, kDrop, serial_t, serial_r);
+  run_serial_sessions(kSessions, kDrop, serial_t, serial_r);
   for (std::size_t k = 0; k < kSessions; ++k) {
     EXPECT_EQ(serial_t[k], serialize_transcript(fixtures[k]->channel))
         << "session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], reports[k])) << "session " << k;
+    EXPECT_EQ(serial_r[k], reports[k]) << "session " << k;
   }
 }
 
@@ -275,42 +237,44 @@ TEST(SessionEngineConcurrency, EkeKeysMatchSerial) {
         crypto::ChaChaDrbg(seed));
   };
 
-  std::vector<common::SecretBytes> serial_keys;
-  for (std::size_t k = 0; k < kSessions; ++k) {
-    auto initiator = make_party("eke-i", k);
-    auto responder = make_party("eke-r", k);
-    DuplexChannel channel;
-    RetryPolicy policy;
-    policy.seed = 500 + k;
-    SessionDriver driver(channel, policy);
-    const auto report = driver.run_eke(*initiator, *responder, 100 * (k + 1));
-    ASSERT_EQ(report.result, SessionResult::kConverged);
-    serial_keys.push_back(initiator->session_key().clone());
-  }
-
   struct EkeFixture {
     std::unique_ptr<core::EkeParty> initiator;
     std::unique_ptr<core::EkeParty> responder;
     DuplexChannel channel;
   };
-  std::vector<std::unique_ptr<EkeFixture>> fixtures;
-  for (std::size_t k = 0; k < kSessions; ++k) {
+  const auto make_fixture = [&](std::size_t k) {
     auto f = std::make_unique<EkeFixture>();
     f->initiator = make_party("eke-i", k);
     f->responder = make_party("eke-r", k);
-    fixtures.push_back(std::move(f));
+    return f;
+  };
+  const auto eke_session = [](EkeFixture& f,
+                              std::size_t k) -> core::MachineFactory {
+    return [&f, k](crypto::ChaChaDrbg& rng) {
+      return std::make_unique<core::EkeSessionMachine>(
+          f.channel, RetryPolicy{}, rng, *f.initiator, *f.responder,
+          100 * (k + 1));
+    };
+  };
+
+  std::vector<common::SecretBytes> serial_keys;
+  for (std::size_t k = 0; k < kSessions; ++k) {
+    auto f = make_fixture(k);
+    const auto report = core::run_serial(500 + k, eke_session(*f, k));
+    ASSERT_EQ(report.result, SessionResult::kConverged);
+    serial_keys.push_back(f->initiator->session_key().clone());
+  }
+
+  std::vector<std::unique_ptr<EkeFixture>> fixtures;
+  for (std::size_t k = 0; k < kSessions; ++k) {
+    fixtures.push_back(make_fixture(k));
   }
   common::ThreadPool pool(2);
   SessionEngineConfig config;
   config.max_in_flight = kSessions;
   SessionEngine engine(pool, config);
-  const RetryPolicy policy;
   for (std::size_t k = 0; k < kSessions; ++k) {
-    EkeFixture& f = *fixtures[k];
-    engine.submit(500 + k, [&f, &policy, k](crypto::ChaChaDrbg& rng) {
-      return std::make_unique<core::EkeSessionMachine>(
-          f.channel, policy, rng, *f.initiator, *f.responder, 100 * (k + 1));
-    });
+    engine.submit(500 + k, eke_session(*fixtures[k], k));
   }
   const auto reports = engine.run();
   EXPECT_EQ(engine.stats().completed, kSessions);
@@ -334,11 +298,7 @@ TEST(SessionEngineConcurrency, NotifyOutsideRunIsANoOp) {
   engine.notify(12345);
 
   auto f = make_auth_fixture(1000, 0.0, 0);
-  const RetryPolicy policy;
-  engine.submit(100, [&f, &policy](crypto::ChaChaDrbg& rng) {
-    return std::make_unique<AuthSessionMachine>(f->channel, policy, rng,
-                                                *f->verifier, *f->device, 10);
-  });
+  engine.submit(100, auth_session(*f, 0));
   const auto reports = engine.run();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].result, SessionResult::kConverged);
@@ -376,13 +336,8 @@ TEST(SessionEngineConcurrency, NotifyStormOnDeadIndicesIsHarmless) {
   };
   SessionEngine engine(pool, config);
   eng = &engine;
-  const RetryPolicy policy;
   for (std::size_t k = 0; k < kSessions; ++k) {
-    AuthFixture& f = *fixtures[k];
-    engine.submit(100 + k, [&f, &policy, k](crypto::ChaChaDrbg& rng) {
-      return std::make_unique<AuthSessionMachine>(
-          f.channel, policy, rng, *f.verifier, *f.device, 10 * (k + 1));
-    });
+    engine.submit(100 + k, auth_session(*fixtures[k], k));
   }
   const auto reports = engine.run();
   ASSERT_EQ(reports.size(), kSessions);
@@ -394,11 +349,11 @@ TEST(SessionEngineConcurrency, NotifyStormOnDeadIndicesIsHarmless) {
 
   std::vector<crypto::Bytes> serial_t;
   std::vector<SessionReport> serial_r;
-  run_serial(kSessions, kDrop, serial_t, serial_r);
+  run_serial_sessions(kSessions, kDrop, serial_t, serial_r);
   for (std::size_t k = 0; k < kSessions; ++k) {
     EXPECT_EQ(serial_t[k], serialize_transcript(fixtures[k]->channel))
         << "session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], reports[k])) << "session " << k;
+    EXPECT_EQ(serial_r[k], reports[k]) << "session " << k;
   }
 }
 

@@ -3,7 +3,7 @@
 // bookkeeping exact under concurrent takers/inserters — and the default
 // single-shard configuration must reproduce the serial class's take()
 // order bit-for-bit. The concurrency tests here are the ones the
-// `scripts/check.sh tsan` flavor runs under ThreadSanitizer.
+// `scripts/check.sh reactor` flavor runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
