@@ -4,10 +4,11 @@
 // Two questions, both quantitative:
 //
 //   1. What does durability cost on the mutation path? The naive design
-//      fsyncs once per operation; the group-commit WAL coalesces a
-//      batch of records into one write+fsync. The table prints both as
-//      ops/sec plus the ratio — the layer's reason to exist is that the
-//      ratio is large (>= 10x on every medium we've measured).
+//      fsyncs once per operation (insert + sync()); the group-commit WAL
+//      coalesces a batch of records into one write+fsync. The table
+//      prints both as ops/sec plus the ratio — the layer's reason to
+//      exist is that the ratio is large (>= 10x on every medium we've
+//      measured).
 //
 //   2. How fast does a verifier come back after a restart? Cold start
 //      replays snapshot + WAL per shard over common::parallel; the
@@ -17,7 +18,7 @@
 //
 // Timing cases (merged into BENCH_baseline.json for bench_regress.py):
 //   * BM_CrpStoreGroupCommit          — durable insert stream, group commit
-//   * BM_CrpStoreFsyncPerOp           — same stream, fsync per operation
+//   * BM_CrpStoreFsyncPerOp           — same stream, sync() per insert
 //   * BM_CrpStoreRecoveryWal/{1..8}   — cold start from WAL only
 //   * BM_CrpStoreRecoverySnapshot/{1..8} — cold start from snapshot
 #include <chrono>
@@ -48,11 +49,9 @@ Crp make_crp(std::uint32_t i) {
   return crp;
 }
 
-CrpDurabilityOptions durable_in(const std::string& dir,
-                                CrpDurabilityOptions::Mode mode) {
+CrpDurabilityOptions durable_in(const std::string& dir) {
   CrpDurabilityOptions options;
   options.directory = dir;
-  options.mode = mode;
   return options;
 }
 
@@ -61,18 +60,21 @@ CrpDurabilityOptions durable_in(const std::string& dir,
 /// next open is a pure snapshot start (wal_records == 0).
 void build_store(const std::string& dir, std::size_t shards,
                  std::uint32_t count, bool snapshot) {
-  CrpDatabase db(shards,
-                 durable_in(dir, CrpDurabilityOptions::Mode::kGroupCommit));
+  CrpDatabase db(shards, durable_in(dir));
   for (std::uint32_t i = 0; i < count; ++i) db.insert(make_crp(i));
   if (snapshot) db.snapshot();
 }
 
-double timed_ops_per_sec(CrpDurabilityOptions::Mode mode,
-                         std::uint32_t ops) {
+/// Durable insert stream; `sync_each` waits for every insert's fsync
+/// (the fsync-per-op baseline) instead of one barrier at the end.
+double timed_ops_per_sec(bool sync_each, std::uint32_t ops) {
   const io::TempDir dir("np-bench-crp-store");
-  CrpDatabase db(1, durable_in(dir.path(), mode));
+  CrpDatabase db(1, durable_in(dir.path()));
   const auto start = std::chrono::steady_clock::now();
-  for (std::uint32_t i = 0; i < ops; ++i) db.insert(make_crp(i));
+  for (std::uint32_t i = 0; i < ops; ++i) {
+    db.insert(make_crp(i));
+    if (sync_each) db.sync();
+  }
   db.sync();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
@@ -84,8 +86,7 @@ double timed_recovery_crps_per_sec(std::size_t shards, std::uint32_t count,
   const io::TempDir dir("np-bench-crp-store");
   build_store(dir.path(), shards, count, snapshot);
   const auto start = std::chrono::steady_clock::now();
-  const CrpDatabase db(
-      shards, durable_in(dir.path(), CrpDurabilityOptions::Mode::kGroupCommit));
+  const CrpDatabase db(shards, durable_in(dir.path()));
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   if (db.size() != count) std::abort();  // the bench must replay everything
@@ -97,16 +98,14 @@ void print_tables() {
       "E15", "durable CRP store: group commit + parallel recovery");
 
   constexpr std::uint32_t kOps = 2048;
-  const double group = timed_ops_per_sec(
-      CrpDurabilityOptions::Mode::kGroupCommit, kOps);
+  const double group = timed_ops_per_sec(false, kOps);
   // fsync-per-op pays a full flush round trip per insert — keep the
   // sample small enough to stay polite on slow media.
-  const double naive = timed_ops_per_sec(
-      CrpDurabilityOptions::Mode::kFsyncPerOp, kOps / 8);
+  const double naive = timed_ops_per_sec(true, kOps / 8);
   std::printf("\n  durable insert throughput (1 shard, %u ops)\n", kOps);
   std::printf("  %-22s %14s\n", "mode", "ops/sec");
   std::printf("  %-22s %14.0f\n", "group-commit WAL", group);
-  std::printf("  %-22s %14.0f\n", "fsync per op", naive);
+  std::printf("  %-22s %14.0f\n", "insert + sync()", naive);
   std::printf("  group-commit speedup: %.1fx %s\n", group / naive,
               group / naive >= 10.0 ? "(>= 10x target met)"
                                     : "(below 10x target!)");
@@ -131,15 +130,17 @@ void BM_CrpStoreGroupCommit(benchmark::State& state) {
     state.PauseTiming();
     const io::TempDir dir("np-bench-crp-store");
     state.ResumeTiming();
-    CrpDatabase db(1, durable_in(dir.path(),
-                                 CrpDurabilityOptions::Mode::kGroupCommit));
+    CrpDatabase db(1, durable_in(dir.path()));
     for (std::uint32_t i = 0; i < kOps; ++i) db.insert(make_crp(i));
     db.sync();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kOps);
 }
-BENCHMARK(BM_CrpStoreGroupCommit)->Unit(benchmark::kMillisecond);
+// Real time: the caller blocks on the writer thread's fsyncs.
+BENCHMARK(BM_CrpStoreGroupCommit)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CrpStoreFsyncPerOp(benchmark::State& state) {
   constexpr std::uint32_t kOps = 64;
@@ -147,14 +148,18 @@ void BM_CrpStoreFsyncPerOp(benchmark::State& state) {
     state.PauseTiming();
     const io::TempDir dir("np-bench-crp-store");
     state.ResumeTiming();
-    CrpDatabase db(1, durable_in(dir.path(),
-                                 CrpDurabilityOptions::Mode::kFsyncPerOp));
-    for (std::uint32_t i = 0; i < kOps; ++i) db.insert(make_crp(i));
+    CrpDatabase db(1, durable_in(dir.path()));
+    for (std::uint32_t i = 0; i < kOps; ++i) {
+      db.insert(make_crp(i));
+      db.sync();
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kOps);
 }
-BENCHMARK(BM_CrpStoreFsyncPerOp)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CrpStoreFsyncPerOp)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void run_recovery_case(benchmark::State& state, bool snapshot) {
   const auto shards = static_cast<std::size_t>(state.range(0));
@@ -162,9 +167,7 @@ void run_recovery_case(benchmark::State& state, bool snapshot) {
   const io::TempDir dir("np-bench-crp-store");
   build_store(dir.path(), shards, kEntries, snapshot);
   for (auto _ : state) {
-    const CrpDatabase db(
-        shards,
-        durable_in(dir.path(), CrpDurabilityOptions::Mode::kGroupCommit));
+    const CrpDatabase db(shards, durable_in(dir.path()));
     benchmark::DoNotOptimize(db.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -179,6 +182,7 @@ BENCHMARK(BM_CrpStoreRecoveryWal)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_CrpStoreRecoverySnapshot(benchmark::State& state) {
@@ -189,6 +193,7 @@ BENCHMARK(BM_CrpStoreRecoverySnapshot)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

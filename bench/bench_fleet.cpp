@@ -81,7 +81,6 @@ FleetConfig fleet_config(std::size_t devices, std::size_t generations,
 CrpDurabilityOptions durable_in(const std::string& dir) {
   CrpDurabilityOptions options;
   options.directory = dir;
-  options.mode = CrpDurabilityOptions::Mode::kGroupCommit;
   return options;
 }
 
@@ -280,6 +279,7 @@ BENCHMARK(BM_FleetEnroll)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_FleetEnrollNaive(benchmark::State& state) {
@@ -294,7 +294,9 @@ void BM_FleetEnrollNaive(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kDevices);
 }
-BENCHMARK(BM_FleetEnrollNaive)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetEnrollNaive)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FleetAuthCampaign(benchmark::State& state) {
   constexpr std::size_t kDevices = 4096;
@@ -313,7 +315,9 @@ void BM_FleetAuthCampaign(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kSessions);
 }
-BENCHMARK(BM_FleetAuthCampaign)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetAuthCampaign)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FleetRotationSweep(benchmark::State& state) {
   constexpr std::size_t kDevices = 2048;
@@ -330,7 +334,9 @@ void BM_FleetRotationSweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kDevices);
 }
-BENCHMARK(BM_FleetRotationSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetRotationSweep)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -107,6 +107,7 @@ BENCHMARK(BM_CrpCollectionPhotonicBatch)
     ->Arg(2)
     ->Arg(4)
     ->Arg(static_cast<int>(common::ThreadPool::default_thread_count()))
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

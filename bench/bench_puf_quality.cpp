@@ -299,6 +299,7 @@ BENCHMARK(BM_PhotonicEvaluateBatch)
     ->Arg(2)
     ->Arg(4)
     ->Arg(hardware_threads())
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The batch hot path of the verifier/model side (attestation model
@@ -321,6 +322,7 @@ void BM_PhotonicNoiselessBatch(benchmark::State& state) {
 BENCHMARK(BM_PhotonicNoiselessBatch)
     ->Arg(1)
     ->Arg(hardware_threads())
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_PopulationFabrication(benchmark::State& state) {
@@ -341,6 +343,7 @@ BENCHMARK(BM_PopulationFabrication)
     ->Arg(2)
     ->Arg(4)
     ->Arg(hardware_threads())
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_UniquenessSweep(benchmark::State& state) {
@@ -362,6 +365,7 @@ BENCHMARK(BM_UniquenessSweep)
     ->Arg(2)
     ->Arg(4)
     ->Arg(hardware_threads())
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_NistSuite4kBits(benchmark::State& state) {

@@ -138,7 +138,9 @@ void BM_VerifierModelSweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(challenges.size()));
 }
-BENCHMARK(BM_VerifierModelSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VerifierModelSweep)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -133,6 +133,7 @@ BENCHMARK(BM_ThermalSweepBatch)
     ->Arg(2)
     ->Arg(4)
     ->Arg(static_cast<int>(common::ThreadPool::default_thread_count()))
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ThermalEnvironmentStep(benchmark::State& state) {

@@ -4,8 +4,9 @@
 # secret-hygiene pass and its self-test), all with warnings-as-errors,
 # plus a benchmark smoke run that emits google-benchmark JSON, validates
 # it with scripts/bench_regress.py --check-schema, and diffs it against
-# the committed BENCH_baseline.json. This is the command to run before
-# pushing; CI runs the same matrix.
+# the committed BENCH_baseline.json, then the perfbench/check_counts.py
+# self-test of the end-to-end benchmark. This is the command to run
+# before pushing; CI runs the same matrix.
 #
 # Usage:
 #   scripts/check.sh            # plain + address + undefined + native
@@ -293,6 +294,12 @@ python3 scripts/bench_regress.py \
   --threshold "${NEUROPULS_BENCH_THRESHOLD:-0.5}" \
   --allow-missing \
   BENCH_baseline.json "${BENCH_SMOKE_DIR}/BENCH_smoke.json"
+
+# End-to-end benchmark self-test: two traced runs of every workload must
+# repeat the exact per-layer counts (puf.crp_db.wal_bytes_per_op, the
+# fleet rotation counts, ...) and read zero on the security gates.
+echo "==> perfbench: exact per-layer counts"
+python3 perfbench/check_counts.py --seconds 1
 
 # Standalone ctlint invocation against the tree (redundant with the ctest
 # case, but handy when iterating on lint annotations without a rebuild).

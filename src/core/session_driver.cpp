@@ -124,8 +124,7 @@ bool SessionMachine::step() {
             // budget below yields to the scheduler under a flood — a
             // hostile inbox can cost us steps, never an unbounded one.
             ++report_.discarded_frames;
-            if (policy_.max_discards_per_step != 0 &&
-                ++discards_this_step >= policy_.max_discards_per_step) {
+            if (++discards_this_step >= kMaxDiscardsPerStep) {
               // Yield without polling: the remaining frames are handled
               // on the next step, so transcripts are byte-identical to
               // an unbudgeted run.
@@ -133,16 +132,12 @@ bool SessionMachine::step() {
             }
             continue;
           }
-          if (policy_.max_frame_bytes != 0 &&
-              frame->payload.size() > policy_.max_frame_bytes) {
+          if (frame->payload.size() > kMaxFrameBytes) {
             // Matches the expectation but cannot be legitimate: reject on
             // length alone, before any parse or MAC code touches it.
             ++report_.discarded_frames;
             ++report_.malformed_frames;
-            if (policy_.max_discards_per_step != 0 &&
-                ++discards_this_step >= policy_.max_discards_per_step) {
-              return true;
-            }
+            if (++discards_this_step >= kMaxDiscardsPerStep) return true;
             continue;
           }
           matched = true;

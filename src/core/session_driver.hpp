@@ -56,18 +56,18 @@ struct RetryPolicy {
   /// min(base << (k-1), max) + jitter ticks, jitter in [0, base).
   std::size_t backoff_base_polls = 2;
   std::size_t backoff_max_polls = 32;
-  /// Stale/duplicate frames one step may discard before yielding back to
-  /// the scheduler — bounds per-step work under a frame flood so one
-  /// hostile session cannot monopolise a worker. The budget only defers
-  /// the remaining discards to the next step, so transcripts are
-  /// unchanged; 0 = unbounded (the historical behavior).
-  std::size_t max_discards_per_step = 32;
-  /// Frames with a larger payload are discarded (and counted as
-  /// malformed) before the protocol's on_frame parse code ever runs.
-  /// Generous default: every legitimate frame in this stack is < 4 KiB.
-  /// 0 = unlimited.
-  std::size_t max_frame_bytes = 1 << 16;
 };
+
+/// Stale/duplicate frames one step may discard before yielding back to
+/// the scheduler — bounds per-step work under a frame flood so one
+/// hostile session cannot monopolise a worker. The budget only defers
+/// the remaining discards to the next step, so transcripts are unchanged.
+inline constexpr std::size_t kMaxDiscardsPerStep = 32;
+
+/// Frames with a larger payload are discarded (and counted as malformed)
+/// before the protocol's on_frame parse code ever runs. Generous: every
+/// legitimate frame in this stack is < 4 KiB.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 16;
 
 enum class SessionResult {
   kConverged,  // both parties completed and agree

@@ -41,12 +41,8 @@ net::Message FloodAuthMachine::forged_response() {
     case FloodMode::kOversized: {
       // Far above both the channel's and the machine's frame caps. The
       // byte pattern is irrelevant — no parser may ever see it.
-      const std::size_t huge =
-          (policy_.max_frame_bytes != 0 ? policy_.max_frame_bytes
-                                        : (std::size_t{1} << 16)) +
-          1024;
       return net::Message{net::MessageType::kAuthResponse, sid_,
-                          crypto::Bytes(huge, 0xA5)};
+                          crypto::Bytes(core::kMaxFrameBytes + 1024, 0xA5)};
     }
     case FloodMode::kReplay: {
       net::Message stale = replay_seed_;

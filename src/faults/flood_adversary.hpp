@@ -19,7 +19,7 @@
 //   kOversized  — answers with a payload far above every frame-size
 //                 limit. Depending on configuration it is shed by
 //                 ChannelLimits (never enqueued) or by the machine's
-//                 max_frame_bytes guard (discarded before parsing).
+//                 kMaxFrameBytes guard (discarded before parsing).
 //   kHalfOpen   — opens the session and then goes silent: no frame is
 //                 ever sent, every attempt burns its full poll budget.
 //                 The cheapest attack per byte, and exactly what the

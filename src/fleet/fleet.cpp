@@ -26,6 +26,8 @@ constexpr std::uint64_t kChallengeTag = 0x6368616c'6c656e67ULL;  // "challeng"
 constexpr std::uint64_t kFaultTag = 0x6661756c'74746167ULL;      // "faulttag"
 constexpr std::uint64_t kSampleTag = 0x73616d70'6c657461ULL;     // "sampleta"
 constexpr std::uint64_t kSessionTag = 0x73657373'696f6e74ULL;    // "sessiont"
+/// GK sketch accuracy for session-latency quantiles.
+constexpr double kLatencySketchEps = 0.01;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -110,6 +112,16 @@ SyntheticPuf FleetSimulator::make_device(std::size_t device) const {
   return puf;
 }
 
+puf::Crp FleetSimulator::harvest(const SyntheticPuf& puf, std::size_t device,
+                                 std::uint32_t generation) const {
+  const std::uint64_t word = challenge_word(device, generation);
+  puf::Crp crp;
+  crp.challenge = puf.challenge_bytes_of(word);
+  crp.response.resize(config_.puf.response_bytes);
+  puf.evaluate_noiseless_into(word, crp.response.data());
+  return crp;
+}
+
 bool FleetSimulator::device_faulty(std::size_t device) const noexcept {
   return metrics::hash_sample(config_.seed ^ kFaultTag, device,
                               config_.faulty_device_rate);
@@ -169,12 +181,8 @@ EnrollReport FleetSimulator::enroll() {
       const std::size_t device = chunk_start + i;
       const SyntheticPuf puf = make_device(device);
       for (std::size_t g = 0; g < gens; ++g) {
-        puf::Crp& crp = staging[i * gens + g];
-        const std::uint64_t word =
-            challenge_word(device, static_cast<std::uint32_t>(g));
-        crp.challenge = puf.challenge_bytes_of(word);
-        crp.response.resize(config_.puf.response_bytes);
-        puf.evaluate_noiseless_into(word, crp.response.data());
+        staging[i * gens + g] =
+            harvest(puf, device, static_cast<std::uint32_t>(g));
       }
     });
     // Order-independent sampling before the staging buffer moves into
@@ -333,7 +341,7 @@ CampaignReport FleetSimulator::run_auth_campaign(std::size_t sessions) {
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t nonce = ++campaign_counter_;
   CampaignReport report;
-  report.poll_ticks = metrics::GkQuantileSketch(config_.latency_sketch_eps);
+  report.poll_ticks = metrics::GkQuantileSketch(kLatencySketchEps);
   std::vector<std::size_t> wave;
   wave.reserve(config_.wave_size);
   double attempts_sum = 0.0;
@@ -345,7 +353,7 @@ CampaignReport FleetSimulator::run_auth_campaign(std::size_t sessions) {
     }
     // Worker-local-style sketch per wave, merged into the campaign
     // sketch: the mergeable-summary path a sharded verifier tier uses.
-    metrics::GkQuantileSketch wave_ticks(config_.latency_sketch_eps);
+    metrics::GkQuantileSketch wave_ticks(kLatencySketchEps);
     const WaveOutcome outcome = run_wave(wave, nonce, wave_ticks, nullptr);
     report.poll_ticks.merge(wave_ticks);
     report.converged += outcome.converged;
@@ -367,7 +375,7 @@ CampaignReport FleetSimulator::run_rotation_sweep() {
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t nonce = ++campaign_counter_;
   CampaignReport report;
-  report.poll_ticks = metrics::GkQuantileSketch(config_.latency_sketch_eps);
+  report.poll_ticks = metrics::GkQuantileSketch(kLatencySketchEps);
   std::vector<std::size_t> wave;
   wave.reserve(config_.wave_size);
   std::vector<std::size_t> rotate;
@@ -382,7 +390,7 @@ CampaignReport FleetSimulator::run_rotation_sweep() {
     wave.clear();
     for (std::size_t i = 0; i < count; ++i) wave.push_back(first + i);
     rotate.clear();
-    metrics::GkQuantileSketch wave_ticks(config_.latency_sketch_eps);
+    metrics::GkQuantileSketch wave_ticks(kLatencySketchEps);
     const WaveOutcome outcome = run_wave(wave, nonce, wave_ticks, &rotate);
     report.poll_ticks.merge(wave_ticks);
     report.converged += outcome.converged;
@@ -390,32 +398,14 @@ CampaignReport FleetSimulator::run_rotation_sweep() {
     report.skipped += outcome.skipped;
     attempts_sum += outcome.attempts_sum;
 
-    // Crash-safe rotation order for the whole wave: durably insert every
-    // replacement CRP, barrier, then consume the old ones. A crash
-    // anywhere in this sequence leaves each device with >= 1 live CRP.
     staging.clear();
     staging.reserve(rotate.size());
     for (const std::size_t device : rotate) {
-      const std::uint32_t new_gen = states_[device].next;
-      const SyntheticPuf puf = make_device(device);
-      const std::uint64_t word = challenge_word(device, new_gen);
-      puf::Crp crp;
-      crp.challenge = puf.challenge_bytes_of(word);
-      crp.response.resize(config_.puf.response_bytes);
-      puf.evaluate_noiseless_into(word, crp.response.data());
-      staging.push_back(std::move(crp));
+      staging.push_back(
+          harvest(make_device(device), device, states_[device].next));
     }
-    db_.insert_batch(std::move(staging));
-    db_.sync();
-    for (const std::size_t device : rotate) {
-      DeviceState& s = states_[device];
-      if (db_.take(challenge_of(device, s.oldest)).has_value()) {
-        ++s.oldest;
-      }
-      ++s.next;
-      refresh_cursor(device);
-      ++report.rotated;
-    }
+    commit_rotation(rotate, std::move(staging));
+    report.rotated += rotate.size();
     check_memory_budget("rotation sweep");
   }
   report.poll_ticks.compress();
@@ -425,6 +415,23 @@ CampaignReport FleetSimulator::run_rotation_sweep() {
       completed == 0 ? 0.0 : attempts_sum / static_cast<double>(completed);
   report.seconds = seconds_since(start);
   return report;
+}
+
+void FleetSimulator::commit_rotation(const std::vector<std::size_t>& devices,
+                                     std::vector<puf::Crp> replacements) {
+  // Crash-safe rotation order: durably insert every replacement CRP,
+  // barrier, then consume the old ones. A crash anywhere in this
+  // sequence leaves each device with >= 1 live CRP.
+  db_.insert_batch(std::move(replacements));
+  db_.sync();
+  for (const std::size_t device : devices) {
+    DeviceState& s = states_[device];
+    if (db_.take(challenge_of(device, s.oldest)).has_value()) {
+      ++s.oldest;
+    }
+    ++s.next;
+    refresh_cursor(device);
+  }
 }
 
 void FleetSimulator::recover_state(std::uint32_t generation_limit) {
@@ -475,32 +482,13 @@ ResumeReport FleetSimulator::resume_rotation() {
       ++report.finished_takes;
     } else {
       // The replacement insert never reached stable storage: redo the
-      // whole rotation for this device (insert first, take after the
-      // barrier below).
-      const std::uint32_t new_gen = s.next;
-      const SyntheticPuf puf = make_device(device);
-      const std::uint64_t word = challenge_word(device, new_gen);
-      puf::Crp crp;
-      crp.challenge = puf.challenge_bytes_of(word);
-      crp.response.resize(config_.puf.response_bytes);
-      puf.evaluate_noiseless_into(word, crp.response.data());
-      staging.push_back(std::move(crp));
+      // whole rotation for this device.
+      staging.push_back(harvest(make_device(device), device, s.next));
       redo.push_back(device);
       ++report.redone;
     }
   }
-  if (!redo.empty()) {
-    db_.insert_batch(std::move(staging));
-    db_.sync();
-    for (const std::size_t device : redo) {
-      DeviceState& s = states_[device];
-      if (db_.take(challenge_of(device, s.oldest)).has_value()) {
-        ++s.oldest;
-      }
-      ++s.next;
-      refresh_cursor(device);
-    }
-  }
+  if (!redo.empty()) commit_rotation(redo, std::move(staging));
   return report;
 }
 
@@ -543,14 +531,8 @@ std::size_t FleetSimulator::reenroll_quarantined() {
   std::vector<puf::Crp> staging;
   staging.reserve(affected.size());
   for (const std::size_t device : affected) {
-    const std::uint32_t new_gen = states_[device].next;
-    const SyntheticPuf puf = make_device(device);
-    const std::uint64_t word = challenge_word(device, new_gen);
-    puf::Crp crp;
-    crp.challenge = puf.challenge_bytes_of(word);
-    crp.response.resize(config_.puf.response_bytes);
-    puf.evaluate_noiseless_into(word, crp.response.data());
-    staging.push_back(std::move(crp));
+    staging.push_back(
+        harvest(make_device(device), device, states_[device].next));
   }
   db_.insert_batch(std::move(staging));
   db_.sync();

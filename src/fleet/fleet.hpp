@@ -73,8 +73,6 @@ struct FleetConfig {
   /// Devices sampled (order-independently) for the enrollment
   /// uniqueness estimate; 0 disables sampling.
   std::size_t uniqueness_sample_target = 256;
-  /// GK sketch accuracy for session-latency quantiles.
-  double latency_sketch_eps = 0.01;
   /// Process byte budget asserted per chunk/wave against the alloc
   /// probe (when active) and VmHWM; 0 = unchecked. Violations throw.
   std::size_t memory_budget_bytes = 0;
@@ -217,6 +215,14 @@ class FleetSimulator {
   bool device_faulty(std::size_t device) const noexcept;
   /// Advances `oldest` past consumed/quarantined generations.
   void refresh_cursor(std::size_t device);
+  /// Generation `generation`'s challenge and noiseless response of
+  /// `puf` (device `device`): the enrollment harvest.
+  puf::Crp harvest(const SyntheticPuf& puf, std::size_t device,
+                   std::uint32_t generation) const;
+  /// Durably inserts `replacements` (one per entry of `devices`), syncs,
+  /// then consumes each device's oldest CRP and advances its window.
+  void commit_rotation(const std::vector<std::size_t>& devices,
+                       std::vector<puf::Crp> replacements);
   void check_memory_budget(const char* where) const;
   common::ThreadPool& pool() const;
 

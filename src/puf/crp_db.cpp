@@ -1,6 +1,7 @@
 #include "puf/crp_db.hpp"
 
 #include <initializer_list>
+#include <stdexcept>
 #include <thread>
 
 #include "common/arena.hpp"
@@ -171,37 +172,57 @@ std::size_t CrpDatabase::shard_index_for(
 
 void CrpDatabase::enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
                          unsigned readings) {
+  const std::size_t width = puf.challenge_bytes();
+  if (width < 8) {
+    // Narrow challenges: redrawing duplicates would never finish once the
+    // request outgrows what is left of the space.
+    const std::uint64_t space = std::uint64_t{1} << (8 * width);
+    if (count > space - std::min<std::uint64_t>(space, size())) {
+      throw std::invalid_argument(
+          "CrpDatabase::enroll: count exceeds the free challenge space");
+    }
+  }
   for (std::size_t i = 0; i < count; ++i) {
     Crp crp;
-    crp.challenge = rng.generate(puf.challenge_bytes());
+    do {
+      crp.challenge = rng.generate(width);
+    } while (health(crp.challenge).has_value());
     crp.response = enroll_majority(puf, crp.challenge, readings | 1);
     insert(std::move(crp));
   }
 }
 
+template <typename Encode>
+void CrpDatabase::wal_log(Shard& shard, Logged& logged, Encode&& encode) {
+  if (!wal_) return;
+  logged.seq = ++shard.wal_seq;
+  const std::size_t before = shard.wal_pending.size();
+  encode(shard.wal_pending, logged.seq);
+  logged.bytes += shard.wal_pending.size() - before;
+}
+
+bool CrpDatabase::insert_locked(Shard& shard, Crp& crp, Logged& logged) {
+  if (!shard.index.try_emplace(crp.challenge, shard.entries.size()).second) {
+    return false;
+  }
+  wal_log(shard, logged, [&crp](crypto::Bytes& out, std::uint64_t seq) {
+    wal::append_insert_record(out, seq, crp.challenge, crp.response);
+  });
+  shard.entries.push_back(Entry{std::move(crp), CrpHealth{}});
+  return true;
+}
+
 void CrpDatabase::insert(Crp crp) {
   const std::size_t index = shard_index_for(crp.challenge);
   Shard& shard = *shards_[index];
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
+  Logged logged;
   {
     const ShardLock lock(shard);
-    if (wal_) {
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_insert_record(shard.wal_pending, seq, crp.challenge,
-                                crp.response);
-      logged = shard.wal_pending.size() - before;
+    if (insert_locked(shard, crp, logged)) {
+      size_.fetch_add(1, std::memory_order_relaxed);
     }
-    shard.index[crp.challenge] = shard.entries.size();
-    shard.entries.push_back(Entry{std::move(crp), CrpHealth{}});
-    size_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.mode ==
-                         CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
+  wal_after_append(index, logged, false);
 }
 
 void CrpDatabase::insert_batch(std::vector<Crp> crps) {
@@ -230,32 +251,19 @@ void CrpDatabase::insert_batch(std::vector<Crp> crps) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (counts[s] == 0) continue;
     Shard& shard = *shards_[s];
-    std::uint64_t seq = 0;
-    std::size_t logged = 0;
+    // One hand-off covers the whole shard group; the highest sequence
+    // stands in for every record below it.
+    Logged logged;
     {
       const ShardLock lock(shard);
-      const std::size_t before = shard.wal_pending.size();
       shard.entries.reserve(shard.entries.size() + counts[s]);
+      std::size_t added = 0;
       for (std::size_t g = offsets[s]; g < offsets[s + 1]; ++g) {
-        Crp& crp = crps[grouped[g]];
-        if (wal_) {
-          seq = ++shard.wal_seq;
-          wal::append_insert_record(shard.wal_pending, seq, crp.challenge,
-                                    crp.response);
-        }
-        shard.index[crp.challenge] = shard.entries.size();
-        shard.entries.push_back(Entry{std::move(crp), CrpHealth{}});
+        if (insert_locked(shard, crps[grouped[g]], logged)) ++added;
       }
-      logged = shard.wal_pending.size() - before;
-      size_.fetch_add(counts[s], std::memory_order_relaxed);
+      size_.fetch_add(added, std::memory_order_relaxed);
     }
-    if (logged != 0) {
-      // One accounting/wakeup hand-off covers the whole shard group; the
-      // highest sequence stands in for every record below it.
-      wal_after_append(s, seq, logged,
-                       wal_->options.mode ==
-                           CrpDurabilityOptions::Mode::kFsyncPerOp);
-    }
+    wal_after_append(s, logged, false);
   }
 }
 
@@ -273,6 +281,21 @@ void CrpDatabase::compact(Shard& shard, std::size_t pos) {
   shard.entries.pop_back();
 }
 
+Crp CrpDatabase::take_locked(Shard& shard, std::size_t pos, Logged& logged) {
+  // Erase the index entry before moving the CRP out: the challenge is the
+  // map key, so erasing after the move would probe with a moved-from
+  // (empty) buffer and strand a stale index entry.
+  shard.index.erase(shard.entries[pos].crp.challenge);
+  Crp crp = std::move(shard.entries[pos].crp);
+  compact(shard, pos);
+  size_.fetch_sub(1, std::memory_order_relaxed);
+  shard.takes.fetch_add(1, std::memory_order_relaxed);
+  wal_log(shard, logged, [&crp](crypto::Bytes& out, std::uint64_t seq) {
+    wal::append_take_record(out, seq, crp.challenge);
+  });
+  return crp;
+}
+
 std::optional<Crp> CrpDatabase::take() {
   // Round-robin over shards so concurrent takers spread across stripes;
   // with one shard this degenerates to the serial scan order. Within a
@@ -284,41 +307,20 @@ std::optional<Crp> CrpDatabase::take() {
     const std::size_t index = (start + probe) % shards_.size();
     Shard& shard = *shards_[index];
     std::optional<Crp> crp;
-    std::uint64_t seq = 0;
-    std::size_t logged = 0;
+    Logged logged;
     {
       const ShardLock lock(shard);
       for (std::size_t i = shard.entries.size(); i-- > 0;) {
         if (shard.entries[i].health.quarantined) continue;
-        // Erase the index entry before moving the CRP out: the challenge
-        // is the map key, so erasing after the move would probe with a
-        // moved-from (empty) buffer and strand a stale index entry.
-        shard.index.erase(shard.entries[i].crp.challenge);
-        crp = std::move(shard.entries[i].crp);
-        compact(shard, i);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        shard.takes.fetch_add(1, std::memory_order_relaxed);
+        crp = take_locked(shard, i, logged);
         if (probe != 0) {
           take_steals_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (wal_) {
-          seq = ++shard.wal_seq;
-          const std::size_t before = shard.wal_pending.size();
-          wal::append_take_record(shard.wal_pending, seq, crp->challenge);
-          logged = shard.wal_pending.size() - before;
         }
         break;
       }
     }
     if (crp.has_value()) {
-      if (logged != 0) {
-        // The one-time-use invariant: do not hand the CRP out until its
-        // take record is on stable storage (unless explicitly waived).
-        wal_after_append(index, seq, logged,
-                         wal_->options.durable_take ||
-                             wal_->options.mode ==
-                                 CrpDurabilityOptions::Mode::kFsyncPerOp);
-      }
+      wal_after_append(index, logged, true);
       return crp;
     }
   }
@@ -329,34 +331,15 @@ std::optional<Crp> CrpDatabase::take(const Challenge& challenge) {
   const std::size_t index = shard_index_for(crypto::ByteView{challenge});
   Shard& shard = *shards_[index];
   std::optional<Crp> crp;
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
+  Logged logged;
   {
     const ShardLock lock(shard);
     const auto it = shard.index.find(crypto::ByteView{challenge});
     if (it == shard.index.end()) return std::nullopt;
-    const std::size_t pos = it->second;
-    if (shard.entries[pos].health.quarantined) return std::nullopt;
-    // Same ordering discipline as the scanning take(): drop the index
-    // entry while the key buffer is still intact, then move the CRP out.
-    shard.index.erase(it);
-    crp = std::move(shard.entries[pos].crp);
-    compact(shard, pos);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    shard.takes.fetch_add(1, std::memory_order_relaxed);
-    if (wal_) {
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_take_record(shard.wal_pending, seq, crp->challenge);
-      logged = shard.wal_pending.size() - before;
-    }
+    if (shard.entries[it->second].health.quarantined) return std::nullopt;
+    crp = take_locked(shard, it->second, logged);
   }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.durable_take ||
-                         wal_->options.mode ==
-                             CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
+  wal_after_append(index, logged, true);
   return crp;
 }
 
@@ -371,60 +354,39 @@ std::optional<Response> CrpDatabase::lookup(const Challenge& challenge) const {
 }
 
 void CrpDatabase::record_success(const Challenge& challenge) {
-  const std::size_t index = shard_index_for(crypto::ByteView{challenge});
-  Shard& shard = *shards_[index];
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
-  {
-    const ShardLock lock(shard);
-    const auto it = shard.index.find(crypto::ByteView{challenge});
-    if (it == shard.index.end()) return;
-    CrpHealth& health = shard.entries[it->second].health;
-    ++health.successes;
-    health.consecutive_failures = 0;
-    if (wal_) {
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_health_record(shard.wal_pending, seq, challenge, health);
-      logged = shard.wal_pending.size() - before;
-    }
-  }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.mode ==
-                         CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
+  record_outcome(challenge, true);
 }
 
 void CrpDatabase::record_failure(const Challenge& challenge) {
+  record_outcome(challenge, false);
+}
+
+void CrpDatabase::record_outcome(const Challenge& challenge, bool success) {
   const std::size_t index = shard_index_for(crypto::ByteView{challenge});
   Shard& shard = *shards_[index];
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
+  Logged logged;
   {
     const ShardLock lock(shard);
     const auto it = shard.index.find(crypto::ByteView{challenge});
     if (it == shard.index.end()) return;
     CrpHealth& health = shard.entries[it->second].health;
-    ++health.failures;
-    ++health.consecutive_failures;
-    if (health.consecutive_failures >= quarantine_threshold_) {
-      health.quarantined = true;
+    if (success) {
+      ++health.successes;
+      health.consecutive_failures = 0;
+    } else {
+      ++health.failures;
+      ++health.consecutive_failures;
+      if (health.consecutive_failures >= quarantine_threshold_) {
+        health.quarantined = true;
+      }
     }
-    if (wal_) {
-      // The record carries the *resulting* counters, so replay is exact
-      // whatever quarantine threshold a later run configures.
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_health_record(shard.wal_pending, seq, challenge, health);
-      logged = shard.wal_pending.size() - before;
-    }
+    // The record carries the *resulting* counters, so replay is exact
+    // whatever quarantine threshold a later run configures.
+    wal_log(shard, logged, [&](crypto::Bytes& out, std::uint64_t seq) {
+      wal::append_health_record(out, seq, challenge, health);
+    });
   }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.mode ==
-                         CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
+  wal_after_append(index, logged, false);
 }
 
 std::optional<CrpHealth> CrpDatabase::health(const Challenge& challenge) const {
@@ -450,29 +412,19 @@ std::size_t CrpDatabase::evict_quarantined() {
   std::size_t evicted = 0;
   for (std::size_t index = 0; index < shards_.size(); ++index) {
     Shard& shard = *shards_[index];
-    std::uint64_t seq = 0;
-    std::size_t logged = 0;
+    Logged logged;
     {
       const ShardLock lock(shard);
-      const std::size_t before = shard.wal_pending.size();
       for (std::size_t i = shard.entries.size(); i-- > 0;) {
-        if (shard.entries[i].health.quarantined) {
-          if (wal_) {
-            seq = ++shard.wal_seq;
-            wal::append_evict_record(shard.wal_pending, seq,
-                                     shard.entries[i].crp.challenge);
-          }
-          remove_at(shard, i);
-          ++evicted;
-        }
+        if (!shard.entries[i].health.quarantined) continue;
+        wal_log(shard, logged, [&](crypto::Bytes& out, std::uint64_t seq) {
+          wal::append_evict_record(out, seq, shard.entries[i].crp.challenge);
+        });
+        remove_at(shard, i);
+        ++evicted;
       }
-      logged = shard.wal_pending.size() - before;
     }
-    if (logged != 0) {
-      wal_after_append(index, seq, logged,
-                       wal_->options.mode ==
-                           CrpDurabilityOptions::Mode::kFsyncPerOp);
-    }
+    wal_after_append(index, logged, false);
   }
   size_.fetch_sub(evicted, std::memory_order_relaxed);
   return evicted;
@@ -512,14 +464,18 @@ std::size_t CrpDatabase::storage_bytes() const noexcept {
 // ---------------------------------------------------------------------------
 // Durability: append-side handshake.
 
-void CrpDatabase::wal_after_append(std::size_t shard, std::uint64_t seq,
-                                   std::size_t bytes, bool wait_durable) {
+void CrpDatabase::wal_after_append(std::size_t shard, const Logged& logged,
+                                   bool take) {
+  if (logged.bytes == 0) return;
   WalState& w = *wal_;
+  const std::size_t bytes = logged.bytes;
   const std::size_t before =
       w.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (wait_durable) {
+  if (take && w.options.durable_take) {
+    // The one-time-use invariant: do not hand the CRP out until its take
+    // record is on stable storage (unless explicitly waived).
     common::MutexLock lock(w.mutex);
-    while (w.durable_seq[shard] < seq && !w.stop) {
+    while (w.durable_seq[shard] < logged.seq && !w.stop) {
       // Re-arm each round: the writer consumes the flag per flush and
       // more of our bytes may still be pending.
       w.sync_requested = true;

@@ -25,6 +25,8 @@
 // exactly mutation order) into an in-memory pending buffer; a single
 // background writer drains those buffers, coalescing many records into
 // one write+fsync — the group commit that keeps the log at memory speed.
+// Group commit is the only write path: a caller that wants each operation
+// on stable storage before the next calls sync() after it.
 // All file I/O happens on the writer thread, strictly outside every
 // shard lock; shard locks stay leaves in the canonical lock order, and
 // the ctlint `blocking-under-lock` pass enforces that no write/fsync
@@ -113,16 +115,6 @@ struct CrpDurabilityOptions {
   /// Store directory (created if missing). Holds per-shard WAL and
   /// snapshot files plus a checksummed MANIFEST; empty = in-memory only.
   std::string directory;
-
-  enum class Mode {
-    /// Appends coalesce in per-shard pending buffers; the background
-    /// writer turns many records into one write+fsync (group commit).
-    kGroupCommit,
-    /// Every mutation waits for its own flush+fsync round trip — the
-    /// naive baseline bench_crp_store_recovery compares against.
-    kFsyncPerOp,
-  };
-  Mode mode = Mode::kGroupCommit;
 
   /// Pending bytes at which the writer flushes immediately instead of
   /// waiting out the coalescing window.
@@ -213,19 +205,26 @@ class CrpDatabase {
   CrpDatabase& operator=(const CrpDatabase&) = delete;
 
   /// Enrolls `count` CRPs by driving the PUF with challenges from `rng`.
-  /// Each response is majority-voted over `readings` evaluations. The PUF
-  /// itself is not thread-safe, so enrollment stays a serial operation
-  /// (inserts synchronise with concurrent readers as usual).
+  /// Each response is majority-voted over `readings` evaluations. A
+  /// challenge already in the store is drawn again, so every enrolled
+  /// CRP is new; throws std::invalid_argument when `count` exceeds the
+  /// free challenge space (all challenges of the PUF's width minus the
+  /// CRPs already stored). The PUF itself is not thread-safe, so
+  /// enrollment stays a serial operation (inserts synchronise with
+  /// concurrent readers as usual).
   void enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
               unsigned readings = 5);
 
-  /// Inserts one externally produced CRP.
+  /// Inserts one externally produced CRP. A challenge that is already
+  /// stored is skipped (no entry, no WAL record): a live challenge maps
+  /// to exactly one CRP, or one-time use would break.
   void insert(Crp crp);
 
   /// Inserts a batch of externally produced CRPs with one lock
   /// acquisition and one WAL hand-off per touched shard — the fleet
   /// enrollment path, where per-CRP insert() would pay the lock and
-  /// writer-wakeup cost a million times over.
+  /// writer-wakeup cost a million times over. Already-stored challenges
+  /// (including repeats within the batch) are skipped as in insert().
   void insert_batch(std::vector<Crp> crps);
 
   /// Pops an unused, non-quarantined CRP for an authentication round
@@ -368,6 +367,31 @@ class CrpDatabase {
 
   // --- durability machinery (crp_db.cpp; all no-ops when wal_ is null) ---
 
+  /// Records one critical section logged into a shard's pending buffer:
+  /// the highest sequence number and the bytes awaiting hand-off.
+  struct Logged {
+    std::uint64_t seq = 0;
+    std::size_t bytes = 0;
+  };
+
+  /// Stores `crp` unless its challenge is already live; logs the insert
+  /// record. Returns whether an entry was added.
+  bool insert_locked(Shard& shard, Crp& crp, Logged& logged)
+      NP_REQUIRES(shard.mutex);
+  /// Consumes the entry at `pos` (a one-time use) and logs the take
+  /// record.
+  Crp take_locked(Shard& shard, std::size_t pos, Logged& logged)
+      NP_REQUIRES(shard.mutex);
+  /// The health-update body behind record_success/record_failure.
+  void record_outcome(const Challenge& challenge, bool success);
+
+  /// The one write step under the shard lock: numbers the next record,
+  /// lets `encode(out, seq)` append it to the shard's pending buffer and
+  /// adds its bytes to `logged`. Does nothing in memory.
+  template <typename Encode>
+  void wal_log(Shard& shard, Logged& logged, Encode&& encode)
+      NP_REQUIRES(shard.mutex);
+
   /// Per-replay-task tallies, merged into CrpRecoveryStats.
   struct ReplayCounts;
   /// Writer-thread state + group-commit handshake; lives behind a
@@ -375,12 +399,11 @@ class CrpDatabase {
   /// free of file/thread types.
   struct WalState;
 
-  /// Called after a mutation appended `bytes` of records under the shard
-  /// lock (now released): accounts the pending bytes, wakes the writer
-  /// on a batch boundary, and — for durable takes / fsync-per-op mode —
-  /// blocks until `seq` is on stable storage.
-  void wal_after_append(std::size_t shard, std::uint64_t seq,
-                        std::size_t bytes, bool wait_durable);
+  /// The one hand-off after the shard lock is released: accounts the
+  /// logged bytes, wakes the writer on a batch boundary, and — for a
+  /// take under durable_take — blocks until `logged.seq` is on stable
+  /// storage. No-op when nothing was logged.
+  void wal_after_append(std::size_t shard, const Logged& logged, bool take);
   void wal_writer_main();
   void wal_flush_pending(std::vector<crypto::Bytes>& scratch);
   void wal_rotate_and_snapshot();

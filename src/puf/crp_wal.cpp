@@ -176,7 +176,6 @@ WalDecodeResult decode_wal(crypto::ByteView image) {
     result.records.push_back(record);
     pos += kRecordHeaderBytes + len;
   }
-  result.valid_bytes = pos;
   result.torn_bytes = image.size() - pos;
   return result;
 }

@@ -93,8 +93,6 @@ void append_evict_record(crypto::Bytes& out, std::uint64_t seq,
 
 struct WalDecodeResult {
   std::vector<RecordView> records;
-  /// Bytes consumed by fully valid records.
-  std::size_t valid_bytes = 0;
   /// Torn-tail bytes dropped at end-of-file (crash evidence; 0 on a
   /// cleanly closed log).
   std::size_t torn_bytes = 0;

@@ -256,7 +256,7 @@ TEST(FloodChaos, OversizedFloodNeverReachesParseCode) {
   config.on_complete = snapshot_hook(slots);
   SessionEngine engine(pool, config);
 
-  const RetryPolicy policy;  // max_frame_bytes default rejects the payloads
+  const RetryPolicy policy;  // kMaxFrameBytes rejects the payloads
   const auto reports = run_mixed(engine, slots, policy);
 
   expect_no_false_accepts(slots, reports);

@@ -1,17 +1,20 @@
 // Durable CrpDatabase (ctest labels: io, concurrency): group-commit WAL
 // round trips, snapshot compaction, re-sharding on load, deterministic
-// post-recovery take() order, lock_stats across restarts, and the
-// fsync-per-op comparison mode. The crash-point sweeps (truncation /
-// corruption at every byte) live in tests/chaos/test_crp_crash.cpp; this
-// file covers the clean-shutdown and happy-path recovery contracts.
+// post-recovery take() order, lock_stats across restarts, fsync-per-op
+// as insert + sync(), and one CRP per live challenge. The crash-point
+// sweeps (truncation / corruption at every byte) live in
+// tests/chaos/test_crp_crash.cpp; this file covers the clean-shutdown and
+// happy-path recovery contracts.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/io.hpp"
+#include "puf/arbiter_puf.hpp"
 #include "puf/crp_db.hpp"
 #include "puf/crp_wal.hpp"
 
@@ -286,18 +289,59 @@ TEST(CrpStore, LockStatsResetAcrossRecoveryAndResharding) {
 }
 
 TEST(CrpStore, FsyncPerOpModeIsDurableWithoutSync) {
+  // Fsync-per-op is `op; sync();` on the group-commit store. No closing
+  // snapshot: every op already waited for its fsync.
   const io::TempDir dir("np-crp-store");
   {
-    CrpDurabilityOptions options = durable_in(dir.path());
-    options.mode = CrpDurabilityOptions::Mode::kFsyncPerOp;
-    CrpDatabase db(2, options);
-    for (std::uint32_t i = 0; i < 8; ++i) db.insert(make_crp(i));
+    CrpDatabase db(2, durable_in(dir.path()));
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      db.insert(make_crp(i));
+      db.sync();
+    }
     ASSERT_TRUE(db.take().has_value());
-    // No sync(), no snapshot: every op already waited for its fsync.
+    db.sync();
   }
   CrpDatabase db(2, durable_in(dir.path()));
   EXPECT_EQ(db.size(), 7u);
   EXPECT_EQ(db.recovery_stats().wal_records, 9u);
+}
+
+TEST(CrpStore, LiveChallengeIsStoredAndTakenOnce) {
+  // A second CRP for a live challenge would be handed out twice (one-time
+  // use broken) and would brick the next open on a duplicate replay.
+  const io::TempDir dir("np-crp-store");
+  const Crp first = make_crp(3);
+  Crp second = make_crp(3);
+  second.response = {0xEE, 0xEE};
+  {
+    CrpDatabase db(1, durable_in(dir.path()));
+    db.insert(first);
+    db.insert(second);
+    db.insert_batch({second, make_crp(4), make_crp(4)});
+    EXPECT_EQ(db.size(), 2u);
+    EXPECT_EQ(db.lookup(first.challenge), first.response);
+  }
+  {
+    CrpDatabase db(1, durable_in(dir.path()));
+    EXPECT_EQ(db.recovery_stats().wal_records, 2u);
+    EXPECT_EQ(db.size(), 2u);
+    ASSERT_TRUE(db.take(first.challenge).has_value());
+    EXPECT_FALSE(db.take(first.challenge).has_value());
+    ASSERT_TRUE(db.take().has_value());
+    EXPECT_FALSE(db.take().has_value());
+  }
+  CrpDatabase reopened(1, durable_in(dir.path()));
+  EXPECT_TRUE(reopened.empty());
+
+  // enroll() redraws taken challenges and refuses a request larger than
+  // what is left of an 8-bit challenge space instead of looping.
+  ArbiterPuf puf(ArbiterPufConfig{8}, 5);
+  crypto::ChaChaDrbg rng(crypto::bytes_of("dup"));
+  CrpDatabase db;
+  db.enroll(puf, 200, rng);
+  db.enroll(puf, 56, rng);
+  EXPECT_EQ(db.size(), 256u);
+  EXPECT_THROW(db.enroll(puf, 1, rng), std::invalid_argument);
 }
 
 TEST(CrpStore, SyncIsADurabilityBarrier) {
