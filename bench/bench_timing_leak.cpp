@@ -2,14 +2,15 @@
 //
 // Prints a dudect-style t-statistic table for the stack's secret-handling
 // primitives — the constant-time comparator, CMAC tag verification,
-// HMAC-SHA256 verification — against the deliberately variable-time
-// control, then times the harness itself so its cost per audited
-// primitive is known.
+// HMAC-SHA256 verification, MODP modexp over a secret exponent — against
+// the deliberately variable-time control, then times the harness itself
+// so its cost per audited primitive is known.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "crypto/aes.hpp"
+#include "crypto/dh.hpp"
 #include "crypto/hmac.hpp"
 #include "metrics/timing_leak.hpp"
 
@@ -68,6 +69,27 @@ void print_leak_table() {
                   (void)sink;
                 },
                 message, config));
+  // Modexp is ~0.3 ms a call, so it gets a tenth of the samples.
+  TimingLeakConfig modexp_config = config;
+  modexp_config.samples_per_class = 2000;
+  modexp_config.warmup = 32;
+  crypto::Bytes low_weight(32, 0);  // the exponent 0x80...01
+  low_weight.front() = 0x80;
+  low_weight.back() = 0x01;
+  const auto& group = crypto::DhGroup::modp1536();
+  print_row("modexp MODP-1536 (256-bit x)",
+            measure_timing_leak(
+                [&group](crypto::ByteView input) {
+                  crypto::Bytes exponent(input.begin(), input.end());
+                  exponent.front() |= 0x80;
+                  exponent.back() |= 0x01;
+                  const crypto::BigUint result = crypto::modexp(
+                      group.generator,
+                      crypto::BigUint::from_bytes_be(exponent), group.prime);
+                  volatile bool sink = result.is_zero();
+                  (void)sink;
+                },
+                low_weight, modexp_config));
   print_row("variable_time_equal CONTROL",
             measure_timing_leak(
                 [&secret](crypto::ByteView input) {

@@ -260,9 +260,12 @@ LAST_BUILD="build-check/${FULL_CONFIGS[${#FULL_CONFIGS[@]}-1]}"
 # (smoke iterations are noisy); it catches order-of-magnitude cliffs, not
 # single-digit drift.
 BENCH_SMOKE_DIR="${LAST_BUILD}/bench-smoke"
-BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery'
+# BM_Modexp2048 and BM_EkeHandshake2048 (bench_aka_eke) gate the MODP
+# kernel dispatch: a silent fall-back to the portable Montgomery row is a
+# ~2.5x cliff that no test would notice.
+BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048'
 mkdir -p "${BENCH_SMOKE_DIR}"
-for bench in bench_puf_quality bench_system_level bench_server bench_crp_store_recovery; do
+for bench in bench_puf_quality bench_system_level bench_server bench_crp_store_recovery bench_aka_eke; do
   bench_bin="${LAST_BUILD}/bench/${bench}"
   if [ ! -x "${bench_bin}" ]; then
     echo "==> bench smoke: ${bench_bin} missing" >&2
@@ -286,7 +289,8 @@ python3 scripts/bench_regress.py --merge "${BENCH_SMOKE_DIR}/BENCH_smoke.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_puf_quality.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_system_level.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_server.json" \
-  "${BENCH_SMOKE_DIR}/BENCH_bench_crp_store_recovery.json"
+  "${BENCH_SMOKE_DIR}/BENCH_bench_crp_store_recovery.json" \
+  "${BENCH_SMOKE_DIR}/BENCH_bench_aka_eke.json"
 # --allow-missing: the smoke filter deliberately runs a subset of the
 # baseline's cases; a full-length run should compare WITHOUT it so a
 # vanished case fails loudly.

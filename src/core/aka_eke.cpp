@@ -52,6 +52,7 @@ void EkeParty::derive_session_key(const crypto::Bytes& shared) {
 
 net::Message EkeParty::initiate(std::uint64_t session_id) {
   session_id_ = session_id;
+  ephemeral_.secret.wipe();  // an unconsumed exponent from a lost attempt
   ephemeral_ = crypto::dh_generate(group_, rng_);
 
   crypto::Bytes payload = rng_.generate(kNonceLen);
@@ -87,8 +88,12 @@ std::optional<net::Message> EkeParty::respond(
   try {
     shared = crypto::dh_shared_secret(group_, ephemeral_.secret, peer);
   } catch (const std::runtime_error&) {
+    ephemeral_.secret.wipe();
     return std::nullopt;
   }
+  // Forward secrecy: y must not outlive the one exponentiation that needs
+  // it, or a later memory read recovers g^xy.
+  ephemeral_.secret.wipe();
 
   crypto::Bytes payload_out = rng_.generate(kNonceLen);
   const crypto::Bytes enc =
@@ -121,6 +126,9 @@ std::optional<net::Message> EkeParty::confirm(
       server_hello.session_id != session_id_) {
     return std::nullopt;
   }
+  // The exponent is consumed by the first confirm() that reaches the DH
+  // step; a replayed ServerHello must not touch the established key.
+  if (ephemeral_.secret.is_zero()) return std::nullopt;
   const crypto::ByteView payload(server_hello.payload);
   const crypto::ByteView hello =
       payload.first(kNonceLen + group_.prime_bytes);
@@ -134,8 +142,10 @@ std::optional<net::Message> EkeParty::confirm(
   try {
     shared = crypto::dh_shared_secret(group_, ephemeral_.secret, peer);
   } catch (const std::runtime_error&) {
+    ephemeral_.secret.wipe();
     return std::nullopt;
   }
+  ephemeral_.secret.wipe();
 
   transcript_.insert(transcript_.end(), hello.begin(), hello.end());
   derive_session_key(shared);

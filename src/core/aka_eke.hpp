@@ -80,6 +80,8 @@ class EkeParty {
   crypto::Aes pw_cipher_;
   const crypto::DhGroup& group_;
   crypto::ChaChaDrbg rng_;
+  /// This side's DH key pair. The secret exponent is wiped as soon as
+  /// dh_shared_secret has used it; zero means "consumed".
   crypto::DhKeyPair ephemeral_;
   crypto::Bytes transcript_;
   common::SecretBytes session_key_;

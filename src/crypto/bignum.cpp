@@ -4,6 +4,10 @@
 #include <cctype>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 namespace neuropuls::crypto {
 
 using u128 = unsigned __int128;
@@ -277,6 +281,11 @@ BigUint::DivMod BigUint::divmod(const BigUint& numerator,
   return {quotient, remainder};
 }
 
+void BigUint::wipe() noexcept {
+  secure_wipe(limbs_);
+  limbs_.clear();
+}
+
 BigUint BigUint::mulmod(const BigUint& other, const BigUint& modulus) const {
   return (*this * other) % modulus;
 }
@@ -285,132 +294,230 @@ BigUint BigUint::mulmod(const BigUint& other, const BigUint& modulus) const {
 
 namespace {
 
-// -N^-1 mod 2^64 via Newton iteration on the low limb.
-std::uint64_t neg_inverse64(std::uint64_t n) {
+// Hides a mask's value from the optimizer so the selects built on it stay
+// branch-free arithmetic instead of being turned back into jumps.
+inline std::uint64_t value_barrier(std::uint64_t x) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  asm("" : "+r"(x));
+#endif
+  return x;
+}
+
+// All-ones when a == b, else zero, without a branch.
+inline std::uint64_t eq_mask(std::uint64_t a, std::uint64_t b) noexcept {
+  const std::uint64_t d = a ^ b;
+  return value_barrier(((d | (0 - d)) >> 63) - 1);
+}
+
+#if defined(__x86_64__)
+
+bool cpu_has_bmi2_adx() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  constexpr unsigned kBmi2 = 1u << 8;
+  constexpr unsigned kAdx = 1u << 19;
+  return (ebx & kBmi2) && (ebx & kAdx);
+}
+
+// The row t[0..N+1] += x*y on two carry chains: adcx adds each low product
+// word into t[j], adox adds the previous high word into the same t[j]. mulx,
+// mov and lea leave both flags alone, so the chains survive the unrolled
+// body. Each repetition covers two limbs, alternating the high-word
+// register; the last two limbs absorb the final high word and both carries.
+template <std::size_t N>
+__attribute__((target("bmi2,adx"))) void mont_row_adx_n(
+    std::uint64_t* t, std::uint64_t x, const std::uint64_t* y,
+    std::size_t) noexcept {
+  static_assert(N % 2 == 0, "the body is unrolled two limbs at a time");
+  std::uint64_t lo, hi_odd, zero;
+  std::uint64_t hi_even = 0;
+  asm volatile(
+      "xorl %k[zero], %k[zero]\n\t"  // zero = 0; clears CF and OF
+      ".rept %c[pairs]\n\t"
+      "mulxq (%[y]), %[lo], %[hi_odd]\n\t"
+      "adcxq (%[t]), %[lo]\n\t"
+      "adoxq %[hi_even], %[lo]\n\t"
+      "movq %[lo], (%[t])\n\t"
+      "mulxq 8(%[y]), %[lo], %[hi_even]\n\t"
+      "adcxq 8(%[t]), %[lo]\n\t"
+      "adoxq %[hi_odd], %[lo]\n\t"
+      "movq %[lo], 8(%[t])\n\t"
+      "leaq 16(%[y]), %[y]\n\t"
+      "leaq 16(%[t]), %[t]\n\t"
+      ".endr\n\t"
+      "movq (%[t]), %[lo]\n\t"
+      "adcxq %[zero], %[lo]\n\t"
+      "adoxq %[hi_even], %[lo]\n\t"
+      "movq %[lo], (%[t])\n\t"
+      "movq 8(%[t]), %[lo]\n\t"
+      "adcxq %[zero], %[lo]\n\t"
+      "adoxq %[zero], %[lo]\n\t"
+      "movq %[lo], 8(%[t])\n\t"
+      : [t] "+r"(t), [y] "+r"(y), [lo] "=&r"(lo), [hi_odd] "=&r"(hi_odd),
+        [zero] "=&r"(zero), [hi_even] "+&r"(hi_even)
+      : "d"(x), [pairs] "i"(N / 2)
+      : "cc", "memory");
+}
+
+#endif  // __x86_64__
+
+}  // namespace
+
+namespace detail {
+
+void mont_row_portable(std::uint64_t* t, std::uint64_t x,
+                       const std::uint64_t* y, std::size_t n) noexcept {
+  std::uint64_t carry = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 cur = static_cast<u128>(x) * y[j] + t[j] + carry;
+    t[j] = static_cast<std::uint64_t>(cur);
+    carry = static_cast<std::uint64_t>(cur >> 64);
+  }
+  const u128 top = static_cast<u128>(t[n]) + carry;
+  t[n] = static_cast<std::uint64_t>(top);
+  t[n + 1] += static_cast<std::uint64_t>(top >> 64);
+}
+
+MontRow mont_row_adx(std::size_t n) noexcept {
+#if defined(__x86_64__)
+  static const bool supported = cpu_has_bmi2_adx();
+  if (supported) {
+    if (n == 24) return &mont_row_adx_n<24>;
+    if (n == 32) return &mont_row_adx_n<32>;
+  }
+#endif
+  (void)n;
+  return nullptr;
+}
+
+std::uint64_t mont_n0_inv(std::uint64_t n0) noexcept {
+  // Newton iteration doubles the correct low bits each step: 1 -> 64.
   std::uint64_t inv = 1;
   for (int i = 0; i < 6; ++i) {
-    inv *= 2 - n * inv;
+    inv *= 2 - n0 * inv;
   }
   return ~inv + 1;  // negate mod 2^64
 }
 
-}  // namespace
+void mont_mul(MontRow row, const std::uint64_t* a, const std::uint64_t* b,
+              const std::uint64_t* modulus, std::uint64_t n0_inv,
+              std::size_t n, std::uint64_t* t, std::uint64_t* out) noexcept {
+  // CIOS with a sliding accumulator: limb i of `a` adds a[i]*b at t+i, then
+  // m*N clears t[i]. Nothing is shifted; after n limbs t[n..2n] holds
+  // (a*b + M*N) / R < 2N, and every partial sum fits the row's n+2 limbs.
+  std::fill(t, t + 2 * n + 1, std::uint64_t{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    row(t + i, a[i], b, n);
+    row(t + i, t[i] * n0_inv, modulus, n);
+  }
+
+  // Masked final subtraction: always form t - N (into the spent low half),
+  // keep it when the top limb is set or the subtraction did not borrow.
+  const std::uint64_t* r = t + n;
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 d = static_cast<u128>(r[j]) - modulus[j] - borrow;
+    t[j] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
+  const std::uint64_t keep_diff = value_barrier(0 - (r[n] | (borrow ^ 1)));
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = (t[j] & keep_diff) | (r[j] & ~keep_diff);
+  }
+}
+
+}  // namespace detail
 
 MontgomeryCtx::MontgomeryCtx(BigUint modulus) : modulus_(std::move(modulus)) {
   if (!modulus_.is_odd() || modulus_ <= BigUint(1)) {
     throw std::invalid_argument("MontgomeryCtx: modulus must be odd and > 1");
   }
   n_ = modulus_.limbs().size();
-  n_limbs_ = modulus_.limbs();
-  n_limbs_.resize(n_, 0);
-  n0_inv_ = neg_inverse64(n_limbs_[0]);
+  if (n_ > kMaxMontLimbs) {
+    throw std::invalid_argument("MontgomeryCtx: modulus wider than 4096 bits");
+  }
+  n0_inv_ = detail::mont_n0_inv(modulus_.limbs_[0]);
 
   // R^2 mod N with R = 2^(64*n): one general reduction at setup time.
   const BigUint r2 = (BigUint(1) << (2 * 64 * n_)) % modulus_;
   r2_ = r2.limbs();
   r2_.resize(n_, 0);
-}
 
-void MontgomeryCtx::mont_mul(const std::uint64_t* a, const std::uint64_t* b,
-                             std::uint64_t* out) const noexcept {
-  // CIOS (coarsely integrated operand scanning).
-  std::vector<std::uint64_t> t(n_ + 2, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    // t += a[i] * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const u128 cur = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    u128 s = static_cast<u128>(t[n_]) + carry;
-    t[n_] = static_cast<std::uint64_t>(s);
-    t[n_ + 1] = static_cast<std::uint64_t>(s >> 64);
-
-    // m = t[0] * n0_inv mod 2^64; t += m * N; t >>= 64
-    const std::uint64_t m = t[0] * n0_inv_;
-    carry = 0;
-    {
-      const u128 cur = static_cast<u128>(m) * n_limbs_[0] + t[0];
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    for (std::size_t j = 1; j < n_; ++j) {
-      const u128 cur = static_cast<u128>(m) * n_limbs_[j] + t[j] + carry;
-      t[j - 1] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    s = static_cast<u128>(t[n_]) + carry;
-    t[n_ - 1] = static_cast<std::uint64_t>(s);
-    t[n_] = t[n_ + 1] + static_cast<std::uint64_t>(s >> 64);
-    t[n_ + 1] = 0;
-  }
-
-  // Conditional final subtraction of N.
-  bool ge = t[n_] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n_; i-- > 0;) {
-      if (t[i] != n_limbs_[i]) {
-        ge = t[i] > n_limbs_[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::uint64_t borrow = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const u128 sub =
-          static_cast<u128>(t[i]) - n_limbs_[i] - borrow;
-      out[i] = static_cast<std::uint64_t>(sub);
-      borrow = (sub >> 64) ? 1 : 0;
-    }
-  } else {
-    std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(n_), out);
-  }
-}
-
-BigUint MontgomeryCtx::to_mont(const BigUint& x) const {
-  std::vector<std::uint64_t> xv = (x % modulus_).limbs();
-  xv.resize(n_, 0);
-  std::vector<std::uint64_t> out(n_, 0);
-  mont_mul(xv.data(), r2_.data(), out.data());
-  BigUint result;
-  result.limbs_ = out;
-  result.normalize();
-  return result;
-}
-
-BigUint MontgomeryCtx::from_mont(const std::vector<std::uint64_t>& x) const {
-  std::vector<std::uint64_t> one(n_, 0);
-  one[0] = 1;
-  std::vector<std::uint64_t> out(n_, 0);
-  mont_mul(x.data(), one.data(), out.data());
-  BigUint result;
-  result.limbs_ = out;
-  result.normalize();
-  return result;
+  row_ = detail::mont_row_adx(n_);
+  if (row_ == nullptr) row_ = &detail::mont_row_portable;
 }
 
 BigUint MontgomeryCtx::modexp(const BigUint& base,
                               const BigUint& exponent) const {
-  if (exponent.is_zero()) return BigUint(1) % modulus_;
+  constexpr std::size_t kWindowBits = 5;
+  constexpr std::size_t kTableSize = std::size_t{1} << kWindowBits;
+  const std::size_t n = n_;
+  // Everything that allocates comes first, so nothing can throw once the
+  // scratch holds secrets and skip the wipe.
+  const BigUint reduced = base % modulus_;
+  BigUint result;
+  result.limbs_.reserve(n);
 
-  std::vector<std::uint64_t> acc = to_mont(BigUint(1)).limbs();
-  acc.resize(n_, 0);
-  std::vector<std::uint64_t> b = to_mont(base).limbs();
-  b.resize(n_, 0);
-  std::vector<std::uint64_t> tmp(n_, 0);
+  // Stack scratch, wiped below: it holds powers of the base and, for DH,
+  // the running value of g^xy.
+  std::uint64_t scratch[2 * kMaxMontLimbs + 1];     // ctlint:secret(scratch)
+  std::uint64_t table[kTableSize * kMaxMontLimbs];  // ctlint:secret(table)
+  std::uint64_t acc[kMaxMontLimbs];                 // ctlint:secret(acc)
+  std::uint64_t sel[kMaxMontLimbs];                 // ctlint:secret(sel)
+  const auto mul = [&](const std::uint64_t* a, const std::uint64_t* b,
+                       std::uint64_t* out) {
+    detail::mont_mul(row_, a, b, modulus_.limbs_.data(), n0_inv_, n, scratch,
+                     out);
+  };
 
-  const std::size_t bits = exponent.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    mont_mul(acc.data(), acc.data(), tmp.data());
-    acc.swap(tmp);
-    if (exponent.bit(i)) {
-      mont_mul(acc.data(), b.data(), tmp.data());
-      acc.swap(tmp);
-    }
+  // table[k] = base^k * R mod N: entry 0 is R mod N (one), entry 1 the
+  // base, each further entry one multiply by the base.
+  std::fill(sel, sel + n, std::uint64_t{0});
+  sel[0] = 1;
+  mul(sel, r2_.data(), table);
+  std::fill(sel, sel + n, std::uint64_t{0});
+  std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), sel);
+  mul(sel, r2_.data(), table + n);
+  for (std::size_t k = 2; k < kTableSize; ++k) {
+    mul(table + (k - 1) * n, table + n, table + k * n);
   }
-  return from_mont(acc);
+
+  // Fixed windows over the exponent's full limb width, most significant
+  // first; bits past the top limb read as zero. Only the bit positions
+  // steer control flow, never the bits.
+  const std::vector<std::uint64_t>& e = exponent.limbs_;
+  const std::size_t bits = e.size() * 64;
+  std::copy(table, table + n, acc);
+  for (std::size_t pos = (bits + kWindowBits - 1) / kWindowBits * kWindowBits;
+       pos > 0; pos -= kWindowBits) {
+    for (std::size_t s = 0; s < kWindowBits; ++s) mul(acc, acc, acc);
+    std::uint64_t window = 0;
+    for (std::size_t b = 0; b < kWindowBits; ++b) {
+      const std::size_t i = pos - kWindowBits + b;
+      if (i < bits) window |= ((e[i / 64] >> (i % 64)) & 1) << b;
+    }
+    // Masked scan: touch every entry, keep the one that matches.
+    std::fill(sel, sel + n, std::uint64_t{0});
+    for (std::size_t k = 0; k < kTableSize; ++k) {
+      const std::uint64_t take = eq_mask(k, window);
+      const std::uint64_t* entry = table + k * n;
+      for (std::size_t j = 0; j < n; ++j) sel[j] |= entry[j] & take;
+    }
+    mul(acc, sel, acc);
+  }
+
+  // Out of Montgomery form: multiply by plain one.
+  std::fill(sel, sel + n, std::uint64_t{0});
+  sel[0] = 1;
+  mul(acc, sel, acc);
+  result.limbs_.assign(acc, acc + n);
+  result.normalize();
+
+  crypto::secure_wipe(scratch, sizeof(scratch));
+  crypto::secure_wipe(table, sizeof(table));
+  crypto::secure_wipe(acc, sizeof(acc));
+  crypto::secure_wipe(sel, sizeof(sel));
+  return result;
 }
 
 BigUint modexp(const BigUint& base, const BigUint& exponent,
@@ -419,19 +526,7 @@ BigUint modexp(const BigUint& base, const BigUint& exponent,
     throw std::domain_error("modexp: zero modulus");
   }
   if (modulus == BigUint(1)) return BigUint{};
-  if (modulus.is_odd()) {
-    return MontgomeryCtx(modulus).modexp(base, exponent);
-  }
-  // Even-modulus fallback: plain square-and-multiply with division-based
-  // reduction. Only exercised by tests; all protocol moduli are odd primes.
-  BigUint result(1);
-  BigUint b = base % modulus;
-  const std::size_t bits = exponent.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    result = result.mulmod(result, modulus);
-    if (exponent.bit(i)) result = result.mulmod(b, modulus);
-  }
-  return result;
+  return MontgomeryCtx(modulus).modexp(base, exponent);
 }
 
 }  // namespace neuropuls::crypto

@@ -1,5 +1,5 @@
-// Arbitrary-precision unsigned integers with Montgomery modular
-// exponentiation.
+// Arbitrary-precision unsigned integers with constant-time Montgomery
+// modular exponentiation.
 //
 // Section IV of the paper proposes an EKE-based Authentication and Key
 // Agreement protocol on top of the PUF CRP ("see the CRP as a low-entropy
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "crypto/bytes.hpp"
+#include "crypto/montgomery_kernels.hpp"
 
 namespace neuropuls::crypto {
 
@@ -86,6 +87,10 @@ class BigUint {
 
   const std::vector<std::uint64_t>& limbs() const noexcept { return limbs_; }
 
+  /// Zeroes the limbs with `secure_wipe`, then makes the value zero. For
+  /// values that hold secrets, such as DH exponents.
+  void wipe() noexcept;
+
  private:
   void normalize() noexcept;
   friend class MontgomeryCtx;
@@ -104,37 +109,49 @@ inline BigUint BigUint::operator/(const BigUint& denom) const {
   return divmod(*this, denom).quotient;
 }
 
+/// Widest modulus `MontgomeryCtx` accepts, in limbs (4096 bits). `modexp`
+/// keeps all of its scratch on the stack, sized by this bound.
+inline constexpr std::size_t kMaxMontLimbs = 64;
+
 /// Precomputed Montgomery context for a fixed odd modulus. Amortises the
-/// setup across the thousands of multiplications inside one modexp.
+/// setup across the hundreds of multiplications inside one modexp.
+///
+/// Constant-time contract: for a given modulus, `modexp`'s sequence of
+/// operations and memory accesses depends only on the exponent's limb
+/// count, never on its bits or on the base. The exponent is scanned in
+/// fixed 5-bit windows over its full limb width; every window costs five
+/// squarings and one multiply, and reads its table entry by a masked scan
+/// of all 32 entries. The Montgomery product ends in a masked, branch-free
+/// final subtraction. All scratch lives on the stack and is wiped before
+/// `modexp` returns.
+///
+/// Kernel dispatch: for 24- and 32-limb moduli (the RFC 3526 1536- and
+/// 2048-bit groups) on an x86-64 CPU with BMI2 and ADX, checked once by
+/// CPUID, each product row runs on an unrolled mulx/adcx/adox kernel. Every
+/// other width and CPU uses the portable CIOS row, which is also the
+/// reference the fast kernel is tested against. Both give identical bits.
 class MontgomeryCtx {
  public:
-  /// Throws std::invalid_argument unless modulus is odd and > 1.
+  /// Throws std::invalid_argument unless modulus is odd, > 1 and at most
+  /// kMaxMontLimbs limbs wide.
   explicit MontgomeryCtx(BigUint modulus);
 
-  /// base^exponent mod modulus (left-to-right square-and-multiply over
-  /// Montgomery representatives).
+  /// base^exponent mod modulus, in constant time per the contract above.
   BigUint modexp(const BigUint& base, const BigUint& exponent) const;
 
   const BigUint& modulus() const noexcept { return modulus_; }
 
  private:
-  // Montgomery product: returns a*b*R^-1 mod N, operands in Montgomery
-  // form, all vectors sized n_ limbs.
-  void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
-                std::uint64_t* out) const noexcept;
-
-  BigUint to_mont(const BigUint& x) const;
-  BigUint from_mont(const std::vector<std::uint64_t>& x) const;
-
   BigUint modulus_;
-  std::vector<std::uint64_t> n_limbs_;  // modulus, padded to n_
-  std::vector<std::uint64_t> r2_;       // R^2 mod N, n_ limbs
-  std::uint64_t n0_inv_ = 0;            // -N^-1 mod 2^64
-  std::size_t n_ = 0;                   // limb count
+  std::vector<std::uint64_t> r2_;  // R^2 mod N, n_ limbs
+  std::uint64_t n0_inv_ = 0;       // -N^-1 mod 2^64
+  std::size_t n_ = 0;              // limb count
+  detail::MontRow row_ = nullptr;  // product-row kernel for n_
 };
 
-/// base^exponent mod modulus. Uses Montgomery for odd moduli and a
-/// shift-and-reduce fallback for even ones.
+/// base^exponent mod modulus through MontgomeryCtx. Returns zero for
+/// modulus 1; throws std::domain_error for a zero modulus and
+/// std::invalid_argument for an even or over-wide one.
 BigUint modexp(const BigUint& base, const BigUint& exponent,
                const BigUint& modulus);
 

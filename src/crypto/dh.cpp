@@ -74,8 +74,10 @@ Bytes dh_shared_secret(const DhGroup& group, const BigUint& secret,
   if (!dh_public_is_valid(group, peer_public)) {
     throw std::runtime_error("dh_shared_secret: invalid peer public value");
   }
-  const BigUint shared = modexp(peer_public, secret, group.prime);
-  return shared.to_bytes_be(group.prime_bytes);
+  BigUint shared = modexp(peer_public, secret, group.prime);
+  Bytes out = shared.to_bytes_be(group.prime_bytes);
+  shared.wipe();
+  return out;
 }
 
 }  // namespace neuropuls::crypto

@@ -12,7 +12,8 @@
 //
 // Used by `tests/metrics/test_timing_leak.cpp` and
 // `bench/bench_timing_leak.cpp` against `crypto::ct_equal`, AES-CTR+CMAC
-// tag verification, and HMAC-SHA256 verification — plus the deliberately
+// tag verification, HMAC-SHA256 verification and MODP modexp over a
+// secret exponent — plus the deliberately
 // variable-time `variable_time_equal` control below, which the harness
 // must flag (a leak detector that never fires is just a rubber stamp).
 #pragma once

@@ -54,6 +54,27 @@ TEST(Eke, TamperedServerHelloRejected) {
   EXPECT_TRUE(initiator.session_key().empty());
 }
 
+TEST(Eke, ReplayedServerHelloCannotWipeEstablishedKey) {
+  // confirm() consumes the ephemeral exponent; a ServerHello replayed
+  // after success must be refused before it touches the session key.
+  const crypto::Bytes secret = crypto::bytes_of("pw");
+  EkeParty initiator(secret, group(), crypto::ChaChaDrbg(crypto::bytes_of("i3")));
+  EkeParty responder(secret, group(), crypto::ChaChaDrbg(crypto::bytes_of("r3")));
+
+  const auto hello = initiator.initiate(9);
+  const auto server_hello = responder.respond(hello);
+  ASSERT_TRUE(server_hello.has_value());
+  const auto client_confirm = initiator.confirm(*server_hello);
+  ASSERT_TRUE(client_confirm.has_value());
+  ASSERT_TRUE(responder.finalize(*client_confirm));
+  const common::SecretBytes key = initiator.session_key().clone();
+  ASSERT_FALSE(key.empty());
+
+  EXPECT_FALSE(initiator.confirm(*server_hello).has_value());
+  EXPECT_TRUE(common::ct_equal(initiator.session_key(), key));
+  EXPECT_TRUE(common::ct_equal(responder.session_key(), key));
+}
+
 TEST(Eke, TamperedClientConfirmRejected) {
   const crypto::Bytes secret = crypto::bytes_of("pw");
   EkeParty initiator(secret, group(), crypto::ChaChaDrbg(crypto::bytes_of("i2")));

@@ -2,8 +2,11 @@
 // groups and DH key agreement used by the EKE AKA service.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/bignum.hpp"
 #include "crypto/dh.hpp"
+#include "crypto/montgomery_kernels.hpp"
 #include "crypto/prng.hpp"
 
 namespace neuropuls::crypto {
@@ -102,7 +105,7 @@ TEST(Modexp, SmallKnownValues) {
 TEST(Modexp, MatchesNaiveOnRandomOddModuli) {
   rng::Xoshiro256 rng(7);
   for (int trial = 0; trial < 50; ++trial) {
-    const std::uint64_t m = (rng.next() | 1) >> 16;  // odd, 48-bit
+    const std::uint64_t m = (rng.next() >> 16) | 1;  // odd, 48-bit
     if (m <= 2) continue;
     const std::uint64_t b = rng.next() % m;
     const std::uint64_t e = rng.next() % 1000;
@@ -114,14 +117,211 @@ TEST(Modexp, MatchesNaiveOnRandomOddModuli) {
   }
 }
 
-TEST(Modexp, EvenModulusFallback) {
-  // 7^5 mod 12 = 16807 mod 12 = 7
-  EXPECT_EQ(modexp(BigUint(7), BigUint(5), BigUint(12)).to_hex(), "7");
+TEST(Modexp, EvenModulusRejected) {
+  // Every protocol modulus is an odd prime; there is no even-modulus path.
+  EXPECT_THROW(modexp(BigUint(7), BigUint(5), BigUint(12)),
+               std::invalid_argument);
 }
 
 TEST(Montgomery, RejectsEvenModulus) {
   EXPECT_THROW(MontgomeryCtx(BigUint(10)), std::invalid_argument);
   EXPECT_THROW(MontgomeryCtx(BigUint(1)), std::invalid_argument);
+}
+
+TEST(Montgomery, RejectsOverWideModulus) {
+  const BigUint widest = (BigUint(1) << (64 * kMaxMontLimbs)) - BigUint(1);
+  EXPECT_NO_THROW(MontgomeryCtx{widest});
+  EXPECT_THROW(MontgomeryCtx((widest << 1) + BigUint(1)),
+               std::invalid_argument);
+}
+
+// ---- Kernel pinning ---------------------------------------------------------
+
+using Limbs = std::vector<std::uint64_t>;
+
+Limbs padded(const BigUint& x, std::size_t n) {
+  Limbs out = x.limbs();
+  out.resize(n, 0);
+  return out;
+}
+
+BigUint from_limbs(const Limbs& limbs) {
+  Bytes be;
+  for (std::size_t i = limbs.size(); i-- > 0;) append_u64_be(be, limbs[i]);
+  return BigUint::from_bytes_be(be);
+}
+
+// Reference: square-and-multiply over the slow divmod path.
+BigUint modexp_by_mulmod(const BigUint& base, const BigUint& exponent,
+                         const BigUint& modulus) {
+  BigUint acc = BigUint(1) % modulus;
+  const BigUint b = base % modulus;
+  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+    acc = acc.mulmod(acc, modulus);
+    if (exponent.bit(i)) acc = acc.mulmod(b, modulus);
+  }
+  return acc;
+}
+
+// Square-and-multiply over detail::mont_mul with a chosen row kernel, so
+// the known answers below pin each kernel on its own.
+BigUint modexp_with_row(detail::MontRow row, const BigUint& base,
+                        const BigUint& exponent, const BigUint& modulus) {
+  const std::size_t n = modulus.limbs().size();
+  const Limbs mod = modulus.limbs();
+  const std::uint64_t n0_inv = detail::mont_n0_inv(mod[0]);
+  Limbs t(2 * n + 1), one(n, 0);
+  one[0] = 1;
+  const std::size_t r_bits = 64 * n;
+  Limbs acc = padded((BigUint(1) << r_bits) % modulus, n);
+  const Limbs b = padded((base << r_bits) % modulus, n);
+  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+    detail::mont_mul(row, acc.data(), acc.data(), mod.data(), n0_inv, n,
+                     t.data(), acc.data());
+    if (exponent.bit(i)) {
+      detail::mont_mul(row, acc.data(), b.data(), mod.data(), n0_inv, n,
+                       t.data(), acc.data());
+    }
+  }
+  detail::mont_mul(row, acc.data(), one.data(), mod.data(), n0_inv, n,
+                   t.data(), acc.data());
+  return from_limbs(acc);
+}
+
+// Random value below `modulus` (same width, top limb kept under N's).
+Limbs random_below(const Limbs& modulus, rng::Xoshiro256& rng) {
+  Limbs out(modulus.size());
+  for (auto& limb : out) limb = rng.next();
+  out.back() = modulus.back() == 0 ? 0 : rng.next() % modulus.back();
+  return out;
+}
+
+// The CIOS accumulator before the final subtraction: the limbs t[n..2n].
+Limbs unreduced_product(detail::MontRow row, const Limbs& a, const Limbs& b,
+                        const Limbs& modulus) {
+  const std::size_t n = modulus.size();
+  const std::uint64_t n0_inv = detail::mont_n0_inv(modulus[0]);
+  Limbs t(2 * n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    row(t.data() + i, a[i], b.data(), n);
+    row(t.data() + i, t[i] * n0_inv, modulus.data(), n);
+  }
+  return Limbs(t.begin() + static_cast<std::ptrdiff_t>(n), t.end());
+}
+
+TEST(MontKernel, AdxMatchesPortableOnRandomOperands) {
+  rng::Xoshiro256 rng(2048);
+  for (const std::size_t n : {std::size_t{24}, std::size_t{32}}) {
+    const detail::MontRow adx = detail::mont_row_adx(n);
+    if (adx == nullptr) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    // Moduli: the RFC 3526 prime of this width, random odd ones, and
+    // random odd ones whose upper limbs are all ones (the MODP shape).
+    std::vector<Limbs> moduli;
+    moduli.push_back(padded(
+        n == 24 ? DhGroup::modp1536().prime : DhGroup::modp2048().prime, n));
+    for (int k = 0; k < 4; ++k) {
+      Limbs m(n);
+      for (auto& limb : m) limb = rng.next();
+      m[0] |= 1;
+      m.back() |= std::uint64_t{1} << 63;
+      moduli.push_back(m);
+      for (std::size_t j = n / 2; j < n; ++j) m[j] = ~std::uint64_t{0};
+      moduli.push_back(m);
+    }
+    std::size_t over_n = 0;  // products that needed the subtraction
+    Limbs t(2 * n + 1), fast(n), slow(n);
+    for (int pair = 0; pair < 10000; ++pair) {
+      const Limbs& mod = moduli[static_cast<std::size_t>(pair) % moduli.size()];
+      const BigUint modulus = from_limbs(mod);
+      Limbs a = random_below(mod, rng);
+      Limbs b = random_below(mod, rng);
+      if (pair % 7 == 0) a = padded(modulus - BigUint(1), n);
+      if (pair % 11 == 0) b = padded(modulus - BigUint(1), n);
+
+      const Limbs unreduced = unreduced_product(adx, a, b, mod);
+      ASSERT_EQ(unreduced, unreduced_product(&detail::mont_row_portable, a,
+                                             b, mod));
+      if (from_limbs(unreduced) >= modulus) ++over_n;
+
+      const std::uint64_t n0_inv = detail::mont_n0_inv(mod[0]);
+      detail::mont_mul(adx, a.data(), b.data(), mod.data(), n0_inv, n,
+                       t.data(), fast.data());
+      detail::mont_mul(&detail::mont_row_portable, a.data(), b.data(),
+                       mod.data(), n0_inv, n, t.data(), slow.data());
+      ASSERT_EQ(fast, slow) << "n=" << n << " pair=" << pair;
+      ASSERT_LT(from_limbs(fast), modulus);
+    }
+    EXPECT_GT(over_n, 0u) << "no product exercised the final subtraction";
+  }
+}
+
+TEST(MontKernel, EveryWidthMatchesMulmodReference) {
+  rng::Xoshiro256 rng(64);
+  for (std::size_t n = 1; n <= kMaxMontLimbs; ++n) {
+    Limbs m(n);
+    for (auto& limb : m) limb = rng.next();
+    m[0] |= 1;
+    m.back() |= std::uint64_t{1} << 63;
+    const BigUint modulus = from_limbs(m);
+    const BigUint base = from_limbs(random_below(m, rng));
+    const BigUint exponent = from_limbs({rng.next(), rng.next()});
+    EXPECT_EQ(MontgomeryCtx(modulus).modexp(base, exponent),
+              modexp_by_mulmod(base, exponent, modulus))
+        << "n=" << n;
+  }
+}
+
+struct KnownAnswer {
+  const DhGroup& group;
+  const char* exponent;
+  const char* expected;  // pow(2, exponent, p), from Python
+};
+
+std::vector<KnownAnswer> modp_known_answers() {
+  return {
+      {DhGroup::modp1536(),
+       "b7e151628aed2a6abf7158809cf4f3c762e7160f38b4da56a784d9045190cfef",
+       "c388d077e42b620ce3e4aa99bf15b9766c960e769bc8e6d85d7b5e5636614ff3"
+       "0b67f4c381224ed3ba01b2b7ed19225f98b58f59cd9bf089d3f4cd2af9ef3eda"
+       "2147bc6eb31c266e1520a4a131dbbc9ca17e8838d4478ed43fb174bfb48020b1"
+       "1c86f8019f72f6c9b5db6fae3796687fa8aeaa3e955c37fa321f1bc84cf5af27"
+       "8424b825872d5d500ee5baa7e1a123565bc4ad7b59b8d7a0ed889f6c6b597d0c"
+       "6aeec4940baf20d71e81ece5726c6d9664e51663d3f152b1f4e1199f47ebea82"},
+      {DhGroup::modp2048(),
+       "9e3779b97f4a7c15f39cc0605cedc8341082276bf3a27251f86c6a11d0c18e95",
+       "b847c22eff9638f154163ba92cb50804d454569cb5fed08b7e9f226cdf8c232f"
+       "0c00ffa4272dd43c6fa033cfd87d4f00f1fa92b62c0afab4e43aa05c860cbf61"
+       "9558031433914d668b1ace5f5032e030110adf58719765f661c2a2e434173e0b"
+       "27ae28d59aa0d837425fac37eea3d52eec30dd6a7926ef4616974d6b640f8520"
+       "bad40b73cc5a0a9a8c472d3486efbcd7261e09a42fa205ebed08f6c016051aff"
+       "90efda3133c76455b1bddd2ab91c314d2d66d63abb74526dca35c1a3c996597b"
+       "9d579459668b2f839289c1ad7bec7a1fd551924e5931eb40875ecc6742262c64"
+       "e4e8d50e20f5509e213a897e2662fe06ee5bd3e229c6369c89817f1a791db69a"},
+  };
+}
+
+TEST(MontKernel, ModpKnownAnswersThroughModexp) {
+  for (const auto& kat : modp_known_answers()) {
+    const BigUint x = BigUint::from_hex(kat.exponent);
+    EXPECT_EQ(modexp(kat.group.generator, x, kat.group.prime).to_hex(),
+              kat.expected);
+  }
+}
+
+TEST(MontKernel, ModpKnownAnswersOnEachKernel) {
+  for (const auto& kat : modp_known_answers()) {
+    const BigUint x = BigUint::from_hex(kat.exponent);
+    const std::size_t n = kat.group.prime.limbs().size();
+    EXPECT_EQ(modexp_with_row(&detail::mont_row_portable, kat.group.generator,
+                              x, kat.group.prime)
+                  .to_hex(),
+              kat.expected);
+    const detail::MontRow adx = detail::mont_row_adx(n);
+    if (adx == nullptr) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    EXPECT_EQ(modexp_with_row(adx, kat.group.generator, x, kat.group.prime)
+                  .to_hex(),
+              kat.expected);
+  }
 }
 
 TEST(Montgomery, LargeGroupSelfConsistency) {

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "crypto/aes.hpp"
+#include "crypto/dh.hpp"
 #include "crypto/hmac.hpp"
 #include "metrics/timing_leak.hpp"
 
@@ -107,6 +108,33 @@ TEST(TimingLeak, HmacVerificationIsConstantTime) {
   const auto report = best_of_three(target, message, quick_config());
   EXPECT_FALSE(report.leaking)
       << "HMAC verify flagged: t=" << report.t_statistic;
+}
+
+TEST(TimingLeak, ModexpIsConstantTime) {
+  // EKE's secret exponent: the fixed class is the low-Hamming-weight
+  // 0x80...01 (two set bits), the random class random 256-bit exponents
+  // forced to the same length, as dh_generate forces them. A scan that
+  // multiplies only on 1-bits separates the classes by ~126 multiplies.
+  const auto& group = crypto::DhGroup::modp1536();
+  crypto::Bytes fixed(32, 0);
+  fixed.front() = 0x80;
+  fixed.back() = 0x01;
+  const TimingTarget target = [&group](crypto::ByteView input) {
+    crypto::Bytes exponent(input.begin(), input.end());
+    exponent.front() |= 0x80;
+    exponent.back() |= 0x01;
+    const crypto::BigUint result = crypto::modexp(
+        group.generator, crypto::BigUint::from_bytes_be(exponent),
+        group.prime);
+    volatile bool sink = result.is_zero();
+    (void)sink;
+  };
+  TimingLeakConfig config;
+  config.samples_per_class = 1000;
+  config.warmup = 32;
+  const auto report = best_of_three(target, fixed, config);
+  EXPECT_FALSE(report.leaking)
+      << "modexp flagged: t=" << report.t_statistic;
 }
 
 TEST(TimingLeak, ReportEchoesThreshold) {
