@@ -228,8 +228,8 @@ void print_sessions_table() {
 
 // Reactor at fleet scale: in-flight widths up to and past the fleet
 // size. The scheduling columns come from the engine's own
-// counters — at width 64k the wheel and the steal path are the runtime,
-// so their counts belong next to the rate.
+// counters — at width 64k the timer heap and the steal path are the
+// runtime, so their counts belong next to the rate.
 void print_high_inflight_table() {
   bench::banner("E14", "Reactor sessions/sec at high in-flight widths");
   constexpr std::size_t kSessions = 16384;
@@ -253,7 +253,7 @@ void print_high_inflight_table() {
   }
   bench::note("fleet of " + std::to_string(kSessions) + " devices; " +
               "in-flight above the fleet size admits everything at once "
-              "and measures pure queue/wheel overhead.");
+              "and measures pure queue/timer overhead.");
 }
 
 // Skewed-latency scenario: 1% of devices are 100x slower (SlowPuf). The

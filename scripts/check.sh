@@ -113,6 +113,27 @@ fi
 
 mkdir -p build-check
 
+# Configures one warnings-as-errors RelWithDebInfo tree and builds it:
+# every target, or only the ones named after the first three arguments.
+#   configure_and_build BUILD_DIR SANITIZE NATIVE [TARGET...]
+configure_and_build() {
+  local build_dir="$1" sanitize="$2" native="$3"
+  shift 3
+  cmake -B "${build_dir}" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DNEUROPULS_SANITIZE="${sanitize}" \
+    -DNEUROPULS_NATIVE="${native}" \
+    -DNEUROPULS_WERROR=ON \
+    > "${build_dir}.configure.log" 2>&1 || {
+      tail -n 40 "${build_dir}.configure.log"; return 1; }
+  local targets=()
+  local target
+  for target in "$@"; do targets+=(--target "${target}"); done
+  cmake --build "${build_dir}" -j "${JOBS}" ${targets[@]+"${targets[@]}"} \
+    > "${build_dir}.build.log" 2>&1 || {
+      tail -n 40 "${build_dir}.build.log"; return 1; }
+}
+
 run_config() {
   local config="$1"
   local label="${2:-}"   # optional ctest -L label (sweep flavors)
@@ -125,19 +146,8 @@ run_config() {
     sanitize="${config}"
   fi
 
-  echo "==> [${config}] configure (${build_dir}, NEUROPULS_SANITIZE='${sanitize}', NEUROPULS_NATIVE=${native}, NEUROPULS_WERROR=ON)"
-  cmake -B "${build_dir}" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DNEUROPULS_SANITIZE="${sanitize}" \
-    -DNEUROPULS_NATIVE="${native}" \
-    -DNEUROPULS_WERROR=ON \
-    > "${build_dir}.configure.log" 2>&1 || {
-      tail -n 40 "${build_dir}.configure.log"; return 1; }
-
-  echo "==> [${config}] build"
-  cmake --build "${build_dir}" -j "${JOBS}" \
-    > "${build_dir}.build.log" 2>&1 || {
-      tail -n 40 "${build_dir}.build.log"; return 1; }
+  echo "==> [${config}] configure + build (${build_dir}, NEUROPULS_SANITIZE='${sanitize}', NEUROPULS_NATIVE=${native}, NEUROPULS_WERROR=ON)"
+  configure_and_build "${build_dir}" "${sanitize}" "${native}"
 
   if [ -n "${label}" ]; then
     echo "==> [${config}] ctest -L ${label}"
@@ -156,17 +166,8 @@ run_config() {
 run_lint_flavor() {
   local build_dir="build-check/lint"
 
-  echo "==> [lint] configure (${build_dir})"
-  cmake -B "${build_dir}" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DNEUROPULS_WERROR=ON \
-    > "${build_dir}.configure.log" 2>&1 || {
-      tail -n 40 "${build_dir}.configure.log"; return 1; }
-
-  echo "==> [lint] build ctlint"
-  cmake --build "${build_dir}" -j "${JOBS}" --target ctlint \
-    > "${build_dir}.build.log" 2>&1 || {
-      tail -n 40 "${build_dir}.build.log"; return 1; }
+  echo "==> [lint] configure + build ctlint (${build_dir})"
+  configure_and_build "${build_dir}" "" OFF ctlint
 
   echo "==> [lint] ctlint source pass (secret + concurrency rules, empty-baseline gate)"
   "${build_dir}/tools/ctlint/ctlint" \
@@ -259,14 +260,26 @@ LAST_BUILD="build-check/${FULL_CONFIGS[${#FULL_CONFIGS[@]}-1]}"
 # the committed pre-PR baseline. The threshold is deliberately loose
 # (smoke iterations are noisy); it catches order-of-magnitude cliffs, not
 # single-digit drift.
-BENCH_SMOKE_DIR="${LAST_BUILD}/bench-smoke"
+#
+# The baseline was recorded on an optimised, unsanitised RelWithDebInfo
+# build, so the smoke always times binaries from the plain tree: a
+# sanitizer or -march=native tree times a different program. The plain
+# tree is reused when this invocation built it; otherwise only the bench
+# binaries are built there.
+BENCH_BINS=(bench_puf_quality bench_system_level bench_server bench_crp_store_recovery bench_aka_eke)
+SMOKE_BUILD="build-check/plain"
+if [[ " ${FULL_CONFIGS[*]} " != *" plain "* ]]; then
+  echo "==> bench smoke: configure + build ${BENCH_BINS[*]} (${SMOKE_BUILD})"
+  configure_and_build "${SMOKE_BUILD}" "" OFF "${BENCH_BINS[@]}"
+fi
+BENCH_SMOKE_DIR="${SMOKE_BUILD}/bench-smoke"
 # BM_Modexp2048 and BM_EkeHandshake2048 (bench_aka_eke) gate the MODP
 # kernel dispatch: a silent fall-back to the portable Montgomery row is a
 # ~2.5x cliff that no test would notice.
 BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048'
 mkdir -p "${BENCH_SMOKE_DIR}"
-for bench in bench_puf_quality bench_system_level bench_server bench_crp_store_recovery bench_aka_eke; do
-  bench_bin="${LAST_BUILD}/bench/${bench}"
+for bench in "${BENCH_BINS[@]}"; do
+  bench_bin="${SMOKE_BUILD}/bench/${bench}"
   if [ ! -x "${bench_bin}" ]; then
     echo "==> bench smoke: ${bench_bin} missing" >&2
     exit 1

@@ -2,12 +2,11 @@
 //
 // Every lock-holding component (puf::CrpDatabase shards, the
 // common::parallel scheduler primitives, core::SessionEngine,
-// net::DuplexChannel's wakeup hook, core::KeyManager,
-// accel::SecureAccelerator's health machine, the PhotonicPuf table
-// cache) holds a common::Mutex / common::SharedMutex and scopes critical
-// sections with MutexLock / ReadLock / WriteLock, so Clang's capability
-// analysis (src/common/thread_annotations.hpp) can prove every
-// NP_GUARDED_BY field is only touched under its lock. The wrappers add
+// core::KeyManager, accel::SecureAccelerator's health machine, the
+// PhotonicPuf table cache) holds a common::Mutex / common::SharedMutex
+// and scopes critical sections with MutexLock / ReadLock / WriteLock, so
+// Clang's capability analysis (src/common/thread_annotations.hpp) can
+// prove every NP_GUARDED_BY field is only touched under its lock. The wrappers add
 // nothing at runtime over the std primitives they hold; on non-Clang
 // compilers they ARE the std primitives, one forwarding call deep.
 //
@@ -15,9 +14,9 @@
 // pass over these wrappers, and documented in DESIGN.md):
 //
 //   ThreadPool::submit_mutex_  >  ThreadPool::mutex_  >  Loop::m
-//   SessionEngine::notify_mutex_  >  Reactor::sched_mutex
-//   Reactor::admit_mutex  >  DuplexChannel::hook_mutex_
-//       >  Reactor::sched_mutex  >  ParkingLot::mutex_
+//   Reactor::sched_mutex  >  ParkingLot::mutex_
+//   Reactor::admit_mutex is a leaf: admission decides and evicts only
+//   after releasing it.
 //   SecureAccelerator::mutex_   >  SecureAccelerator::health_mutex_
 //   CrpDatabase Shard locks are leaves: nothing is ever acquired under
 //   one, and they must never be taken while an engine lock is held.

@@ -123,17 +123,14 @@ class SessionMachine {
   const SessionReport& report() const noexcept { return report_; }
 
   /// Scheduling hint for reactors: how many channel polls this machine
-  /// will necessarily burn before it can make protocol progress, absent
-  /// any externally injected frame. 0 means "may progress now" (a frame
-  /// is readable, or an attempt is about to start). Stepping earlier
-  /// than the hint is always *correct* — every poll is an explicit step,
-  /// so the transcript cannot depend on when a scheduler chooses to run
+  /// will necessarily burn before it can make protocol progress. Every
+  /// frame it can receive is produced inside its own step(), so nothing
+  /// else can shorten that wait. 0 means "may progress now" (a frame is
+  /// readable, or an attempt is about to start). Stepping earlier than
+  /// the hint is always *correct* — every poll is an explicit step, so
+  /// the transcript cannot depend on when a scheduler chooses to run
   /// them — the hint only tells a reactor how long parking is profitable.
   std::size_t wait_hint() const noexcept;
-
-  /// The channel this machine polls — exposed so a scheduler can attach
-  /// the wakeup hook that re-queues a parked session on frame arrival.
-  net::DuplexChannel& channel() noexcept { return channel_; }
 
  protected:
   SessionMachine(net::DuplexChannel& channel, const RetryPolicy& policy,

@@ -3,22 +3,32 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
+#include <tuple>
+
+#include "common/mutex.hpp"
+#include "common/thread_annotations.hpp"
 
 namespace neuropuls::core {
 
 namespace {
-constexpr std::uint64_t kNoDeadline = std::numeric_limits<std::uint64_t>::max();
 /// Max step() calls per activation before a session yields back to the
 /// run queue (bounds how long one session can monopolise a worker while
 /// others are runnable).
 constexpr std::size_t kStepsPerSlice = 32;
+
+/// Slots per worker run queue (and in the timer heap). Eviction lets a
+/// freshly admitted session coexist briefly with its not-yet-retired
+/// victim, so the runnable population can exceed max_in_flight; double
+/// the headroom rather than reason about the exact transient.
+std::size_t run_queue_capacity(std::size_t max_in_flight) {
+  return max_in_flight * 2 + 2;
+}
 }  // namespace
 
 // Per-session control record, arena-allocated at submit() and destroyed
 // en masse when run() finishes. sstate/park_epoch are guarded by the
-// reactor's scheduler mutex; wake_pending/stepping are lock-free flags.
+// reactor's scheduler mutex; evicted/stepping are lock-free flags.
 struct SessionEngine::Session {
   explicit Session(std::uint64_t seed)
       : rng(session_driver_seed_bytes(seed)) {}
@@ -33,145 +43,84 @@ struct SessionEngine::Session {
   std::size_t cost_bytes = 0;
   /// Set by the admission controller's half-open eviction (possibly from
   /// a worker stepping a different session); the owner observes it at the
-  /// next pickup and retires the session as kEvicted instead of stepping.
+  /// next pickup and retires the session as kEvicted instead of stepping,
+  /// and try_park() refuses to park it.
   std::atomic<bool> evicted{false};
 
   enum class SState : std::uint8_t { kRunnable, kParked };
   SState sstate = SState::kRunnable;
-  /// Bumped on every park *and* every wake, so a wheel entry is live iff
+  /// Bumped on every park *and* every wake, so a timer entry is live iff
   /// its recorded epoch still matches — a woken session's stale entry
-  /// self-invalidates without a wheel search.
+  /// self-invalidates without a heap search.
   std::uint64_t park_epoch = 0;
-  /// Set by a cross-thread wake that found the session not parked; the
-  /// owner consumes it at the next park decision (requeue instead).
-  std::atomic<bool> wake_pending{false};
   /// Exactly-one-worker-steps-me guard.
   std::atomic<bool> stepping{false};
 };
 
-namespace {
-
-/// The session this thread is currently stepping (type-erased — Session
-/// is engine-private) — lets the channel wakeup hook recognise the
-/// session's own sends (already visible to its next wait_hint()) and
-/// skip the cross-thread wake path entirely.
-thread_local void* tl_current_session = nullptr;
-
-}  // namespace
-
 // One reactor instantiation per run(): per-worker steal deques, a shared
-// timer wheel + ready list under one scheduler mutex (park/wake
+// timer heap + ready list under one scheduler mutex (park/wake
 // transitions are rare next to steps, so a single mutex is both simple
 // and TSan-clean), a parking lot for idle workers, and admission state.
 struct SessionEngine::Reactor {
-  /// Two-level hierarchical timer wheel over virtual poll time. Entries
-  /// carry absolute deadlines; each bucket caches its minimum so
-  /// advance() finds the earliest pending deadline in O(slots), not
-  /// O(parked). Guarded externally by sched_mutex. Bucket vectors keep
-  /// their capacity across drains, so parking is allocation-free once
-  /// the wheel is warm.
-  class TimerWheel {
+  /// Binary min-heap of park deadlines over virtual poll time, keyed on
+  /// (deadline, park order) so sessions due together revive in the order
+  /// they parked. Guarded externally by sched_mutex. Its storage is
+  /// reserved to the run-queue capacity: every live session holds at most
+  /// one live entry, and only an eviction wake leaves a stale one behind,
+  /// so the steady-state park path is heap-free.
+  class TimerHeap {
    public:
-    static constexpr std::size_t kSlots = 64;
-    /// Pre-reserved entries per bucket: parking only allocates once a
-    /// single bucket collects more sessions than this (and then keeps
-    /// the grown capacity), so the steady-state park path is heap-free.
-    static constexpr std::size_t kBucketReserve = 8;
-
-    TimerWheel() {
-      for (Bucket& bucket : level0_) bucket.items.reserve(kBucketReserve);
-      for (Bucket& bucket : level1_) bucket.items.reserve(kBucketReserve);
-      overflow_.items.reserve(kBucketReserve);
-    }
+    explicit TimerHeap(std::size_t capacity) { entries_.reserve(capacity); }
 
     void insert(Session* session, std::size_t delay) {
       const std::uint64_t deadline =
           now_ + std::max<std::size_t>(std::size_t{1}, delay);
-      Bucket& bucket = bucket_for(deadline);
-      bucket.items.push_back(Entry{session, session->park_epoch, deadline});
-      bucket.min_deadline = std::min(bucket.min_deadline, deadline);
-      ++entries_;
+      entries_.push_back(
+          Entry{deadline, parked_++, session, session->park_epoch});
+      std::push_heap(entries_.begin(), entries_.end(), later);
     }
 
     /// Jumps virtual time to the earliest live deadline and moves every
     /// session due at it into `out` (marking them runnable). Returns the
-    /// number emitted; 0 when the wheel holds no live entry.
+    /// number emitted; 0 when the heap holds no live entry.
     std::size_t advance(std::vector<Session*>& out) {
-      while (entries_ > 0) {
-        Bucket* best = nullptr;
-        for (Bucket& bucket : level0_) {
-          if (bucket.min_deadline < (best ? best->min_deadline : kNoDeadline)) {
-            best = &bucket;
+      std::size_t emitted = 0;
+      while (emitted == 0 && !entries_.empty()) {
+        now_ = entries_.front().deadline;
+        while (!entries_.empty() && entries_.front().deadline == now_) {
+          std::pop_heap(entries_.begin(), entries_.end(), later);
+          const Entry entry = entries_.back();
+          entries_.pop_back();
+          // A mismatched epoch means the session was woken (or
+          // re-parked) after this entry was written — it is stale.
+          if (entry.session->park_epoch == entry.epoch &&
+              entry.session->sstate == Session::SState::kParked) {
+            entry.session->sstate = Session::SState::kRunnable;
+            ++entry.session->park_epoch;
+            out.push_back(entry.session);
+            ++emitted;
           }
         }
-        for (Bucket& bucket : level1_) {
-          if (bucket.min_deadline < (best ? best->min_deadline : kNoDeadline)) {
-            best = &bucket;
-          }
-        }
-        if (overflow_.min_deadline < (best ? best->min_deadline : kNoDeadline)) {
-          best = &overflow_;
-        }
-        if (best == nullptr) return 0;  // only stale-cleared buckets remain
-        now_ = std::max(now_, best->min_deadline);
-
-        std::size_t emitted = 0;
-        std::size_t keep = 0;
-        std::uint64_t new_min = kNoDeadline;
-        auto& items = best->items;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-          Entry entry = items[i];
-          if (entry.deadline <= now_) {
-            --entries_;
-            // A mismatched epoch means the session was woken (or
-            // re-parked) after this entry was written — it is stale.
-            if (entry.session->park_epoch == entry.epoch &&
-                entry.session->sstate == Session::SState::kParked) {
-              entry.session->sstate = Session::SState::kRunnable;
-              ++entry.session->park_epoch;
-              out.push_back(entry.session);
-              ++emitted;
-            }
-          } else {
-            items[keep++] = entry;
-            new_min = std::min(new_min, entry.deadline);
-          }
-        }
-        items.resize(keep);
-        best->min_deadline = new_min;
-        if (emitted > 0) return emitted;
-        // Every due entry was stale; keep scanning for the next deadline.
       }
-      return 0;
+      return emitted;
     }
-
-    std::uint64_t now() const noexcept { return now_; }
 
    private:
     struct Entry {
+      std::uint64_t deadline;
+      std::uint64_t order;
       Session* session;
       std::uint64_t epoch;
-      std::uint64_t deadline;
-    };
-    struct Bucket {
-      std::vector<Entry> items;
-      std::uint64_t min_deadline = kNoDeadline;
     };
 
-    Bucket& bucket_for(std::uint64_t deadline) {
-      const std::uint64_t delta = deadline - now_;
-      if (delta <= kSlots) return level0_[deadline % kSlots];
-      if (delta <= kSlots * kSlots) {
-        return level1_[(deadline / kSlots) % kSlots];
-      }
-      return overflow_;
+    /// Heap order: true when `a` comes due after `b`.
+    static bool later(const Entry& a, const Entry& b) {
+      return std::tie(a.deadline, a.order) > std::tie(b.deadline, b.order);
     }
 
     std::uint64_t now_ = 0;
-    std::size_t entries_ = 0;  // bucket entries, stale included
-    Bucket level0_[kSlots];    // deadlines within (now, now+64]
-    Bucket level1_[kSlots];    // deadlines within (now+64, now+4096]
-    Bucket overflow_;          // beyond the hierarchical horizon
+    std::uint64_t parked_ = 0;
+    std::vector<Entry> entries_;
   };
 
   Reactor(SessionEngine& engine_in, std::vector<Session*>& all_in,
@@ -181,14 +130,12 @@ struct SessionEngine::Reactor {
         reports(reports_in),
         width(width_in),
         lot(width_in),
-        remaining(all_in.size()) {
+        remaining(all_in.size()),
+        timers(run_queue_capacity(engine_in.config_.max_in_flight)) {
     queues.reserve(width);
     scratch.resize(width);
-    // Eviction lets a freshly admitted session coexist briefly with its
-    // not-yet-retired victim, so the runnable population can exceed
-    // max_in_flight; double the headroom rather than reason about the
-    // exact transient.
-    const std::size_t capacity = engine.config_.max_in_flight * 2 + 2;
+    const std::size_t capacity =
+        run_queue_capacity(engine.config_.max_in_flight);
     for (std::size_t w = 0; w < width; ++w) {
       queues.push_back(std::make_unique<common::StealDeque>(capacity));
       scratch[w].reserve(engine.config_.max_in_flight);
@@ -202,7 +149,7 @@ struct SessionEngine::Reactor {
   std::size_t width;
 
   std::vector<std::unique_ptr<common::StealDeque>> queues;
-  std::vector<std::vector<Session*>> scratch;  // per-worker wheel-drain buffer
+  std::vector<std::vector<Session*>> scratch;  // per-worker timer-drain buffer
   common::ParkingLot lot;
   std::atomic<std::size_t> remaining;
   std::atomic<bool> failed{false};
@@ -212,7 +159,7 @@ struct SessionEngine::Reactor {
   /// cannot reference a Reactor member — so it is documented here and
   /// checked by the TSan flavor instead).
   common::Mutex sched_mutex;
-  TimerWheel wheel NP_GUARDED_BY(sched_mutex);
+  TimerHeap timers NP_GUARDED_BY(sched_mutex);
   std::vector<Session*> ready NP_GUARDED_BY(sched_mutex);
 
   common::Mutex admit_mutex;
@@ -233,22 +180,6 @@ struct SessionEngine::Reactor {
   std::atomic<std::uint64_t> evicted_half_open{0};
   std::atomic<std::uint64_t> malformed{0};
 
-  void attach(Session* s) {
-    s->machine->channel().set_wakeup_hook(
-        [this, s](net::Direction) { wake(s); });
-  }
-
-  /// Clears every installed wakeup hook. Normally a no-op (retire clears
-  /// each), but after a worker exception it keeps user-owned channels
-  /// from holding dangling references into this (stack-local) reactor.
-  void detach_all() {
-    common::MutexLock lock(admit_mutex);
-    for (std::size_t i = 0; i < next_admit; ++i) {
-      // Shed sessions never built a machine (reject-before-alloc).
-      if (all[i]->machine) all[i]->machine->channel().set_wakeup_hook(nullptr);
-    }
-  }
-
   void push_runnable(std::size_t w, Session* s) {
     if (!queues[w]->push(s)) {
       throw std::logic_error("SessionEngine: run queue overflow");
@@ -261,33 +192,27 @@ struct SessionEngine::Reactor {
     lot.unpark_one();
   }
 
-  /// Channel wakeup: a frame landed for `s`. Self-sends while `s` is
-  /// being stepped on this very thread are already visible to its next
-  /// wait_hint(), so only genuinely external arrivals take the slow path.
+  /// Re-queues `s` if it is parked. Only eviction calls this: a queued
+  /// or running session needs no wake, because its owner checks
+  /// `evicted` at the next pickup and in try_park().
   void wake(Session* s) {
-    if (tl_current_session == s) return;
     common::MutexLock lock(sched_mutex);
-    if (s->sstate == Session::SState::kParked) {
-      s->sstate = Session::SState::kRunnable;
-      ++s->park_epoch;  // the wheel entry is now stale
-      ready.push_back(s);
-      wakeups.fetch_add(1, std::memory_order_relaxed);
-      lot.unpark_one();
-    } else {
-      // Running or queued: make the owner's next park decision a requeue,
-      // closing the stepping→park window without a lock on the hot path.
-      s->wake_pending.store(true, std::memory_order_relaxed);
-    }
+    if (s->sstate != Session::SState::kParked) return;
+    s->sstate = Session::SState::kRunnable;
+    ++s->park_epoch;  // the timer entry is now stale
+    ready.push_back(s);
+    wakeups.fetch_add(1, std::memory_order_relaxed);
+    lot.unpark_one();
   }
 
   bool try_park(Session* s, std::size_t hint) {
     common::MutexLock lock(sched_mutex);
-    if (s->wake_pending.exchange(false, std::memory_order_acq_rel)) {
-      return false;  // a wake raced the park — keep the session runnable
-    }
+    // evict() sets the flag before its wake() takes this lock: either the
+    // flag is visible here, or the wake finds the session parked.
+    if (s->evicted.load(std::memory_order_acquire)) return false;
     s->sstate = Session::SState::kParked;
     ++s->park_epoch;
-    wheel.insert(s, hint);
+    timers.insert(s, hint);
     parks.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -300,10 +225,10 @@ struct SessionEngine::Reactor {
     return s;
   }
 
-  bool advance_wheel(std::vector<Session*>& out) {
+  bool advance_timers(std::vector<Session*>& out) {
     out.clear();
     common::MutexLock lock(sched_mutex);
-    if (wheel.advance(out) == 0) return false;
+    if (timers.advance(out) == 0) return false;
     wheel_ticks.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -359,14 +284,12 @@ struct SessionEngine::Reactor {
       // Reject-before-alloc: the machine (channel buffers, endpoints'
       // working state) is built only after admission charged its cost.
       s->machine = s->build(s->rng);
-      attach(s);
       push_runnable(w, s);
       return;
     }
   }
 
   void retire(std::size_t w, Session* s) {
-    s->machine->channel().set_wakeup_hook(nullptr);
     SessionReport report = s->machine->report();
     if (s->evicted.load(std::memory_order_acquire)) {
       report.result = SessionResult::kEvicted;
@@ -403,7 +326,6 @@ struct SessionEngine::Reactor {
       retire(w, s);  // killed half-open: never stepped again
       return;
     }
-    tl_current_session = s;
     std::uint64_t executed = 0;
     bool done = false;
     std::size_t hint = 0;
@@ -417,7 +339,6 @@ struct SessionEngine::Reactor {
       if (hint >= engine.config_.park_threshold) break;
     }
     steps.fetch_add(executed, std::memory_order_relaxed);
-    tl_current_session = nullptr;
     // Publish before the session becomes reachable by other workers.
     s->stepping.store(false, std::memory_order_release);
     if (done) {
@@ -429,7 +350,7 @@ struct SessionEngine::Reactor {
   }
 
   void worker_loop(std::size_t w) {
-    std::vector<Session*>& wheel_out = scratch[w];
+    std::vector<Session*>& due = scratch[w];
     for (;;) {
       if (failed.load(std::memory_order_relaxed)) return;
       auto* s = static_cast<Session*>(queues[w]->pop());
@@ -440,11 +361,9 @@ struct SessionEngine::Reactor {
         }
         if (s != nullptr) steals.fetch_add(1, std::memory_order_relaxed);
       }
-      if (s == nullptr && advance_wheel(wheel_out)) {
-        s = wheel_out.front();
-        for (std::size_t i = 1; i < wheel_out.size(); ++i) {
-          push_runnable(w, wheel_out[i]);
-        }
+      if (s == nullptr && advance_timers(due)) {
+        s = due.front();
+        for (std::size_t i = 1; i < due.size(); ++i) push_runnable(w, due[i]);
       }
       if (s == nullptr) {
         if (remaining.load(std::memory_order_acquire) == 0) return;
@@ -501,34 +420,16 @@ std::vector<SessionReport> SessionEngine::run() {
     reactor.admit_one(i % width);
   }
 
-  {
-    common::MutexLock lock(notify_mutex_);
-    active_ = &reactor;
-  }
-  try {
-    pool_.parallel_for(width, [&reactor](std::size_t w) {
-      try {
-        reactor.worker_loop(w);
-      } catch (...) {
-        // Unblock the other workers so parallel_for can join and rethrow.
-        reactor.failed.store(true, std::memory_order_relaxed);
-        reactor.lot.close();
-        throw;
-      }
-    });
-  } catch (...) {
-    {
-      common::MutexLock lock(notify_mutex_);
-      active_ = nullptr;
+  pool_.parallel_for(width, [&reactor](std::size_t w) {
+    try {
+      reactor.worker_loop(w);
+    } catch (...) {
+      // Unblock the other workers so parallel_for can join and rethrow.
+      reactor.failed.store(true, std::memory_order_relaxed);
+      reactor.lot.close();
+      throw;
     }
-    reactor.detach_all();
-    throw;
-  }
-  {
-    common::MutexLock lock(notify_mutex_);
-    active_ = nullptr;
-  }
-  reactor.detach_all();
+  });
 
   // The workers are joined (parallel_for returned), so relaxed loads
   // suffice — and match the relaxed increments on the write side; mixing
@@ -556,12 +457,6 @@ std::vector<SessionReport> SessionEngine::run() {
 
   arena_.reset();  // every Session record of this run dies together
   return reports;
-}
-
-void SessionEngine::notify(std::size_t index) {
-  common::MutexLock lock(notify_mutex_);
-  if (active_ == nullptr || index >= active_->all.size()) return;
-  active_->wake(active_->all[index]);
 }
 
 }  // namespace neuropuls::core

@@ -11,25 +11,30 @@
 // owns a run queue (common::StealDeque: LIFO for the owner so the
 // cache-warm session runs next, FIFO for thieves so the coldest work
 // migrates). A machine whose channel has nothing readable and whose
-// wait_hint() says it will only burn poll ticks is parked on a
-// hierarchical timer wheel and re-queued when its virtual deadline
-// expires — or immediately when a frame lands on its channel
-// (net::DuplexChannel wakeup hook) — instead of being busy-polled. Idle
-// workers steal, then advance the wheel, then park in a
-// common::ParkingLot. Per-session control records live in a
+// wait_hint() says it will only burn poll ticks is parked on a timer
+// heap and re-queued when its virtual deadline comes up, instead of
+// being busy-polled. Idle workers steal, then advance the heap, then
+// park in a common::ParkingLot. Per-session control records live in a
 // common::Arena, and the steady-state step path — deque push/pop,
 // stepping a waiting machine, parking — performs zero heap allocations
 // (pinned by tests/core/test_engine_alloc.cpp).
+//
+// Threading contract: one owner per session. A session's channel,
+// endpoints and DRBG are touched only by the one worker stepping it, and
+// every frame a session receives is produced inside its own step()
+// (SessionMachine::wait_hint). So nothing outside a session can make it
+// runnable: a parked session is revived by its deadline, or by an
+// admission eviction that retires it.
 //
 // Determinism contract (pinned by tests/core/test_session_engine.cpp):
 // every session owns its channel, protocol endpoints, and a private
 // ChaCha DRBG seeded exactly like core::run_serial with the submitted
 // seed (session_driver_seed_bytes). Sessions share no mutable state and
 // every channel poll is an explicit machine step, so no schedule — steal
-// order, park/wake timing, even spurious notify() calls — can influence
-// any session's operation order: per-session transcripts are
-// byte-identical to run_serial(seed, build) with the same factory,
-// faulty channels included.
+// order, park timing, wake order — can influence any session's
+// operation order: per-session transcripts are byte-identical to
+// run_serial(seed, build) with the same factory, faulty channels
+// included.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +42,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
-#include "common/mutex.hpp"
 #include "common/parallel.hpp"
-#include "common/thread_annotations.hpp"
 #include "core/admission_control.hpp"
 #include "core/session_driver.hpp"
 
@@ -49,7 +52,7 @@ struct SessionEngineConfig {
   /// Sessions stepped concurrently; admission is in submission order.
   std::size_t max_in_flight = 64;
   /// Smallest wait_hint() worth a park — shorter waits are cheaper to
-  /// burn in place than to route through the wheel.
+  /// burn in place than to route through the timer heap.
   std::size_t park_threshold = 4;
   /// Invoked (from whichever worker retires the session) with the
   /// submission index the moment a session completes. Must be
@@ -81,12 +84,12 @@ struct SessionEngineStats {
   std::uint64_t steps = 0;
   /// Sessions taken from another worker's run queue.
   std::uint64_t steals = 0;
-  /// Sessions parked on the timer wheel.
+  /// Sessions parked on the timer heap.
   std::uint64_t parks = 0;
-  /// Parked sessions re-queued by a channel wakeup or notify() before
-  /// their wheel deadline.
+  /// Parked sessions re-queued by an admission eviction before their
+  /// deadline.
   std::uint64_t wakeups = 0;
-  /// Virtual-time advances of the wheel.
+  /// Virtual-time advances of the timer heap.
   std::uint64_t wheel_ticks = 0;
   /// Workers that went to sleep in the parking lot.
   std::uint64_t worker_parks = 0;
@@ -105,8 +108,7 @@ struct SessionEngineStats {
 
 /// Runs submitted sessions to completion across a borrowed thread pool.
 /// Not itself thread-safe: one thread submits and runs; the parallelism
-/// lives inside run(). notify() is the one exception — it may be called
-/// from any thread *while run() executes* to wake a parked session.
+/// lives inside run().
 class SessionEngine {
  public:
   explicit SessionEngine(common::ThreadPool& pool,
@@ -123,13 +125,6 @@ class SessionEngine {
   /// Runs every queued session to completion. Reports are returned in
   /// submission order; stats() accumulates across calls.
   std::vector<SessionReport> run();
-
-  /// Wakes the session with the given submission index if it is parked
-  /// (no-op otherwise, including after run() returned). Safe from any
-  /// thread concurrent with run(); a spurious notify can only make a
-  /// session poll earlier, never change its transcript. This is the seam
-  /// a real wire transport uses to report asynchronous frame arrival.
-  void notify(std::size_t index) NP_EXCLUDES(notify_mutex_);
 
   std::size_t queued() const noexcept { return pending_.size(); }
   const SessionEngineStats& stats() const noexcept { return stats_; }
@@ -148,11 +143,6 @@ class SessionEngine {
   std::vector<Session*> pending_;
   SessionEngineStats stats_;
   std::size_t submitted_ = 0;
-  /// Guards active_ against notify() racing run() teardown.
-  /// Ordered above the reactor's sched_mutex (notify() holds it across
-  /// wake()); nothing acquires it with sched_mutex held.
-  common::Mutex notify_mutex_;
-  Reactor* active_ NP_GUARDED_BY(notify_mutex_) = nullptr;
 };
 
 }  // namespace neuropuls::core

@@ -3,8 +3,7 @@
 // Table I of the paper specifies that the neural-network configuration,
 // inputs, and outputs cross the hardware boundary only in encrypted form.
 // The accelerator model (`src/accel`) uses AES-CTR for that bulk
-// encryption and CMAC as an authentication option; the CTR-DRBG in
-// `drbg.hpp` is also built on this block cipher.
+// encryption and CMAC as an authentication option.
 //
 // This is a portable table-free implementation: SubBytes uses a
 // compile-time generated S-box, and MixColumns works on bytes, which keeps

@@ -71,8 +71,8 @@ struct ChannelFaultStats {
 /// inside that session's send()/poll() calls, which the engine already
 /// serializes (one worker steps a session at a time), so it holds no
 /// lock of its own. Delayed/reordered frames re-enter the channel via
-/// inject(), whose wakeup notification IS cross-thread-safe — it goes
-/// through DuplexChannel's hook_mutex_-guarded wakeup hook.
+/// inject() from inside that same poll(), so they too arrive on the
+/// owning session's thread.
 class FaultyChannel {
  public:
   FaultyChannel(net::DuplexChannel& channel, ChannelFaultConfig config,

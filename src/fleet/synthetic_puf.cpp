@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "crypto/prng.hpp"
 #include "metrics/streaming.hpp"
 
 namespace neuropuls::fleet {
@@ -16,7 +17,7 @@ constexpr std::uint64_t kNoiseTag = 0x6e6f6973'65746167ULL;     // "noisetag"
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
 using metrics::mix64;
-using metrics::splitmix64_next;
+using rng::splitmix64_next;
 
 }  // namespace
 

@@ -24,16 +24,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace neuropuls::metrics {
+#include "crypto/prng.hpp"
 
-/// SplitMix64 step — the stream generator behind the seeded samplers.
-/// Public because tests reproduce sampler decisions from it.
-inline std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+namespace neuropuls::metrics {
 
 /// Stateless 64-bit finalizer (same avalanche core as splitmix64).
 inline std::uint64_t mix64(std::uint64_t z) noexcept {
@@ -90,8 +83,8 @@ class ReservoirSampler {
   // without the multiply shortcut: reject the ragged top interval).
   std::uint64_t bounded(std::uint64_t bound) {
     const std::uint64_t limit = ~std::uint64_t{0} - ~std::uint64_t{0} % bound;
-    std::uint64_t draw = splitmix64_next(state_);
-    while (draw >= limit) draw = splitmix64_next(state_);
+    std::uint64_t draw = rng::splitmix64_next(state_);
+    while (draw >= limit) draw = rng::splitmix64_next(state_);
     return draw % bound;
   }
 

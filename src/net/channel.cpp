@@ -46,19 +46,7 @@ void DuplexChannel::send(Direction direction, Message message) {
         break;
     }
   }
-  if (!admit_frame(direction, message)) return;
-  record(direction, message, true);
-  queue_for(direction).push_back(std::move(message));
-  notify_arrival(direction);
-}
-
-void DuplexChannel::notify_arrival(Direction direction) {
-  // Held across the invocation so a concurrent set_wakeup_hook(nullptr)
-  // (session retirement on another worker) cannot destroy the callable
-  // mid-call. The hook body acquires the reactor's scheduler lock, hence
-  // hook_mutex_ > sched_mutex in the canonical order.
-  common::MutexLock lock(hook_mutex_);
-  if (wakeup_hook_) wakeup_hook_(direction);
+  inject(direction, std::move(message));
 }
 
 std::optional<Message> DuplexChannel::receive(Direction direction) {
@@ -84,7 +72,6 @@ void DuplexChannel::inject(Direction direction, Message message) {
   if (!admit_frame(direction, message)) return;
   record(direction, message, true);
   queue_for(direction).push_back(std::move(message));
-  notify_arrival(direction);
 }
 
 }  // namespace neuropuls::net

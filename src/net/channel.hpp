@@ -14,8 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "net/message.hpp"
 
 namespace neuropuls::net {
@@ -40,12 +38,6 @@ using Adversary = std::function<Verdict(Direction, const Message&)>;
 /// time passing — a delay-injecting adversary (faults::FaultyChannel)
 /// uses it to tick held frames toward delivery.
 using PollHook = std::function<void()>;
-
-/// Wakeup callback: invoked whenever a frame actually lands in a queue
-/// (a delivered send() or an inject()). A reactor parks a session whose
-/// channel has nothing readable and uses this hook to re-queue it the
-/// moment a frame arrives, instead of busy-polling the queue.
-using WakeupHook = std::function<void(Direction)>;
 
 struct TranscriptEntry {
   Direction direction;
@@ -82,14 +74,11 @@ struct ChannelShedStats {
 
 /// Duplex channel between endpoints A (verifier) and B (device).
 ///
-/// Threading contract: the queues, transcript, adversary, and poll hook
-/// are owned by the single session that owns the channel — the engine
-/// steps one session on one worker at a time, so those members need no
-/// lock. The wakeup hook is the exception: the reactor installs it at
-/// admission, clears it at retirement (possibly from a different worker),
-/// and send()/inject() fire it — so it is guarded by hook_mutex_.
-/// hook_mutex_ is held across the hook invocation and therefore sits
-/// above the reactor's sched_mutex in the canonical lock order.
+/// Threading contract: the whole channel — queues, transcript,
+/// adversary, poll hook — is owned by the single session that owns it.
+/// The engine steps one session on one worker at a time, and both ends
+/// of the channel send only from inside that session's step(), so the
+/// channel holds no lock.
 class DuplexChannel {
  public:
   DuplexChannel() = default;
@@ -113,13 +102,6 @@ class DuplexChannel {
   /// Installs (or clears, with nullptr) the poll hook.
   void set_poll_hook(PollHook hook) { poll_hook_ = std::move(hook); }
 
-  /// Installs (or clears, with nullptr) the wakeup hook. Safe to call
-  /// from a different thread than the one sending on the channel.
-  void set_wakeup_hook(WakeupHook hook) NP_EXCLUDES(hook_mutex_) {
-    common::MutexLock lock(hook_mutex_);
-    wakeup_hook_ = std::move(hook);
-  }
-
   /// Advances channel time by one tick (runs the poll hook, if any).
   void poll() {
     if (poll_hook_) poll_hook_();
@@ -138,7 +120,8 @@ class DuplexChannel {
   /// scheduler may park it for the full budget.
   bool pollable() const noexcept { return static_cast<bool>(poll_hook_); }
 
-  /// Sends in the given direction; the adversary (if any) rules first.
+  /// Sends in the given direction; the adversary (if any) rules first,
+  /// and a frame it passes or substitutes is delivered as by inject().
   void send(Direction direction, Message message);
 
   /// Receives the next pending frame for the far end of `direction`
@@ -177,9 +160,6 @@ class DuplexChannel {
     return direction == Direction::kAtoB ? shed_ab_ : shed_ba_;
   }
 
-  /// Fires the wakeup hook for a frame that just landed.
-  void notify_arrival(Direction direction) NP_EXCLUDES(hook_mutex_);
-
   /// Records a transcript entry unless the transcript cap is reached
   /// (then only counts it).
   void record(Direction direction, Message message, bool delivered);
@@ -193,8 +173,6 @@ class DuplexChannel {
   std::deque<Message> b_to_a_;
   Adversary adversary_;
   PollHook poll_hook_;
-  mutable common::Mutex hook_mutex_;
-  WakeupHook wakeup_hook_ NP_GUARDED_BY(hook_mutex_);
   std::vector<TranscriptEntry> transcript_;
   ChannelLimits limits_;
   ChannelShedStats shed_ab_;

@@ -308,6 +308,9 @@ TEST(FloodChaos, HalfOpenExhaustionEvictsOldestPerClient) {
   // 6 half-open sessions against a per-client cap of 2: at least 4 were
   // evicted (the exact count depends on retirement interleaving).
   EXPECT_GE(stats.evicted_half_open, 4u);
+  // Eviction is the only thing that wakes a parked session early; every
+  // other revival is a timer deadline.
+  EXPECT_LE(stats.wakeups, stats.evicted_half_open);
   std::size_t evicted_reports = 0;
   for (std::size_t k = 0; k < 6; ++k) {
     if (reports[k].result == SessionResult::kEvicted) ++evicted_reports;

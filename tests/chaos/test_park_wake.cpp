@@ -2,29 +2,24 @@
 // flavor of scripts/check.sh runs this binary under TSan).
 //
 // The reactor's most delicate window is the park boundary: a session
-// decides its channel cannot progress and goes onto the timer wheel at
-// the same moment a frame arrives for it. These tests drive exactly that
-// window from two sides:
-//
-//   * a delay-injecting FaultyChannel holds frames for 1..8 poll ticks
-//     while the engine's park threshold sits in the middle of that range,
-//     so deliveries land right at park decisions;
-//   * an external notify() storm wakes random sessions from another
-//     thread for the whole run — every spurious wake a real transport
-//     could ever produce, compressed into one test.
+// decides its channel cannot progress and goes onto the timer heap while
+// a delayed frame is still held for it. A delay-injecting FaultyChannel
+// holds frames for 1..8 poll ticks, and the engine's park threshold sits
+// either inside that range (4) or at its floor (1, so every wait the
+// machine reports becomes a park), so deliveries land right at park
+// decisions.
 //
 // Invariants asserted: no session is lost or completed twice
 // (on_complete fires exactly once per submission index), no session is
 // ever stepped by two workers at once (the engine's atomic guard throws,
 // which would fail the run), and — the determinism contract — every
 // per-session transcript and report stay byte-identical to a
-// core::run_serial run no matter how the wakes land.
+// core::run_serial run no matter where the parks land.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/session_engine.hpp"
@@ -41,7 +36,6 @@ using core::RetryPolicy;
 using core::SessionEngine;
 using core::SessionEngineConfig;
 using core::SessionReport;
-using core::SessionResult;
 using net::Direction;
 using net::DuplexChannel;
 
@@ -112,9 +106,9 @@ void run_serial_sessions(std::size_t sessions,
   }
 }
 
-// Shared body: reactor run over delay-heavy links, optionally with an
-// external notify() storm, checked against the serial baseline.
-void run_park_wake_scenario(bool notify_storm) {
+// Shared body: reactor run over delay-heavy links with the given park
+// threshold, checked against the serial baseline.
+void run_park_wake_scenario(std::size_t park_threshold) {
   constexpr std::size_t kSessions = 12;
   std::vector<crypto::Bytes> serial_t;
   std::vector<SessionReport> serial_r;
@@ -127,9 +121,7 @@ void run_park_wake_scenario(bool notify_storm) {
   common::ThreadPool pool(4);
   SessionEngineConfig config;
   config.max_in_flight = 6;
-  // Sits inside the fault layer's 1..8-tick delay window: a held frame
-  // can deliver on the very poll that precedes a park decision.
-  config.park_threshold = notify_storm ? 1 : 4;
+  config.park_threshold = park_threshold;
   std::vector<std::atomic<unsigned>> completions(kSessions);
   config.on_complete = [&completions](std::size_t index) {
     completions[index].fetch_add(1, std::memory_order_relaxed);
@@ -138,33 +130,13 @@ void run_park_wake_scenario(bool notify_storm) {
   for (std::size_t k = 0; k < kSessions; ++k) {
     engine.submit(700 + k, auth_session(*fixtures[k], 10 * (k + 1)));
   }
-
-  std::atomic<bool> stop{false};
-  std::thread storm;
-  if (notify_storm) {
-    storm = std::thread([&engine, &stop] {
-      // Hammer parked (and running, and retired) sessions with wakes; a
-      // spurious wake only makes a session poll earlier, never changes
-      // what it does.
-      std::uint64_t x = 0x9E3779B97F4A7C15ull;
-      while (!stop.load(std::memory_order_relaxed)) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        engine.notify(static_cast<std::size_t>(x % kSessions));
-      }
-    });
-  }
   const auto reports = engine.run();
-  stop.store(true, std::memory_order_relaxed);
-  if (storm.joinable()) storm.join();
 
   ASSERT_EQ(reports.size(), kSessions);
   for (std::size_t k = 0; k < kSessions; ++k) {
     // Exactly-once completion: never lost, never double-retired.
     EXPECT_EQ(completions[k].load(), 1u) << "session " << k;
-    // Byte-identical to serial despite delays at park boundaries (and
-    // the storm, when enabled).
+    // Byte-identical to serial despite delays at park boundaries.
     EXPECT_EQ(serial_t[k], serialize_transcript(fixtures[k]->channel))
         << "session " << k;
     EXPECT_EQ(reports[k], serial_r[k]) << "session " << k;
@@ -172,26 +144,16 @@ void run_park_wake_scenario(bool notify_storm) {
   EXPECT_EQ(engine.stats().completed, kSessions);
 }
 
+// Sits inside the fault layer's 1..8-tick delay window: a held frame can
+// deliver on the very poll that precedes a park decision.
 TEST(ParkWakeChaos, DelaysAtParkBoundariesPreserveDeterminism) {
-  run_park_wake_scenario(/*notify_storm=*/false);
+  run_park_wake_scenario(4);
 }
 
-TEST(ParkWakeChaos, NotifyStormCannotChangeAnySessionByte) {
-  run_park_wake_scenario(/*notify_storm=*/true);
-}
-
-// notify() outside a run must be a harmless no-op, including on an
-// engine that has already finished (the transport may race shutdown).
-TEST(ParkWakeChaos, NotifyOutsideRunIsANoOp) {
-  common::ThreadPool pool(2);
-  SessionEngine engine(pool, SessionEngineConfig{});
-  engine.notify(0);  // nothing submitted, nothing running
-  auto f = make_fixture(4100, 0xD00D);
-  engine.submit(900, auth_session(*f, 10));
-  const auto reports = engine.run();
-  ASSERT_EQ(reports.size(), 1u);
-  engine.notify(0);  // after the run: session records are gone
-  EXPECT_EQ(reports[0].result, SessionResult::kConverged);
+// The smallest threshold parks on every wait, so every held frame is
+// awaited from the timer heap rather than by polling in place.
+TEST(ParkWakeChaos, ParkOnEveryWaitPreservesDeterminism) {
+  run_park_wake_scenario(1);
 }
 
 }  // namespace

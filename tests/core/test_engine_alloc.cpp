@@ -3,8 +3,8 @@
 //
 // The reactor promises that once a session is admitted, the waiting
 // machinery — polling an expect budget down, pushing/popping run queues,
-// parking on the timer wheel and being revived by its virtual clock —
-// touches no heap. This binary installs the counting allocator
+// parking on the timer heap and being revived by its virtual clock —
+// touches no heap memory. This binary installs the counting allocator
 // (common/alloc_probe.hpp) and pins that promise two ways:
 //
 //   * machine level: a SessionMachine waiting on a silent, non-pollable
@@ -13,13 +13,16 @@
 //   * engine level: two reactor runs that differ only in how LONG their
 //     sessions wait (receive_poll_budget 8 vs 72) must allocate exactly
 //     the same number of times — every extra waiting step, park, and
-//     wheel tick is heap-free. The budgets straddle the wheel's 64-slot
-//     level-0 horizon, so both wheel levels are exercised.
+//     timer advance is heap-free. The pair is run with one session and
+//     with several in flight; the several park on one shared deadline,
+//     so the timer heap holds many entries and one advance revives them
+//     all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/alloc_probe.hpp"
 #include "core/session_engine.hpp"
@@ -98,45 +101,62 @@ TEST(ReactorZeroAlloc, WaitingStepsAllocateNothing) {
   EXPECT_EQ(after, before);
 }
 
-// One engine run over a silent link with the given receive budget,
-// returning how many allocations the calling thread observed across
-// run(). ThreadPool(1) keeps the reactor on the calling thread (serial
-// fallback), so the thread-local counter sees every allocation the
-// scheduler makes — queue churn, parks, wheel ticks included.
-std::uint64_t count_run_allocations(std::size_t receive_poll_budget) {
-  auto f = make_silent_fixture(7001);
+// One engine run of `sessions` sessions, all in flight at once over
+// silent links with the given receive budget, returning how many
+// allocations the calling thread observed across run(). ThreadPool(1)
+// keeps the reactor on the calling thread (serial fallback), so the
+// thread-local counter sees every allocation the scheduler makes — queue
+// churn, parks, timer advances included.
+std::uint64_t count_run_allocations(std::size_t receive_poll_budget,
+                                    std::size_t sessions) {
+  std::vector<std::unique_ptr<AuthFixture>> fixtures;
+  for (std::size_t k = 0; k < sessions; ++k) {
+    fixtures.push_back(make_silent_fixture(7001 + k));
+  }
   common::ThreadPool pool(1);
   SessionEngineConfig config;
-  config.max_in_flight = 1;
+  config.max_in_flight = sessions;
   config.park_threshold = 2;
   SessionEngine engine(pool, config);
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.receive_poll_budget = receive_poll_budget;
-  AuthFixture& fixture = *f;
-  engine.submit(900, [&fixture, policy](crypto::ChaChaDrbg& rng) {
-    return std::make_unique<AuthSessionMachine>(
-        fixture.channel, policy, rng, *fixture.verifier, *fixture.device, 10);
-  });
+  for (std::size_t k = 0; k < sessions; ++k) {
+    AuthFixture& fixture = *fixtures[k];
+    // One seed for all: the same backoff jitter keeps their waits equal.
+    engine.submit(900, [&fixture, policy](crypto::ChaChaDrbg& rng) {
+      return std::make_unique<AuthSessionMachine>(
+          fixture.channel, policy, rng, *fixture.verifier, *fixture.device,
+          10);
+    });
+  }
   const auto before = allocations();
   const auto reports = engine.run();
   const auto after = allocations();
-  EXPECT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].result, SessionResult::kExhausted);
-  EXPECT_GT(engine.stats().parks, 0u);
-  EXPECT_GT(engine.stats().wheel_ticks, 0u);
+  EXPECT_EQ(reports.size(), sessions);
+  for (const auto& report : reports) {
+    EXPECT_EQ(report.result, SessionResult::kExhausted);
+  }
+  const auto& stats = engine.stats();
+  EXPECT_GT(stats.parks, 0u);
+  EXPECT_GT(stats.wheel_ticks, 0u);
+  // Identical sessions stepped by one worker park at the same virtual
+  // time with the same wait, so they share every deadline: one advance
+  // revives all of them.
+  EXPECT_EQ(stats.parks, stats.wheel_ticks * sessions);
   return after - before;
 }
 
 TEST(ReactorZeroAlloc, LongerWaitsAllocateNoMoreThanShortOnes) {
-  // Identical runs except the session waits 9x longer before each retry:
+  // Identical runs except the sessions wait 9x longer before each retry:
   // same sends, same DRBG draws, same attempt count — the only delta is
-  // waiting steps, parks, and wheel ticks. Budget 8 parks land in the
-  // wheel's 64-slot level-0; budget 72 overflows into level-1. If any of
-  // that machinery allocated, the counts would differ.
-  const std::uint64_t short_waits = count_run_allocations(8);
-  const std::uint64_t long_waits = count_run_allocations(72);
-  EXPECT_EQ(short_waits, long_waits);
+  // waiting steps, parks, and timer advances. If any of that machinery
+  // allocated, the counts would differ.
+  for (const std::size_t sessions : {std::size_t{1}, std::size_t{6}}) {
+    const std::uint64_t short_waits = count_run_allocations(8, sessions);
+    const std::uint64_t long_waits = count_run_allocations(72, sessions);
+    EXPECT_EQ(short_waits, long_waits) << sessions << " sessions";
+  }
 }
 
 }  // namespace

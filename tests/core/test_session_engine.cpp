@@ -288,74 +288,5 @@ TEST(SessionEngineConcurrency, EkeKeysMatchSerial) {
   }
 }
 
-TEST(SessionEngineConcurrency, NotifyOutsideRunIsANoOp) {
-  // notify() is the only engine entry point legal outside run(): with no
-  // run active (active_ == nullptr) or an out-of-range index it must do
-  // nothing at all — before the first run, after the last, either way.
-  common::ThreadPool pool(2);
-  SessionEngine engine(pool, SessionEngineConfig{});
-  engine.notify(0);
-  engine.notify(12345);
-
-  auto f = make_auth_fixture(1000, 0.0, 0);
-  engine.submit(100, auth_session(*f, 0));
-  const auto reports = engine.run();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].result, SessionResult::kConverged);
-
-  const auto before = engine.stats();
-  engine.notify(0);    // session retired and the run is over
-  engine.notify(999);  // never existed
-  const auto after = engine.stats();
-  EXPECT_EQ(after.wakeups, before.wakeups);
-  EXPECT_EQ(after.completed, before.completed);
-}
-
-TEST(SessionEngineConcurrency, NotifyStormOnDeadIndicesIsHarmless) {
-  // Hammer notify() mid-run on indices that must never be woken: the
-  // session that just completed (retired — not parked, so no requeue),
-  // a far-future index the admission gate has not released yet, and an
-  // out-of-range one. None of this may requeue retired sessions, inflate
-  // the wakeup count past the park count, or perturb per-session
-  // results — the byte-identity contract holds through the storm.
-  constexpr std::size_t kSessions = 8;
-  constexpr double kDrop = 0.20;
-  std::vector<std::unique_ptr<AuthFixture>> fixtures;
-  for (std::size_t k = 0; k < kSessions; ++k) {
-    fixtures.push_back(make_auth_fixture(1000 + k, kDrop, 0xF00 + k));
-  }
-  common::ThreadPool pool(2);
-  SessionEngine* eng = nullptr;
-  SessionEngineConfig config;
-  config.max_in_flight = 2;  // most sessions are never-admitted for a while
-  config.park_threshold = 1;
-  config.on_complete = [&eng](std::size_t index) {
-    for (int i = 0; i < 50; ++i) eng->notify(index);  // already completed
-    eng->notify(kSessions - 1);  // likely still behind the admission gate
-    eng->notify(kSessions + 100);  // out of range
-  };
-  SessionEngine engine(pool, config);
-  eng = &engine;
-  for (std::size_t k = 0; k < kSessions; ++k) {
-    engine.submit(100 + k, auth_session(*fixtures[k], k));
-  }
-  const auto reports = engine.run();
-  ASSERT_EQ(reports.size(), kSessions);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.completed, kSessions);
-  // Every real wakeup revives a park; a storm of spurious notifies on
-  // retired sessions adds parks' worth of wakeups at most, never 50×.
-  EXPECT_LE(stats.wakeups, stats.parks);
-
-  std::vector<crypto::Bytes> serial_t;
-  std::vector<SessionReport> serial_r;
-  run_serial_sessions(kSessions, kDrop, serial_t, serial_r);
-  for (std::size_t k = 0; k < kSessions; ++k) {
-    EXPECT_EQ(serial_t[k], serialize_transcript(fixtures[k]->channel))
-        << "session " << k;
-    EXPECT_EQ(serial_r[k], reports[k]) << "session " << k;
-  }
-}
-
 }  // namespace
 }  // namespace neuropuls

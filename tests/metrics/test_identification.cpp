@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/chacha20.hpp"
-#include "crypto/ctr_drbg.hpp"
 #include "metrics/identification.hpp"
-#include "metrics/nist.hpp"
 #include "puf/photonic_puf.hpp"
 
 namespace neuropuls::metrics {
@@ -90,46 +88,6 @@ TEST(Identification, PhotonicPopulationHasZeroErrorWindow) {
   const auto window = zero_error_window(samples.intra, samples.inter);
   EXPECT_TRUE(window.exists);
   EXPECT_GT(window.high - window.low, 0.05);  // comfortable margin
-}
-
-// ---- CTR-DRBG ---------------------------------------------------------------
-
-TEST(CtrDrbg, DeterministicAndSeedSensitive) {
-  crypto::Bytes seed(32, 0x42);
-  crypto::CtrDrbg a(seed), b(seed);
-  EXPECT_EQ(a.generate(64), b.generate(64));
-  seed[0] ^= 1;
-  crypto::CtrDrbg c(seed);
-  EXPECT_NE(a.generate(64), c.generate(64));
-}
-
-TEST(CtrDrbg, BacktrackingResistance) {
-  // Two generators with the same seed diverge permanently after one
-  // produces output (state is re-keyed per request)... but stay in sync
-  // when both make identical requests.
-  crypto::CtrDrbg a(crypto::Bytes(32, 0x11));
-  crypto::CtrDrbg b(crypto::Bytes(32, 0x11));
-  (void)a.generate(16);
-  (void)b.generate(16);
-  EXPECT_EQ(a.generate(16), b.generate(16));
-}
-
-TEST(CtrDrbg, ReseedChangesStream) {
-  crypto::CtrDrbg a(crypto::Bytes(32, 0x11));
-  crypto::CtrDrbg b(crypto::Bytes(32, 0x11));
-  a.reseed(crypto::bytes_of("fresh entropy"));
-  EXPECT_NE(a.generate(32), b.generate(32));
-  EXPECT_EQ(a.requests_since_reseed(), 1u);
-}
-
-TEST(CtrDrbg, RejectsShortEntropy) {
-  EXPECT_THROW(crypto::CtrDrbg(crypto::Bytes(31, 0)), std::invalid_argument);
-}
-
-TEST(CtrDrbg, OutputLooksRandom) {
-  crypto::CtrDrbg drbg(crypto::Bytes(32, 0x77));
-  const auto bits = bits_from_bytes(drbg.generate(2048));
-  EXPECT_DOUBLE_EQ(nist_pass_fraction(bits), 1.0);
 }
 
 }  // namespace

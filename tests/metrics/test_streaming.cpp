@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "crypto/prng.hpp"
 #include "metrics/population.hpp"
 #include "metrics/streaming.hpp"
 
@@ -28,7 +29,7 @@ std::vector<double> splitmix_stream(std::uint64_t seed, std::size_t n) {
   std::vector<double> values(n);
   std::uint64_t state = seed;
   for (std::size_t i = 0; i < n; ++i) {
-    values[i] = static_cast<double>(splitmix64_next(state) >> 11) *
+    values[i] = static_cast<double>(rng::splitmix64_next(state) >> 11) *
                 0x1.0p-53;
   }
   return values;
@@ -194,7 +195,7 @@ std::vector<crypto::Bytes> random_population(std::size_t devices,
   for (auto& r : responses) {
     r.resize(bytes);
     for (auto& byte : r) {
-      byte = static_cast<std::uint8_t>(splitmix64_next(state));
+      byte = static_cast<std::uint8_t>(rng::splitmix64_next(state));
     }
   }
   return responses;

@@ -131,21 +131,6 @@ TEST(ChannelLimits, OversizedFrameNeverEnqueues) {
   EXPECT_TRUE(channel.readable(Direction::kBtoA));
 }
 
-TEST(ChannelLimits, ShedFramesFireNoWakeup) {
-  ChannelLimits limits;
-  limits.max_inbox_frames = 1;
-  limits.max_frame_bytes = 8;
-  DuplexChannel channel(limits);
-  int wakeups = 0;
-  channel.set_wakeup_hook([&](Direction) { ++wakeups; });
-  channel.send(Direction::kAtoB, {MessageType::kData, 1, {}});       // lands
-  channel.send(Direction::kAtoB, {MessageType::kData, 2, {}});       // overflow
-  channel.inject(Direction::kAtoB, {MessageType::kData, 3, {}});     // overflow
-  channel.send(Direction::kBtoA, {MessageType::kData, 4, crypto::Bytes(9, 0)});
-  EXPECT_EQ(wakeups, 1);  // a parked receiver must not wake for shed frames
-  channel.set_wakeup_hook(nullptr);
-}
-
 TEST(ChannelLimits, TranscriptCapCountsInsteadOfStoring) {
   ChannelLimits limits;
   limits.max_transcript_frames = 3;

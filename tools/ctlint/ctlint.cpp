@@ -38,9 +38,9 @@
 //                       newly acquired lock, nodes keyed by the mutex
 //                       member name) across all linted files and fails on
 //                       cycles; also fails on a ShardLock taken while an
-//                       engine lock (sched_mutex / notify_mutex_ /
-//                       admit_mutex) is held — shard locks are leaves of
-//                       the documented order
+//                       engine lock (sched_mutex / admit_mutex) is
+//                       held — shard locks are leaves of the documented
+//                       order
 //   blocking-under-lock park()/channel receive*()/operator new/make_*
 //                       reachable while a scoped lock is live: blocking
 //                       or allocator calls turn a short critical section
@@ -363,8 +363,7 @@ void check_file(const std::string& display_path, const ParsedFile& file,
 
       if (kBannedRandom.count(t)) {
         emit(line_no, "std-rand",
-             "libc randomness '" + t +
-                 "' is banned; use ChaChaDrbg/CtrDrbg");
+             "libc randomness '" + t + "' is banned; use ChaChaDrbg");
       }
       if (kBannedWipe.count(t)) {
         emit(line_no, "raw-memset-wipe",
@@ -465,8 +464,7 @@ const std::set<std::string> kScopedLockTypes = {"MutexLock", "ShardLock",
 
 // Session-runtime locks that must never be held when entering the CRP
 // store: shard locks are leaves of the documented order.
-const std::set<std::string> kEngineLockNames = {"sched_mutex", "notify_mutex_",
-                                                "admit_mutex"};
+const std::set<std::string> kEngineLockNames = {"sched_mutex", "admit_mutex"};
 
 // Calls that can block (parking, channel receives) or take the global
 // allocator lock (operator new and the std::make_* wrappers).
