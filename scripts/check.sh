@@ -37,9 +37,11 @@
 #                               # label `io` (POSIX io layer, durable CRP
 #                               # store round trips, crash-point
 #                               # truncation/corruption sweeps) under
-#                               # AddressSanitizer — recovery replays
-#                               # attacker-shaped byte images, exactly
-#                               # where lifetime bugs would hide
+#                               # BOTH ASan and UBSan — recovery decodes
+#                               # attacker-shaped byte images (length
+#                               # arithmetic, shifts, big-endian reads),
+#                               # exactly where lifetime and UB bugs
+#                               # would hide
 #   scripts/check.sh fleet      # fleet-scale sweep: runs the ctest label
 #                               # `fleet` (streaming estimators, chunked
 #                               # uniqueness, FleetSimulator campaigns,
@@ -86,7 +88,7 @@ FLAVORS=(
   "native      full suite with -DNEUROPULS_NATIVE=ON (host-ISA lane kernels)"
   "chaos       ctest -L chaos under ASan AND UBSan (fault injection)"
   "reactor     ctest -L concurrency under TSan at NEUROPULS_THREADS=1 and =4"
-  "durability  ctest -L io under ASan (durable CRP store, crash sweeps)"
+  "durability  ctest -L io under ASan AND UBSan (durable CRP store, crash sweeps)"
   "fleet       ctest -L fleet under ASan (fleet simulator, streaming metrics)"
   "lint        ctlint + fixtures + bench schema + clang-tidy/thread-safety"
 )
@@ -223,6 +225,7 @@ for config in "${CONFIGS[@]}"; do
       ;;
     durability)
       run_config address io
+      run_config undefined io
       ;;
     fleet)
       run_config address fleet

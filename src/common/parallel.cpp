@@ -215,9 +215,7 @@ bool ParkingLot::park() {
     --tokens_;
     return false;
   }
-  ++sleepers_;
   while (!(tokens_ > 0 || closed_)) cv_.wait(mutex_);
-  --sleepers_;
   if (tokens_ > 0) --tokens_;
   return true;
 }
@@ -229,15 +227,6 @@ void ParkingLot::unpark_one() {
     if (max_tokens_ == 0 || tokens_ < max_tokens_) ++tokens_;
   }
   cv_.notify_one();
-}
-
-void ParkingLot::unpark_all() {
-  {
-    MutexLock lock(mutex_);
-    if (closed_) return;
-    tokens_ += sleepers_;
-  }
-  cv_.notify_all();
 }
 
 void ParkingLot::close() {

@@ -161,9 +161,6 @@ class ParkingLot {
   /// Banks one token and wakes one sleeper, if any.
   void unpark_one();
 
-  /// Wakes every sleeper and leaves one token per waking worker.
-  void unpark_all();
-
   /// Permanently releases everyone; later park() calls return instantly.
   void close();
 
@@ -173,7 +170,6 @@ class ParkingLot {
   mutable Mutex mutex_;
   CondVar cv_;
   std::size_t tokens_ NP_GUARDED_BY(mutex_) = 0;
-  std::size_t sleepers_ NP_GUARDED_BY(mutex_) = 0;
   const std::size_t max_tokens_;  // fixed at construction
   bool closed_ NP_GUARDED_BY(mutex_) = false;
 };

@@ -1,5 +1,6 @@
 #include "puf/crp_db.hpp"
 
+#include <chrono>
 #include <initializer_list>
 #include <stdexcept>
 #include <thread>
@@ -19,6 +20,8 @@ struct CrpDatabase::ReplayCounts {
   std::uint64_t wal_records = 0;
   std::uint64_t takes = 0;
   std::uint64_t torn_bytes = 0;
+  /// A next-generation log was found: a snapshot was interrupted.
+  bool orphan = false;
 };
 
 /// Group-commit writer state. The handshake mutex is held only for
@@ -26,7 +29,6 @@ struct CrpDatabase::ReplayCounts {
 /// and shard locks stay leaves: the writer releases the shard lock
 /// (after swapping the pending buffer out) before it touches a file.
 struct CrpDatabase::WalState {
-  CrpDurabilityOptions options;
   std::string dir;
   CrpRecoveryStats recovery;
 
@@ -34,7 +36,6 @@ struct CrpDatabase::WalState {
   // them in before, which the thread launch orders).
   std::uint64_t generation = 0;
   std::vector<io::File> files;
-  std::vector<std::uint64_t> file_bytes;
 
   common::Mutex mutex;
   /// Wakes the writer: pending work, a sync/snapshot request, or stop.
@@ -56,6 +57,14 @@ struct CrpDatabase::WalState {
 };
 
 namespace {
+
+/// Pending bytes at which the writer flushes immediately instead of
+/// waiting out the coalescing window.
+constexpr std::size_t kBatchBytes = 256 * 1024;
+/// How long the writer lets a non-full batch gather company before
+/// flushing anyway (bounds the durability lag of inserts and health
+/// updates; sync() is the explicit barrier).
+constexpr std::chrono::microseconds kFlushInterval{200};
 
 /// Reads a whole file into `arena` and returns a view of it. Recovery
 /// stages every WAL/snapshot image this way: the decoded records are
@@ -85,8 +94,7 @@ CrpDatabase::CrpDatabase(std::size_t shards, CrpDurabilityOptions durability)
   if (durability.directory.empty()) return;  // in-memory store, unchanged
   wal_ = std::make_unique<WalState>();
   WalState& w = *wal_;
-  w.options = std::move(durability);
-  w.dir = w.options.directory;
+  w.dir = std::move(durability.directory);
   io::create_directories(w.dir);
 
   const std::string manifest = wal::manifest_path(w.dir);
@@ -105,15 +113,15 @@ CrpDatabase::CrpDatabase(std::size_t shards, CrpDurabilityOptions durability)
   } else {
     const wal::Manifest m = wal::decode_manifest(io::read_file(manifest));
     w.generation = m.generation;
-    wal_recover(m, roll_forward);
+    roll_forward = wal_recover(m);
   }
   if (roll_forward) {
-    // Re-shard or interrupted snapshot: compact everything we just
-    // replayed into a fresh generation before going live, so the
-    // on-disk layout always matches the manifest exactly. Skip *two*
-    // generations — an interrupted snapshot leaves orphan gen+1 logs
-    // whose records belong to the old layout, and adopting one as a
-    // live log would leak those records past the sequence filter.
+    // Interrupted snapshot or torn tail: compact everything we just
+    // replayed into a fresh generation before going live, so no live
+    // log is ever appended to after damage. Skip *two* generations —
+    // an interrupted snapshot leaves orphan, possibly torn, gen+1 logs
+    // whose records the fresh snapshot already holds; none of them may
+    // become a live log.
     const std::uint64_t fresh = w.generation + 2;
     wal_write_snapshot_files(fresh);
     io::atomic_write_file(
@@ -127,15 +135,16 @@ CrpDatabase::CrpDatabase(std::size_t shards, CrpDurabilityOptions durability)
   wal_cleanup_stale();
 
   w.files.reserve(shards_.size());
-  w.file_bytes.assign(shards_.size(), 0);
   std::vector<std::uint64_t> replayed_seq(shards_.size(), 0);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     w.files.push_back(
         io::File::open_append(wal::wal_path(w.dir, i, w.generation)));
-    w.file_bytes[i] = w.files[i].size();
     const ShardLock lock(*shards_[i]);
     replayed_seq[i] = shards_[i]->wal_seq;
   }
+  // The open may have just created the live logs: make their directory
+  // entries durable before a take fsyncs a record into one of them.
+  io::sync_directory(w.dir);
   {
     // Everything replayed is on stable storage already; starting the
     // durable watermark below wal_seq would deadlock the first sync().
@@ -471,9 +480,9 @@ void CrpDatabase::wal_after_append(std::size_t shard, const Logged& logged,
   const std::size_t bytes = logged.bytes;
   const std::size_t before =
       w.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (take && w.options.durable_take) {
+  if (take) {
     // The one-time-use invariant: do not hand the CRP out until its take
-    // record is on stable storage (unless explicitly waived).
+    // record is on stable storage.
     common::MutexLock lock(w.mutex);
     while (w.durable_seq[shard] < logged.seq && !w.stop) {
       // Re-arm each round: the writer consumes the flag per flush and
@@ -486,8 +495,8 @@ void CrpDatabase::wal_after_append(std::size_t shard, const Logged& logged,
     return;
   }
   const bool first_pending = before == 0;
-  const bool batch_full = before < w.options.batch_bytes &&
-                          before + bytes >= w.options.batch_bytes;
+  const bool batch_full =
+      before < kBatchBytes && before + bytes >= kBatchBytes;
   if (first_pending || batch_full) {
     // Taking the handshake mutex for the notify closes the window where
     // the writer has checked its predicate but not yet gone to sleep.
@@ -554,12 +563,11 @@ void CrpDatabase::wal_writer_main() {
         w.writer_cv.wait(w.mutex);
       }
       if (!w.stop && !w.sync_requested && !w.snapshot_requested &&
-          w.pending_bytes.load(std::memory_order_relaxed) <
-              w.options.batch_bytes) {
+          w.pending_bytes.load(std::memory_order_relaxed) < kBatchBytes) {
         // Coalescing window: give concurrent appenders a chance to fill
         // the batch before paying for the fsync. This wait — not the
         // fsync — is the whole of group commit's latency cost.
-        w.writer_cv.wait_for(w.mutex, w.options.flush_interval);
+        w.writer_cv.wait_for(w.mutex, kFlushInterval);
       }
       stopping = w.stop;
       want_snapshot = w.snapshot_requested;
@@ -569,14 +577,6 @@ void CrpDatabase::wal_writer_main() {
     bool did_snapshot = false;
     try {
       wal_flush_pending(scratch);
-      if (!want_snapshot && w.options.snapshot_wal_bytes != 0) {
-        for (const std::uint64_t bytes : w.file_bytes) {
-          if (bytes >= w.options.snapshot_wal_bytes) {
-            want_snapshot = true;
-            break;
-          }
-        }
-      }
       if (want_snapshot) {
         wal_rotate_and_snapshot();
         did_snapshot = true;
@@ -621,7 +621,6 @@ void CrpDatabase::wal_flush_pending(std::vector<crypto::Bytes>& scratch) {
     if (batch.empty()) continue;
     drained += batch.size();
     w.files[i].write_all(batch);
-    w.file_bytes[i] += batch.size();
   }
   if (drained == 0) return;
   w.pending_bytes.fetch_sub(drained, std::memory_order_relaxed);
@@ -643,7 +642,6 @@ void CrpDatabase::wal_rotate_and_snapshot() {
   // sequences the snapshot below already covers (replay skips them).
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     w.files[i] = io::File::open_append(wal::wal_path(w.dir, i, next));
-    w.file_bytes[i] = 0;
   }
   io::sync_directory(w.dir);
   // (2) Capture each shard *after* the rotation point and publish the
@@ -751,8 +749,7 @@ void CrpDatabase::apply_recovered_record(Shard& shard,
 }
 
 CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
-    std::size_t source, std::uint32_t source_count, std::uint64_t generation,
-    bool direct, bool& orphan) {
+    std::size_t shard_index, std::uint64_t generation) {
   WalState& w = *wal_;
   ReplayCounts counts;
   common::Arena arena;
@@ -761,11 +758,12 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
   // then apply. The decoded views alias the arena images.
   std::uint64_t base_seq = 0;
   std::vector<wal::SnapshotEntryView> entries;
-  const std::string snap = wal::snapshot_path(w.dir, source, generation);
+  const std::string snap = wal::snapshot_path(w.dir, shard_index, generation);
   if (io::file_exists(snap)) {
     const wal::SnapshotView view =
         wal::decode_snapshot(read_into_arena(arena, snap));
-    if (view.shard_index != source || view.shard_count != source_count) {
+    if (view.shard_index != shard_index ||
+        view.shard_count != shards_.size()) {
       throw wal::CrpStoreError("snapshot: header does not match manifest");
     }
     base_seq = view.wal_seq;
@@ -775,9 +773,9 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
   std::vector<wal::RecordView> records;
   std::uint64_t last_seq = base_seq;
   for (const std::uint64_t gen : {generation, generation + 1}) {
-    const std::string path = wal::wal_path(w.dir, source, gen);
+    const std::string path = wal::wal_path(w.dir, shard_index, gen);
     if (!io::file_exists(path)) continue;
-    if (gen != generation) orphan = true;  // interrupted snapshot
+    if (gen != generation) counts.orphan = true;  // interrupted snapshot
     wal::WalDecodeResult decoded = wal::decode_wal(read_into_arena(arena, path));
     counts.torn_bytes += decoded.torn_bytes;
     for (const wal::RecordView& record : decoded.records) {
@@ -792,108 +790,57 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
   counts.snapshot_entries = entries.size();
   counts.wal_records = records.size();
 
-  if (direct) {
-    // Same layout: this task owns shard `source` outright; one lock
-    // acquisition replays the whole shard.
-    Shard& shard = *shards_[source];
-    const ShardLock lock(shard);
-    for (const wal::SnapshotEntryView& entry : entries) {
-      apply_recovered_insert(shard, entry.challenge, entry.response,
-                             entry.health);
-    }
-    for (const wal::RecordView& record : records) {
-      apply_recovered_record(shard, record);
-      if (record.type == wal::RecordType::kTake) ++counts.takes;
-    }
-    shard.wal_seq = last_seq;
-    return counts;
-  }
-
-  // Re-sharding: route every entry/record through the live hash, one
-  // shard lock per application (serial caller, so order is still
-  // deterministic).
+  // This task owns its shard outright; one lock acquisition replays it.
+  Shard& shard = *shards_[shard_index];
+  const ShardLock lock(shard);
   for (const wal::SnapshotEntryView& entry : entries) {
-    Shard& target = shard_for(entry.challenge);
-    const ShardLock lock(target);
-    apply_recovered_insert(target, entry.challenge, entry.response,
+    apply_recovered_insert(shard, entry.challenge, entry.response,
                            entry.health);
   }
   for (const wal::RecordView& record : records) {
-    Shard& target = shard_for(record.challenge);
-    const ShardLock lock(target);
-    apply_recovered_record(target, record);
+    apply_recovered_record(shard, record);
     if (record.type == wal::RecordType::kTake) ++counts.takes;
   }
+  shard.wal_seq = last_seq;
   return counts;
 }
 
-void CrpDatabase::wal_recover(const wal::Manifest& manifest,
-                              bool& roll_forward) {
+bool CrpDatabase::wal_recover(const wal::Manifest& manifest) {
   WalState& w = *wal_;
-  if (manifest.shard_count == 0) {
-    throw wal::CrpStoreError("manifest: zero shard count");
+  if (manifest.shard_count != shards_.size()) {
+    throw wal::CrpStoreError(
+        "crp store: opened with " + std::to_string(shards_.size()) +
+        " shards, manifest records " + std::to_string(manifest.shard_count));
   }
-  const bool same_layout = manifest.shard_count == shards_.size();
-  w.recovery.source_shard_count = manifest.shard_count;
-  w.recovery.resharded = !same_layout;
-
-  std::atomic<std::uint64_t> snapshot_entries{0};
-  std::atomic<std::uint64_t> wal_records{0};
-  std::atomic<std::uint64_t> takes{0};
-  std::atomic<std::uint64_t> torn{0};
-  std::atomic<bool> orphan{false};
-
-  if (same_layout) {
-    // Fan the per-shard replays across the pool: shard files are
-    // independent and each task only ever locks its own shard.
-    w.recovery.parallel_replay = true;
-    common::parallel_for(shards_.size(), [&](std::size_t i) {
-      bool task_orphan = false;
-      const ReplayCounts counts = wal_replay_shard(
-          i, manifest.shard_count, manifest.generation, true, task_orphan);
-      snapshot_entries.fetch_add(counts.snapshot_entries,
-                                 std::memory_order_relaxed);
-      wal_records.fetch_add(counts.wal_records, std::memory_order_relaxed);
-      takes.fetch_add(counts.takes, std::memory_order_relaxed);
-      torn.fetch_add(counts.torn_bytes, std::memory_order_relaxed);
-      if (task_orphan) orphan.store(true, std::memory_order_relaxed);
-    });
-  } else {
-    // Different shard count: replay serially (deterministic application
-    // order) through the hash router, then roll forward to a compacted
-    // snapshot in the new layout.
-    roll_forward = true;
-    for (std::size_t j = 0; j < manifest.shard_count; ++j) {
-      bool task_orphan = false;
-      const ReplayCounts counts = wal_replay_shard(
-          j, manifest.shard_count, manifest.generation, false, task_orphan);
-      snapshot_entries.fetch_add(counts.snapshot_entries,
-                                 std::memory_order_relaxed);
-      wal_records.fetch_add(counts.wal_records, std::memory_order_relaxed);
-      takes.fetch_add(counts.takes, std::memory_order_relaxed);
-      torn.fetch_add(counts.torn_bytes, std::memory_order_relaxed);
-      if (task_orphan) orphan.store(true, std::memory_order_relaxed);
-    }
+  // Fan the per-shard replays across the pool: shard files are
+  // independent and each task only ever locks its own shard.
+  std::vector<ReplayCounts> per_shard(shards_.size());
+  common::parallel_for(shards_.size(), [&](std::size_t i) {
+    per_shard[i] = wal_replay_shard(i, manifest.generation);
+  });
+  ReplayCounts total;
+  for (const ReplayCounts& counts : per_shard) {
+    total.snapshot_entries += counts.snapshot_entries;
+    total.wal_records += counts.wal_records;
+    total.takes += counts.takes;
+    total.torn_bytes += counts.torn_bytes;
+    total.orphan = total.orphan || counts.orphan;
   }
-  if (orphan.load(std::memory_order_relaxed)) roll_forward = true;
-  // A torn tail means the live WAL file ends in a partial record. The
-  // append fd would write the next record after that garbage, wedging
-  // the *next* recovery on a mid-file corruption — so compact to a
-  // fresh generation instead of appending to a damaged log.
-  if (torn.load(std::memory_order_relaxed) != 0) roll_forward = true;
-
-  w.recovery.snapshot_entries =
-      snapshot_entries.load(std::memory_order_relaxed);
-  w.recovery.wal_records = wal_records.load(std::memory_order_relaxed);
-  w.recovery.replayed_takes = takes.load(std::memory_order_relaxed);
-  w.recovery.torn_bytes = torn.load(std::memory_order_relaxed);
+  w.recovery.snapshot_entries = total.snapshot_entries;
+  w.recovery.wal_records = total.wal_records;
+  w.recovery.replayed_takes = total.takes;
+  w.recovery.torn_bytes = total.torn_bytes;
   // Deterministic cursor restore: the manifest's cursor plus one
   // advance per replayed take. Unsuccessful take() calls between the
   // snapshot and the crash also advanced the live cursor but left no
   // record; their advances are deliberately not reproduced.
-  take_cursor_.store(manifest.take_cursor +
-                         takes.load(std::memory_order_relaxed),
+  take_cursor_.store(manifest.take_cursor + total.takes,
                      std::memory_order_relaxed);
+  // A torn tail means the live WAL file ends in a partial record. The
+  // append fd would write the next record after that garbage, wedging
+  // the *next* recovery on a mid-file corruption — so compact to a
+  // fresh generation instead of appending to a damaged log.
+  return total.orphan || total.torn_bytes != 0;
 }
 
 }  // namespace neuropuls::puf

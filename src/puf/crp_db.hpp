@@ -30,11 +30,12 @@
 // All file I/O happens on the writer thread, strictly outside every
 // shard lock; shard locks stay leaves in the canonical lock order, and
 // the ctlint `blocking-under-lock` pass enforces that no write/fsync
-// call sneaks into a critical section. take() waits for its record to
-// reach stable storage before handing out the CRP (durable_take), which
-// is what makes the paper's one-time-use guarantee survive a crash: a
+// call sneaks into a critical section. take() always waits for its
+// record to reach stable storage before handing out the CRP, which is
+// what makes the paper's one-time-use guarantee survive a crash: a
 // consumed CRP is never re-issued and never resurrected. Cold start
-// replays snapshot + WAL per shard in parallel over common::parallel.
+// replays snapshot + WAL per shard in parallel over common::parallel;
+// a store reopens only with the shard count its manifest records.
 // With no directory configured, nothing here runs — the in-memory store
 // behaves bit-identically to the pre-durability class.
 #pragma once
@@ -42,7 +43,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -115,25 +115,6 @@ struct CrpDurabilityOptions {
   /// Store directory (created if missing). Holds per-shard WAL and
   /// snapshot files plus a checksummed MANIFEST; empty = in-memory only.
   std::string directory;
-
-  /// Pending bytes at which the writer flushes immediately instead of
-  /// waiting out the coalescing window.
-  std::size_t batch_bytes = 256 * 1024;
-
-  /// How long the writer lets a non-full batch gather company before
-  /// flushing anyway (bounds the durability lag of async appends).
-  std::chrono::microseconds flush_interval{200};
-
-  /// When set (default), take() returns only after its record is on
-  /// stable storage, so a consumed CRP can never be re-issued after a
-  /// crash — the no-replay invariant the one-time-use scheme rests on.
-  /// Inserts and health updates stay asynchronous either way (bounded
-  /// by flush_interval; sync() is the explicit barrier).
-  bool durable_take = true;
-
-  /// Per-shard WAL bytes at which the writer triggers an automatic
-  /// compacting snapshot (0 = snapshot only on explicit snapshot()).
-  std::size_t snapshot_wal_bytes = 0;
 };
 
 /// What recovery found on disk at construction (zeros for fresh or
@@ -142,15 +123,6 @@ struct CrpDurabilityOptions {
 struct CrpRecoveryStats {
   /// Generation the store is live on after open.
   std::uint64_t generation = 0;
-  /// Shard count recorded in the manifest (layout the files were
-  /// written under).
-  std::uint32_t source_shard_count = 0;
-  /// True when the configured shard count differed from the manifest's:
-  /// entries were re-hashed serially into the new layout and compacted
-  /// into a fresh snapshot generation.
-  bool resharded = false;
-  /// True when replay ran per-shard over the common::parallel pool.
-  bool parallel_replay = false;
   std::uint64_t snapshot_entries = 0;
   std::uint64_t wal_records = 0;
   /// Take records replayed — added to the manifest's cursor to restore
@@ -192,9 +164,10 @@ class CrpDatabase {
   /// Durable store: recovers existing state from `durability.directory`
   /// (snapshot + parallel per-shard WAL replay) and starts the
   /// group-commit writer. Throws wal::CrpStoreError when the on-disk
-  /// state is damaged beyond the torn-tail case — the store fails
-  /// cleanly rather than half-opening. With an empty directory this is
-  /// exactly the in-memory constructor.
+  /// state is damaged beyond the torn-tail case, or when `shards`
+  /// differs from the shard count in the manifest — the store fails
+  /// cleanly, writing nothing, rather than half-opening. With an empty
+  /// directory this is exactly the in-memory constructor.
   CrpDatabase(std::size_t shards, CrpDurabilityOptions durability);
 
   /// Clean shutdown: drains and fsyncs every pending WAL record, so a
@@ -401,19 +374,19 @@ class CrpDatabase {
 
   /// The one hand-off after the shard lock is released: accounts the
   /// logged bytes, wakes the writer on a batch boundary, and — for a
-  /// take under durable_take — blocks until `logged.seq` is on stable
-  /// storage. No-op when nothing was logged.
+  /// take — blocks until `logged.seq` is on stable storage. No-op when
+  /// nothing was logged.
   void wal_after_append(std::size_t shard, const Logged& logged, bool take);
   void wal_writer_main();
   void wal_flush_pending(std::vector<crypto::Bytes>& scratch);
   void wal_rotate_and_snapshot();
   void wal_write_snapshot_files(std::uint64_t generation);
   void wal_cleanup_stale();
-  void wal_recover(const wal::Manifest& manifest, bool& roll_forward);
-  ReplayCounts wal_replay_shard(std::size_t source,
-                                std::uint32_t source_count,
-                                std::uint64_t generation, bool direct,
-                                bool& orphan);
+  /// Replays every shard; returns whether the store must roll forward
+  /// to a fresh generation (interrupted snapshot or torn tail).
+  bool wal_recover(const wal::Manifest& manifest);
+  ReplayCounts wal_replay_shard(std::size_t shard_index,
+                                std::uint64_t generation);
   void apply_recovered_insert(Shard& shard, crypto::ByteView challenge,
                               crypto::ByteView response,
                               const CrpHealth& health)

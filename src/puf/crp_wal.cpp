@@ -237,6 +237,13 @@ SnapshotView decode_snapshot(crypto::ByteView image) {
   view.shard_count = reader.read_u32();
   view.wal_seq = reader.read_u64();
   const std::uint64_t count = reader.read_u64();
+  // The smallest entry is two empty length-prefixed fields plus the
+  // 13 health bytes: a count the body cannot hold is corruption, and
+  // must not reach reserve() as an allocation size.
+  constexpr std::size_t kMinEntryBytes = 4 + 4 + 13;
+  if (count > (body.size() - reader.pos) / kMinEntryBytes) {
+    throw CrpStoreError("snapshot: entry count exceeds file size");
+  }
   view.entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     SnapshotEntryView entry;

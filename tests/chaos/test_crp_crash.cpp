@@ -9,16 +9,18 @@
 //   * a CRP whose take record survived the crash is never re-issued
 //     (the one-time-use invariant the paper's protocol rests on),
 //   * a CRP whose take record was torn off IS served again — the taker
-//     never saw it, durable_take blocks until the record is on disk,
+//     never saw it, take() blocks until the record is on disk,
 //   * quarantine flags replay exactly (health records carry resulting
 //     counters), and torn tails are counted, never fatal.
 //
 // Damage that is NOT a crash prefix — a byte flipped in the middle of
-// the log, a corrupted snapshot or manifest — must fail cleanly with
-// CrpStoreError instead of silently resurrecting consumed CRPs, so the
-// corruption sweep flips every byte of the image and expects a throw.
+// the log, a corrupted or misplaced snapshot, a corrupted manifest —
+// must fail cleanly with CrpStoreError instead of silently resurrecting
+// consumed CRPs, so the corruption sweep flips every byte of the image
+// and expects a throw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -26,6 +28,8 @@
 #include <vector>
 
 #include "common/io.hpp"
+#include "crypto/bytes.hpp"
+#include "crypto/sha256.hpp"
 #include "puf/crp_db.hpp"
 #include "puf/crp_wal.hpp"
 
@@ -163,7 +167,6 @@ class CrpCrashTest : public ::testing::Test {
   static CrpDurabilityOptions open_options(const std::string& dir) {
     CrpDurabilityOptions options;
     options.directory = dir;
-    options.durable_take = false;  // keep the drain loops at memory speed
     return options;
   }
 };
@@ -328,6 +331,54 @@ TEST_F(CrpCrashTest, SnapshotDamageFailsCleanly) {
   CrpDurabilityOptions options;
   options.directory = source.path();
   CrpDatabase db(1, options);
+  EXPECT_EQ(db.size(), 16u);
+}
+
+// The snapshot trailer has no key, so a recomputed trailer makes any
+// header pass the checksum. An entry count the file cannot hold must
+// still be corruption, not a huge allocation.
+TEST_F(CrpCrashTest, SnapshotEntryCountBeyondFileFailsCleanly) {
+  wal::SnapshotBuilder builder(0, 1, 0);
+  builder.add(make_crp(1).challenge, make_crp(1).response, CrpHealth{});
+  builder.add(make_crp(2).challenge, make_crp(2).response, CrpHealth{});
+  crypto::Bytes image = builder.finish();
+  ASSERT_EQ(wal::decode_snapshot(image).entries.size(), 2u);
+
+  // Header: magic, shard index, shard count, WAL seq, then the count.
+  constexpr std::size_t kCountOffset = wal::kSnapshotMagicBytes + 4 + 4 + 8;
+  for (const std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("entry count " + std::to_string(count));
+    crypto::Bytes damaged = image;
+    crypto::put_u64_be({damaged.data() + kCountOffset, 8}, count);
+    const std::size_t body = damaged.size() - crypto::Sha256::kDigestSize;
+    const auto digest = crypto::Sha256::digest({damaged.data(), body});
+    std::copy(digest.begin(), digest.end(), damaged.begin() + body);
+    EXPECT_THROW(wal::decode_snapshot(damaged), wal::CrpStoreError);
+  }
+}
+
+// Two valid snapshots in each other's place: every trailer checks out,
+// so only the header's shard index can tell the store they are swapped.
+TEST_F(CrpCrashTest, SwappedShardSnapshotsFailCleanly) {
+  const io::TempDir source("np-crp-crash-swap");
+  CrpDurabilityOptions options;
+  options.directory = source.path();
+  {
+    CrpDatabase db(2, options);
+    for (std::uint32_t i = 0; i < 16; ++i) db.insert(make_crp(i));
+    db.snapshot();
+  }
+  const std::string snap0 = wal::snapshot_path(source.path(), 0, 1);
+  const std::string snap1 = wal::snapshot_path(source.path(), 1, 1);
+  const crypto::Bytes image0 = io::read_file(snap0);
+  const crypto::Bytes image1 = io::read_file(snap1);
+  write_file(snap0, image1);
+  write_file(snap1, image0);
+  EXPECT_THROW(CrpDatabase(2, options), wal::CrpStoreError);
+
+  write_file(snap0, image0);
+  write_file(snap1, image1);
+  CrpDatabase db(2, options);
   EXPECT_EQ(db.size(), 16u);
 }
 

@@ -127,7 +127,6 @@ class FleetCrashTest : public ::testing::Test {
   static puf::CrpDurabilityOptions open_options(const std::string& dir) {
     puf::CrpDurabilityOptions options;
     options.directory = dir;
-    options.durable_take = false;  // keep the byte sweep at memory speed
     return options;
   }
 

@@ -1,10 +1,10 @@
 // Durable CrpDatabase (ctest labels: io, concurrency): group-commit WAL
-// round trips, snapshot compaction, re-sharding on load, deterministic
-// post-recovery take() order, lock_stats across restarts, fsync-per-op
-// as insert + sync(), and one CRP per live challenge. The crash-point
-// sweeps (truncation / corruption at every byte) live in
-// tests/chaos/test_crp_crash.cpp; this file covers the clean-shutdown and
-// happy-path recovery contracts.
+// round trips, snapshot compaction, refusing a reopen at a different
+// shard count, deterministic post-recovery take() order, lock_stats
+// across restarts, fsync-per-op as insert + sync(), and one CRP per
+// live challenge. The crash-point sweeps (truncation / corruption at
+// every byte) live in tests/chaos/test_crp_crash.cpp; this file covers
+// the clean-shutdown and happy-path recovery contracts.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -93,8 +93,6 @@ TEST(CrpStore, WalReplayRoundTripsStateAndHealth) {
   CrpDatabase db(4, durable_in(dir.path()));
   EXPECT_EQ(db.size(), kCount - 5);
   const CrpRecoveryStats stats = db.recovery_stats();
-  EXPECT_FALSE(stats.resharded);
-  EXPECT_TRUE(stats.parallel_replay);
   EXPECT_EQ(stats.torn_bytes, 0u) << "clean shutdown must leave no torn tail";
   EXPECT_EQ(stats.wal_records, kCount + 5 + 3);
   EXPECT_EQ(stats.replayed_takes, 5u);
@@ -147,23 +145,7 @@ TEST(CrpStore, SnapshotCompactsWalAndPreservesState) {
   EXPECT_EQ(stats.wal_records, 1u) << "snapshot should have trimmed the WAL";
 }
 
-TEST(CrpStore, AutomaticSnapshotTriggersAtWalThreshold) {
-  const io::TempDir dir("np-crp-store");
-  CrpDurabilityOptions options = durable_in(dir.path());
-  options.snapshot_wal_bytes = 512;
-  {
-    CrpDatabase db(1, options);
-    for (std::uint32_t i = 0; i < 64; ++i) db.insert(make_crp(i));
-    db.sync();
-  }
-  CrpDatabase db(1, durable_in(dir.path()));
-  EXPECT_EQ(db.size(), 64u);
-  EXPECT_GE(db.recovery_stats().generation, 1u)
-      << "64 inserts x ~40 byte records should have crossed 512 WAL bytes";
-  EXPECT_GT(db.recovery_stats().snapshot_entries, 0u);
-}
-
-TEST(CrpStore, RecoveryWithDifferentShardCountRehashes) {
+TEST(CrpStore, RecoveryRejectsDifferentShardCount) {
   const io::TempDir dir("np-crp-store");
   constexpr std::uint32_t kCount = 48;
   {
@@ -171,27 +153,29 @@ TEST(CrpStore, RecoveryWithDifferentShardCountRehashes) {
     for (std::uint32_t i = 0; i < kCount; ++i) db.insert(make_crp(i));
     ASSERT_TRUE(db.take().has_value());
   }
-  {
+  const std::vector<std::string> files_before = io::list_files(dir.path());
+  const crypto::Bytes manifest_before =
+      io::read_file(wal::manifest_path(dir.path()));
+  try {
     CrpDatabase db(2, durable_in(dir.path()));
-    EXPECT_EQ(db.shard_count(), 2u);
-    EXPECT_EQ(db.size(), kCount - 1);
-    EXPECT_TRUE(db.recovery_stats().resharded);
-    EXPECT_FALSE(db.recovery_stats().parallel_replay);
-    EXPECT_EQ(db.recovery_stats().source_shard_count, 4u);
-    // Every surviving CRP must be reachable through the new layout.
-    std::size_t found = 0;
-    for (std::uint32_t i = 0; i <= 100; ++i) {
-      if (db.lookup(make_crp(i).challenge).has_value()) ++found;
-    }
-    EXPECT_EQ(found, kCount - 1);
+    ADD_FAILURE() << "a 2-shard open of a 4-shard store must throw";
+  } catch (const wal::CrpStoreError& e) {
+    // The error names both counts.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("2 shards"), std::string::npos) << what;
+    EXPECT_NE(what.find("records 4"), std::string::npos) << what;
   }
-  // The re-shard rolled forward to a compacted snapshot: a second open
-  // at the same count replays it in parallel with an empty WAL.
-  CrpDatabase db(2, durable_in(dir.path()));
-  EXPECT_FALSE(db.recovery_stats().resharded);
-  EXPECT_TRUE(db.recovery_stats().parallel_replay);
-  EXPECT_EQ(db.recovery_stats().snapshot_entries, kCount - 1);
-  EXPECT_EQ(db.recovery_stats().wal_records, 0u);
+  // The refused open wrote nothing: same files, same manifest.
+  EXPECT_EQ(io::list_files(dir.path()), files_before);
+  EXPECT_EQ(io::read_file(wal::manifest_path(dir.path())), manifest_before);
+
+  CrpDatabase db(4, durable_in(dir.path()));
+  EXPECT_EQ(db.size(), kCount - 1);
+  std::size_t found = 0;
+  for (std::uint32_t i = 0; i < kCount; ++i) {
+    if (db.lookup(make_crp(i).challenge).has_value()) ++found;
+  }
+  EXPECT_EQ(found, kCount - 1);
 }
 
 // The satellite regression: with one shard, a store that went through
@@ -262,9 +246,8 @@ TEST(CrpStore, TakeCursorRestoredDeterministically) {
   expect_same_take_order(recovered, reference);
 }
 
-// lock_stats are process-local diagnostics: a restart resets them, and
-// shard_takes tracks the *new* layout after a re-shard.
-TEST(CrpStore, LockStatsResetAcrossRecoveryAndResharding) {
+// lock_stats are process-local diagnostics: a restart resets them.
+TEST(CrpStore, LockStatsResetAcrossRecovery) {
   const io::TempDir dir("np-crp-store");
   {
     CrpDatabase db(4, durable_in(dir.path()));
@@ -273,19 +256,13 @@ TEST(CrpStore, LockStatsResetAcrossRecoveryAndResharding) {
     EXPECT_EQ(db.lock_stats().takes, 8u);
     EXPECT_EQ(db.lock_stats().shard_takes.size(), 4u);
   }
-  {
-    CrpDatabase db(4, durable_in(dir.path()));
-    const CrpStoreStats stats = db.lock_stats();
-    EXPECT_EQ(stats.takes, 0u) << "takes counter must not replay";
-    EXPECT_EQ(stats.take_steals, 0u);
-    EXPECT_EQ(stats.shard_takes.size(), 4u);
-    ASSERT_TRUE(db.take().has_value());
-    EXPECT_EQ(db.lock_stats().takes, 1u);
-  }
-  // Re-shard: the stats vector follows the configured layout.
-  CrpDatabase db(2, durable_in(dir.path()));
-  EXPECT_EQ(db.lock_stats().shard_takes.size(), 2u);
-  EXPECT_EQ(db.lock_stats().takes, 0u);
+  CrpDatabase db(4, durable_in(dir.path()));
+  const CrpStoreStats stats = db.lock_stats();
+  EXPECT_EQ(stats.takes, 0u) << "takes counter must not replay";
+  EXPECT_EQ(stats.take_steals, 0u);
+  EXPECT_EQ(stats.shard_takes.size(), 4u);
+  ASSERT_TRUE(db.take().has_value());
+  EXPECT_EQ(db.lock_stats().takes, 1u);
 }
 
 TEST(CrpStore, FsyncPerOpModeIsDurableWithoutSync) {
@@ -346,13 +323,7 @@ TEST(CrpStore, LiveChallengeIsStoredAndTakenOnce) {
 
 TEST(CrpStore, SyncIsADurabilityBarrier) {
   const io::TempDir dir("np-crp-store");
-  CrpDurabilityOptions options = durable_in(dir.path());
-  // A huge batch + long window: without sync() these appends would sit
-  // in the pending buffers well past the test's lifetime.
-  options.batch_bytes = 64 * 1024 * 1024;
-  options.flush_interval = std::chrono::microseconds(60 * 1000 * 1000);
-  options.durable_take = false;
-  CrpDatabase db(1, options);
+  CrpDatabase db(1, durable_in(dir.path()));
   for (std::uint32_t i = 0; i < 6; ++i) db.insert(make_crp(i));
   db.sync();
   // The WAL file must already hold all six records, while the store is
