@@ -5,7 +5,8 @@
 //     and convergence fraction of serial retried sessions
 //     (core::run_serial) over a FaultyChannel;
 //   * robust-readout overhead — evaluate() vs the k-of-n majority
-//     evaluate_robust() used by derive_robust()/CRP re-enrollment.
+//     evaluate_robust() used by KeyManager::derive(record, attempts,
+//     readings) and CRP re-enrollment.
 //
 // Timing cases (google-benchmark JSON for scripts/bench_regress.py):
 //   * BM_AuthSessionAtDropPermille/{0,10,50} — full mutual-auth session

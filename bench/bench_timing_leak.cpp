@@ -34,10 +34,10 @@ void print_leak_table() {
   config.warmup = 512;
 
   const crypto::Bytes secret(4096, 0x5A);
-  const crypto::Bytes key16(16, 0x0F);
+  const crypto::Aes cipher(crypto::Bytes(16, 0x0F));
   const crypto::Bytes key32(32, 0x77);
   const crypto::Bytes message(256, 0x33);
-  const crypto::Bytes good_tag = crypto::aes_cmac(key16, message);
+  const crypto::Bytes good_tag = crypto::aes_cmac(cipher, message);
   const crypto::Bytes good_mac = crypto::hmac_sha256(key32, message);
 
   std::printf("Timing-leak audit (dudect-style Welch t-test, |t| > %.1f "
@@ -56,7 +56,7 @@ void print_leak_table() {
   print_row("CMAC tag verify (256 B)",
             measure_timing_leak(
                 [&](crypto::ByteView input) {
-                  const crypto::Bytes tag = crypto::aes_cmac(key16, input);
+                  const crypto::Bytes tag = crypto::aes_cmac(cipher, input);
                   volatile bool sink = crypto::ct_equal(tag, good_tag);
                   (void)sink;
                 },

@@ -10,22 +10,12 @@ namespace neuropuls::core {
 namespace {
 constexpr std::size_t kNonceLen = 16;
 constexpr std::size_t kMacLen = 32;
-
-crypto::Aes make_password_cipher(const common::SecretBytes& secret) {
-  crypto::Bytes key =  // ctlint:secret password key — wiped after keying
-      crypto::hkdf(crypto::ByteView{}, secret.reveal(),
-                   crypto::bytes_of("np-eke-pw"), 16);
-  crypto::Aes cipher{crypto::ByteView(key)};
-  crypto::secure_wipe(key);
-  return cipher;
-}
-
 }  // namespace
 
 EkeParty::EkeParty(crypto::Bytes secret, const crypto::DhGroup& group,
                    crypto::ChaChaDrbg rng)
     : secret_(std::move(secret)),
-      pw_cipher_(make_password_cipher(secret_)),
+      pw_cipher_(crypto::hkdf_aes128(secret_.reveal(), "np-eke-pw")),
       group_(group),
       rng_(std::move(rng)) {
   if (secret_.empty()) {

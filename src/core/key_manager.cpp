@@ -51,19 +51,9 @@ DeviceKeyRecord KeyManager::enroll(crypto::ChaChaDrbg& rng) {
   return DeviceKeyRecord{std::move(result.helper)};
 }
 
-std::optional<DeviceKeys> KeyManager::derive(const DeviceKeyRecord& record) {
-  const common::MutexLock lock(mutex_);
-  const ecc::BitVec w_prime =
-      collect_response_bits(puf_, extractor_.response_bits());
-  auto root = extractor_.reproduce(w_prime, record.helper);
-  if (!root) return std::nullopt;
-  DeviceKeys keys = split(*root);
-  crypto::secure_wipe(*root);  // the raw root must not outlive the split
-  return keys;
-}
-
-std::optional<DeviceKeys> KeyManager::derive_robust(
-    const DeviceKeyRecord& record, unsigned attempts, unsigned readings) {
+std::optional<DeviceKeys> KeyManager::derive(const DeviceKeyRecord& record,
+                                             unsigned attempts,
+                                             unsigned readings) {
   const common::MutexLock lock(mutex_);
   for (unsigned attempt = 0; attempt < attempts; ++attempt) {
     const ecc::BitVec w_prime =
@@ -71,7 +61,7 @@ std::optional<DeviceKeys> KeyManager::derive_robust(
     auto root = extractor_.reproduce(w_prime, record.helper);
     if (!root) continue;  // still past the code radius — re-measure
     DeviceKeys keys = split(*root);
-    crypto::secure_wipe(*root);
+    crypto::secure_wipe(*root);  // the raw root must not outlive the split
     return keys;
   }
   return std::nullopt;

@@ -54,22 +54,25 @@ class KeyManager {
   /// Manufacturing-time enrollment. Returns the public record to persist.
   DeviceKeyRecord enroll(crypto::ChaChaDrbg& rng) NP_EXCLUDES(mutex_);
 
-  /// Boot-time key derivation from a fresh noisy PUF reading. Returns
-  /// std::nullopt when the reading is too noisy for the code (the caller
-  /// retries — physically, re-powers the PUF).
-  std::optional<DeviceKeys> derive(const DeviceKeyRecord& record)
+  /// Boot-time key derivation: up to `attempts` tries, each from a fresh
+  /// PUF reading that majority-votes `readings` re-measurements per
+  /// challenge (1 = a single noisy read). Returns std::nullopt only when
+  /// every attempt is too noisy for the code; the caller retries
+  /// (physically, re-powers the PUF) or, past its budget, treats the
+  /// device as a candidate for accel::SecureAccelerator lockout.
+  std::optional<DeviceKeys> derive(const DeviceKeyRecord& record,
+                                   unsigned attempts = 1,
+                                   unsigned readings = 1)
       NP_EXCLUDES(mutex_);
 
-  /// Degradation-tolerant derivation: up to `attempts` tries, each using a
-  /// k-of-n majority over `readings` re-measurements per challenge. The
-  /// escalation path for devices whose single-read error rate has drifted
-  /// past the code's correction radius (thermal spikes, aged shifters);
-  /// std::nullopt only when every attempt fails — the device is then a
-  /// candidate for accel::SecureAccelerator lockout.
-  std::optional<DeviceKeys> derive_robust(const DeviceKeyRecord& record,
-                                          unsigned attempts = 3,
-                                          unsigned readings = 5)
-      NP_EXCLUDES(mutex_);
+  /// The degradation-tolerant escalation: derive() with 3 attempts of a
+  /// 5-read majority, for devices whose single-read error rate has
+  /// drifted past the code's correction radius (thermal spikes, aged
+  /// shifters).
+  std::optional<DeviceKeys> derive_robust(const DeviceKeyRecord& record)
+      NP_EXCLUDES(mutex_) {
+    return derive(record, 3, 5);
+  }
 
   /// A copy of the root key derived at enrollment (for verifier-side
   /// provisioning in tests/examples; a production flow would never export

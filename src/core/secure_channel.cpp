@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/hmac.hpp"
 
@@ -33,29 +32,31 @@ common::SecretBytes SecureChannel::direction_key(
 
 SecureChannel::DirectionKeys SecureChannel::make_direction_keys(
     common::SecretBytes root) {
-  DirectionKeys keys;
-  keys.enc = common::SecretBytes(crypto::hkdf(
-      crypto::ByteView{}, root.reveal(), crypto::bytes_of("enc"), 32));
-  keys.mac = common::SecretBytes(crypto::hkdf(
-      crypto::ByteView{}, root.reveal(), crypto::bytes_of("mac"), 16));
+  DirectionKeys keys{{},
+                     common::SecretBytes(crypto::hkdf(
+                         crypto::ByteView{}, root.reveal(),
+                         crypto::bytes_of("enc"), 32)),
+                     crypto::hkdf_aes128(root.reveal(), "mac")};
   keys.root = std::move(root);
   return keys;
 }
 
 SecureChannel::SecureChannel(common::SecretBytes session_key,
                              bool is_initiator, SecureChannelConfig config)
-    : config_(config) {
+    : config_(config),
+      send_(make_direction_keys(
+          direction_key(session_key.reveal(), is_initiator))),
+      recv_(make_direction_keys(
+          direction_key(session_key.reveal(), !is_initiator))) {
+  // Checked after the keys exist (HKDF accepts any key length); a throw
+  // here still wipes them as the members unwind, and `session_key` wipes
+  // on scope exit (SecretBytes destructor).
   if (session_key.empty()) {
     throw std::invalid_argument("SecureChannel: empty session key");
   }
   if (config_.rekey_interval == 0) {
     throw std::invalid_argument("SecureChannel: zero rekey interval");
   }
-  send_ = make_direction_keys(direction_key(session_key.reveal(),
-                                            is_initiator));
-  recv_ = make_direction_keys(direction_key(session_key.reveal(),
-                                            !is_initiator));
-  // `session_key` wipes on scope exit (SecretBytes destructor).
 }
 
 void SecureChannel::maybe_ratchet(DirectionKeys& keys, std::uint64_t seq) {
@@ -82,7 +83,7 @@ crypto::Bytes SecureChannel::seal(crypto::ByteView plaintext) {
       std::span<std::uint8_t>(record.data() + kSeqLen,
                               record.size() - kSeqLen));
 
-  const crypto::Bytes tag = crypto::aes_cmac(send_.mac.reveal(), record);
+  const crypto::Bytes tag = crypto::aes_cmac(send_.mac, record);
   record.insert(record.end(), tag.begin(), tag.begin() + kTagLen);
   return record;
 }
@@ -103,8 +104,7 @@ std::optional<crypto::Bytes> SecureChannel::open(crypto::ByteView record) {
 
   const crypto::ByteView signed_part = record.first(record.size() - kTagLen);
   const crypto::ByteView tag = record.subspan(record.size() - kTagLen);
-  const crypto::Bytes expected = crypto::aes_cmac(recv_.mac.reveal(),
-                                                  signed_part);
+  const crypto::Bytes expected = crypto::aes_cmac(recv_.mac, signed_part);
   if (!crypto::ct_equal(tag,
                         crypto::ByteView(expected).first(kTagLen))) {
     poisoned_ = true;

@@ -8,16 +8,17 @@
 // sequence check, reordering fails the MAC (the tag covers the sequence
 // number), and the two directions use independent keys (no reflection
 // attacks). The body runs through the batched in-place ChaCha20 keystream
-// (the paper's lightweight cipher for this device class; the table-free
-// AES here is audit-oriented and an order of magnitude slower per byte,
-// so it keeps only the CMAC tag role). Rekeying via HKDF ratchet after a
-// configurable record count bounds key usage.
+// (the paper's lightweight cipher for this device class; the table-based,
+// not constant-time AES here is audit-oriented and an order of magnitude
+// slower per byte, so it keeps only the CMAC tag role). Rekeying via
+// HKDF ratchet after a configurable record count bounds key usage.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "common/secret.hpp"
+#include "crypto/aes.hpp"
 #include "crypto/bytes.hpp"
 
 namespace neuropuls::core {
@@ -58,7 +59,7 @@ class SecureChannel {
   struct DirectionKeys {
     common::SecretBytes root;  // the ratcheting direction key
     common::SecretBytes enc;
-    common::SecretBytes mac;
+    crypto::Aes mac;  // the CMAC key, held only as its schedule
   };
 
   void maybe_ratchet(DirectionKeys& keys, std::uint64_t seq);

@@ -60,17 +60,7 @@ constexpr std::array<std::uint8_t, 256> make_sbox() {
   return table;
 }
 
-constexpr std::array<std::uint8_t, 256> make_inv_sbox() {
-  std::array<std::uint8_t, 256> inv{};
-  constexpr auto sbox = make_sbox();
-  for (int i = 0; i < 256; ++i) {
-    inv[sbox[static_cast<std::size_t>(i)]] = static_cast<std::uint8_t>(i);
-  }
-  return inv;
-}
-
 constexpr auto kSbox = make_sbox();
-constexpr auto kInvSbox = make_inv_sbox();
 
 constexpr std::array<std::uint8_t, 11> kRcon = {0x00, 0x01, 0x02, 0x04, 0x08,
                                                 0x10, 0x20, 0x40, 0x80, 0x1B,
@@ -78,10 +68,6 @@ constexpr std::array<std::uint8_t, 11> kRcon = {0x00, 0x01, 0x02, 0x04, 0x08,
 
 void sub_bytes(std::uint8_t* s) noexcept {
   for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
-}
-
-void inv_sub_bytes(std::uint8_t* s) noexcept {
-  for (int i = 0; i < 16; ++i) s[i] = kInvSbox[s[i]];
 }
 
 // State is column-major: s[4*c + r] is row r, column c.
@@ -95,16 +81,6 @@ void shift_rows(std::uint8_t* s) noexcept {
   }
 }
 
-void inv_shift_rows(std::uint8_t* s) noexcept {
-  std::uint8_t t[16];
-  std::memcpy(t, s, 16);
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[4 * ((c + r) % 4) + r] = t[4 * c + r];
-    }
-  }
-}
-
 void mix_columns(std::uint8_t* s) noexcept {
   for (int c = 0; c < 4; ++c) {
     std::uint8_t* col = s + 4 * c;
@@ -113,21 +89,6 @@ void mix_columns(std::uint8_t* s) noexcept {
     col[1] = static_cast<std::uint8_t>(a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3);
     col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3));
     col[3] = static_cast<std::uint8_t>(gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2));
-  }
-}
-
-void inv_mix_columns(std::uint8_t* s) noexcept {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gf_mul(a0, 14) ^ gf_mul(a1, 11) ^
-                                       gf_mul(a2, 13) ^ gf_mul(a3, 9));
-    col[1] = static_cast<std::uint8_t>(gf_mul(a0, 9) ^ gf_mul(a1, 14) ^
-                                       gf_mul(a2, 11) ^ gf_mul(a3, 13));
-    col[2] = static_cast<std::uint8_t>(gf_mul(a0, 13) ^ gf_mul(a1, 9) ^
-                                       gf_mul(a2, 14) ^ gf_mul(a3, 11));
-    col[3] = static_cast<std::uint8_t>(gf_mul(a0, 11) ^ gf_mul(a1, 13) ^
-                                       gf_mul(a2, 9) ^ gf_mul(a3, 14));
   }
 }
 
@@ -171,6 +132,8 @@ Aes::Aes(ByteView key) {
   }
 }
 
+Aes::~Aes() { secure_wipe(round_keys_.data(), round_keys_.size()); }
+
 void Aes::encrypt_block(
     std::span<std::uint8_t, kBlockSize> block) const noexcept {
   std::uint8_t* s = block.data();
@@ -208,21 +171,6 @@ void Aes::encrypt_blocks(std::uint8_t* blocks,
     shift_rows(s);
     add_round_key(s, rk_final);
   }
-}
-
-void Aes::decrypt_block(
-    std::span<std::uint8_t, kBlockSize> block) const noexcept {
-  std::uint8_t* s = block.data();
-  add_round_key(s, round_keys_.data() + 16 * rounds_);
-  for (std::size_t round = rounds_ - 1; round >= 1; --round) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-    inv_mix_columns(s);
-  }
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  add_round_key(s, round_keys_.data());
 }
 
 std::uint8_t aes_sbox(std::uint8_t x) noexcept { return kSbox[x]; }
@@ -267,10 +215,6 @@ Bytes aes_ctr(const Aes& cipher, ByteView nonce16, ByteView data) {
   return out;
 }
 
-Bytes aes_ctr(ByteView key, ByteView nonce16, ByteView data) {
-  return aes_ctr(Aes(key), nonce16, data);
-}
-
 namespace {
 
 // Doubles a 128-bit value in GF(2^128) for CMAC subkey derivation.
@@ -287,14 +231,12 @@ void cmac_double(std::array<std::uint8_t, 16>& block) noexcept {
 
 }  // namespace
 
-Bytes aes_cmac(ByteView key, ByteView data) {
-  const Aes cipher(key);
-
-  std::array<std::uint8_t, 16> l{};
+Bytes aes_cmac(const Aes& cipher, ByteView data) {
+  std::array<std::uint8_t, 16> l{};  // ctlint:secret
   cipher.encrypt_block(l);
-  std::array<std::uint8_t, 16> k1 = l;
+  std::array<std::uint8_t, 16> k1 = l;  // ctlint:secret
   cmac_double(k1);
-  std::array<std::uint8_t, 16> k2 = k1;
+  std::array<std::uint8_t, 16> k2 = k1;  // ctlint:secret
   cmac_double(k2);
 
   const std::size_t n_blocks =
@@ -307,7 +249,7 @@ Bytes aes_cmac(ByteView key, ByteView data) {
     cipher.encrypt_block(x);
   }
 
-  std::array<std::uint8_t, 16> last{};
+  std::array<std::uint8_t, 16> last{};  // ctlint:secret data XOR k1/k2
   const std::size_t tail_offset = 16 * (n_blocks - 1);
   if (last_complete) {
     for (std::size_t i = 0; i < 16; ++i) {
@@ -321,20 +263,31 @@ Bytes aes_cmac(ByteView key, ByteView data) {
   }
   for (std::size_t i = 0; i < 16; ++i) x[i] ^= last[i];
   cipher.encrypt_block(x);
+  secure_wipe(l.data(), l.size());
+  secure_wipe(k1.data(), k1.size());
+  secure_wipe(k2.data(), k2.size());
+  secure_wipe(last.data(), last.size());
 
   return Bytes(x.begin(), x.end());
+}
+
+Aes hkdf_aes128(ByteView ikm, std::string_view info) {
+  Bytes key = hkdf(ByteView{}, ikm, bytes_of(info), 16);  // ctlint:secret
+  Aes cipher(key);
+  secure_wipe(key);
+  return cipher;
 }
 
 Bytes aes_ctr_then_mac_seal(ByteView key, ByteView nonce16,
                             ByteView plaintext) {
   // Independent sub-keys so the MAC key never touches the CTR keystream.
-  const Bytes enc_key = hkdf(ByteView{}, key, bytes_of("np-enc"), 16);
-  const Bytes mac_key = hkdf(ByteView{}, key, bytes_of("np-mac"), 16);
+  const Aes enc = hkdf_aes128(key, "np-enc");
+  const Aes mac = hkdf_aes128(key, "np-mac");
 
   Bytes frame(nonce16.begin(), nonce16.end());
-  const Bytes ct = aes_ctr(enc_key, nonce16, plaintext);
+  const Bytes ct = aes_ctr(enc, nonce16, plaintext);
   frame.insert(frame.end(), ct.begin(), ct.end());
-  const Bytes tag = aes_cmac(mac_key, frame);
+  const Bytes tag = aes_cmac(mac, frame);
   frame.insert(frame.end(), tag.begin(), tag.end());
   return frame;
 }
@@ -343,18 +296,18 @@ Bytes aes_ctr_then_mac_open(ByteView key, ByteView frame) {
   if (frame.size() < 32) {
     throw std::runtime_error("aes_ctr_then_mac_open: frame too short");
   }
-  const Bytes enc_key = hkdf(ByteView{}, key, bytes_of("np-enc"), 16);
-  const Bytes mac_key = hkdf(ByteView{}, key, bytes_of("np-mac"), 16);
+  const Aes enc = hkdf_aes128(key, "np-enc");
+  const Aes mac = hkdf_aes128(key, "np-mac");
 
   const ByteView body = frame.first(frame.size() - 16);
   const ByteView tag = frame.subspan(frame.size() - 16);
-  const Bytes expected = aes_cmac(mac_key, body);
+  const Bytes expected = aes_cmac(mac, body);
   if (!ct_equal(tag, expected)) {
     throw std::runtime_error("aes_ctr_then_mac_open: authentication failure");
   }
   const ByteView nonce = body.first(16);
   const ByteView ct = body.subspan(16);
-  return aes_ctr(enc_key, nonce, ct);
+  return aes_ctr(enc, nonce, ct);
 }
 
 }  // namespace neuropuls::crypto

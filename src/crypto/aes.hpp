@@ -1,18 +1,27 @@
-// AES-128/192/256 (FIPS 197) with CTR mode and CMAC (NIST SP 800-38B).
+// AES-128/192/256 encryption (FIPS 197) with CTR mode and CMAC (NIST SP
+// 800-38B).
 //
 // Table I of the paper specifies that the neural-network configuration,
 // inputs, and outputs cross the hardware boundary only in encrypted form.
 // The accelerator model (`src/accel`) uses AES-CTR for that bulk
 // encryption and CMAC as an authentication option.
 //
-// This is a portable table-free implementation: SubBytes uses a
-// compile-time generated S-box, and MixColumns works on bytes, which keeps
-// the code easy to audit at the cost of raw speed (the point here is
-// correctness and modelling, not throughput records).
+// Encrypt-only: CTR, CMAC and the EKE password cipher never run the
+// inverse cipher, so there is none. An `Aes` is the only holder of its
+// key material — the raw key is expanded into the schedule at
+// construction and the destructor wipes the schedule, so callers keep an
+// `Aes` rather than key bytes.
+//
+// This is a portable table-based implementation: SubBytes reads a
+// compile-time generated 256-entry S-box indexed by secret state, so it
+// is NOT constant-time (a cache-timing channel; see ROADMAP item 1), and
+// MixColumns works on bytes. The point here is correctness and
+// modelling, not throughput records.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "crypto/bytes.hpp"
 
@@ -26,6 +35,11 @@ class Aes {
   /// Throws std::invalid_argument unless key is 16, 24, or 32 bytes.
   explicit Aes(ByteView key);
 
+  /// Every copy owns, and on destruction wipes, its own key schedule.
+  Aes(const Aes&) = default;
+  Aes& operator=(const Aes&) = default;
+  ~Aes();
+
   /// Encrypts one 16-byte block in place.
   void encrypt_block(std::span<std::uint8_t, kBlockSize> block) const noexcept;
 
@@ -35,11 +49,6 @@ class Aes {
   /// block pipelines interleave (CTR keystream generation is exactly this
   /// shape). Bit-identical to nblocks encrypt_block calls.
   void encrypt_blocks(std::uint8_t* blocks, std::size_t nblocks) const noexcept;
-
-  /// Decrypts one 16-byte block in place.
-  void decrypt_block(std::span<std::uint8_t, kBlockSize> block) const noexcept;
-
-  std::size_t rounds() const noexcept { return rounds_; }
 
  private:
   // Up to 15 round keys of 16 bytes each (AES-256).
@@ -52,11 +61,13 @@ class Aes {
 /// are incremented big-endian per block (NIST SP 800-38A style).
 Bytes aes_ctr(const Aes& cipher, ByteView nonce16, ByteView data);
 
-/// Convenience overload constructing the cipher from a raw key.
-Bytes aes_ctr(ByteView key, ByteView nonce16, ByteView data);
+/// CMAC (OMAC1) over `data` under `cipher`'s key. Returns a 16-byte tag.
+Bytes aes_cmac(const Aes& cipher, ByteView data);
 
-/// CMAC (OMAC1) over `data` with the given AES key. Returns a 16-byte tag.
-Bytes aes_cmac(ByteView key, ByteView data);
+/// The AES-128 schedule for HKDF-SHA256(empty salt, `ikm`, `info`) — how
+/// every AES key in the stack is derived. The 16-byte derived key is wiped
+/// once expanded, so the returned schedule is its only holder.
+Aes hkdf_aes128(ByteView ikm, std::string_view info);
 
 /// The AES S-box lookup (exposed for the side-channel analyses, which
 /// model first-round S-box leakage).

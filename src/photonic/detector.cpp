@@ -81,23 +81,12 @@ std::uint32_t Adc::quantize(double volts) const noexcept {
   return ((code | or_mask_) & and_mask_) & max_code_;
 }
 
-void Adc::quantize_block(const double* volts, std::uint32_t* codes,
-                         std::size_t n) const noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    codes[i] = quantize(volts[i]);
-  }
-}
-
 ReadoutChain::ReadoutChain(PhotodiodeParameters pd, TiaParameters tia,
                            AdcParameters adc, double sample_rate_hz,
                            std::uint64_t seed)
     : pd_(pd, rng::derive_seed(seed, 1)),
       tia_(tia, sample_rate_hz, rng::derive_seed(seed, 2)),
       adc_(adc) {}
-
-double ReadoutChain::sample_volts(Complex field) noexcept {
-  return tia_.amplify(pd_.detect(field));
-}
 
 ReadoutChain::Window ReadoutChain::integrate(
     const std::vector<Complex>& fields) noexcept {

@@ -98,10 +98,6 @@ class Adc {
   /// Quantizes a voltage to a code in [0, 2^bits - 1].
   std::uint32_t quantize(double volts) const noexcept;
 
-  /// Quantizes `n` voltages lane-parallel; codes[i] == quantize(volts[i]).
-  void quantize_block(const double* volts, std::uint32_t* codes,
-                      std::size_t n) const noexcept;
-
   /// Fault injection (faults::AdcStuckBits): bits set in `or_mask` read as
   /// stuck-at-1, bits cleared in `and_mask` as stuck-at-0. The defaults
   /// (0, all-ones) are the identity, so an unconfigured Adc stays
@@ -139,9 +135,6 @@ class ReadoutChain {
 
   /// Integrates `fields` (one port's samples) into a single readout.
   Window integrate(const std::vector<Complex>& fields) noexcept;
-
-  /// Per-sample path (used by time-resolved experiments).
-  double sample_volts(Complex field) noexcept;
 
   /// Forwards stuck-bit fault masks to the chain's ADC.
   void set_adc_stuck_bits(std::uint32_t or_mask,

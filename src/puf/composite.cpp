@@ -2,19 +2,17 @@
 
 #include <stdexcept>
 
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace neuropuls::puf {
 
 EncryptedChallengePuf::EncryptedChallengePuf(std::unique_ptr<Puf> inner,
                                              const Response& weak_key)
-    : inner_(std::move(inner)) {
+    : inner_(std::move(inner)),
+      cipher_(crypto::hkdf_aes128(weak_key, "np-challenge-enc")) {
   if (!inner_) {
     throw std::invalid_argument("EncryptedChallengePuf: null inner PUF");
   }
-  key_ = crypto::hkdf(crypto::ByteView{}, weak_key,
-                      crypto::bytes_of("np-challenge-enc"), 16);
 }
 
 Challenge EncryptedChallengePuf::transform(const Challenge& challenge) const {
@@ -27,27 +25,29 @@ Challenge EncryptedChallengePuf::transform(const Challenge& challenge) const {
   // keyed PRF the attacker cannot model around.
   const crypto::Bytes digest = crypto::Sha256::hash(challenge);
   const crypto::Bytes nonce(digest.begin(), digest.begin() + 16);
-  return crypto::aes_ctr(key_, nonce, challenge);
+  return crypto::aes_ctr(cipher_, nonce, challenge);
 }
 
 CompositePuf::CompositePuf(std::unique_ptr<Puf> pic,
                            std::unique_ptr<SramPuf> asic)
-    : pic_(std::move(pic)), asic_(std::move(asic)) {
+    : pic_(std::move(pic)),
+      asic_(std::move(asic)),
+      // The ASIC's binding key comes from its stable (noise-free
+      // reference) SRAM pattern — in hardware this would be the
+      // fuzzy-extracted key.
+      asic_cipher_(crypto::hkdf_aes128(
+          asic_ ? asic_->evaluate_noiseless({}) : Response{},
+          "np-chip-binding")) {
   if (!pic_ || !asic_) {
     throw std::invalid_argument("CompositePuf: null chip");
   }
-  // The ASIC's binding key comes from its stable (noise-free reference)
-  // SRAM pattern — in hardware this would be the fuzzy-extracted key.
-  asic_key_ = crypto::hkdf(crypto::ByteView{},
-                           asic_->evaluate_noiseless({}),
-                           crypto::bytes_of("np-chip-binding"), 16);
 }
 
 crypto::Bytes CompositePuf::asic_mask(const Challenge& challenge) const {
   // Keystream the length of the response, bound to the challenge.
   const crypto::Bytes digest = crypto::Sha256::hash(challenge);
   const crypto::Bytes nonce(digest.begin(), digest.begin() + 16);
-  return crypto::aes_ctr(asic_key_, nonce,
+  return crypto::aes_ctr(asic_cipher_, nonce,
                          crypto::Bytes(pic_->response_bytes(), 0));
 }
 

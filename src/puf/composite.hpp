@@ -58,7 +58,7 @@ class EncryptedChallengePuf final : public Puf {
 
  private:
   std::unique_ptr<Puf> inner_;
-  crypto::Bytes key_;
+  crypto::Aes cipher_;
 };
 
 /// PIC response post-processed by the bound ASIC: the composite response
@@ -86,7 +86,7 @@ class CompositePuf final : public Puf {
 
   std::unique_ptr<Puf> pic_;
   std::unique_ptr<SramPuf> asic_;
-  crypto::Bytes asic_key_;  // derived once from the ASIC's stable bits
+  crypto::Aes asic_cipher_;  // keyed once from the ASIC's stable bits
 };
 
 }  // namespace neuropuls::puf

@@ -21,7 +21,7 @@ struct CpuCosts {
   // Cycle costs per unit of work.
   double cycles_per_alu_op = 1.0;
   double cycles_per_sha256_byte = 14.0;   // software SHA-256
-  double cycles_per_aes_byte = 28.0;      // table-free software AES
+  double cycles_per_aes_byte = 28.0;      // table-based software AES
   double cycles_per_chacha_byte = 5.0;
   double cycles_per_hmac_fixed = 4000.0;  // two extra hash blocks + setup
   double cycles_modexp_2048 = 180e6;      // the EKE heavyweight

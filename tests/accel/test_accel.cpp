@@ -230,6 +230,16 @@ TEST(SecureApi, FreshNoncePerExecution) {
             SecureAccelerator::decrypt_output(out2, key));
 }
 
+TEST(SecureApi, EncryptInputKnownAnswer) {
+  const crypto::Bytes key = crypto::bytes_of("device key from weak PUF");
+  EXPECT_EQ(crypto::to_hex(
+                SecureAccelerator::encrypt_input({2.0, -3.5}, key, 7)),
+            "00000000000000000000000000000007"
+            "9605849f48488f2e63b9f14e12a66177"
+            "a50d03cbbbf8b6e2a4a0e761a78bfd83"
+            "aa3116e2");
+}
+
 TEST(SecureApi, EmptyKeyRejected) {
   EXPECT_THROW(SecureAccelerator(std::make_unique<DigitalMvm>(), {}),
                std::invalid_argument);

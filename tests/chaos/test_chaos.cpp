@@ -317,8 +317,8 @@ TEST(ChaosDevice, RobustKeyDerivationUnderThermalSpikes) {
   config.thermal = {/*spike_probability=*/0.4, /*magnitude_kelvin=*/1.5};
   p.set_fault_model(std::make_shared<const DeviceFaultModel>(config, 31));
 
-  const auto robust = manager.derive_robust(record, /*attempts=*/4,
-                                            /*readings=*/5);
+  const auto robust = manager.derive(record, /*attempts=*/4,
+                                      /*readings=*/5);
   ASSERT_TRUE(robust.has_value());
   // Robust derivation recovers the *enrolled* key hierarchy, not merely
   // some key: majority re-measurement pushes the spiked readings back

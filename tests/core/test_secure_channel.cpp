@@ -138,6 +138,36 @@ TEST(SecureChannel, RekeyChangesCiphertexts) {
             a2.seal(crypto::bytes_of("same")));
 }
 
+// Wire-byte known answers from a fixed session key: one record at seq 0
+// and the first record after a ratchet step (rekey_interval = 2, seq 2).
+// Any change to key derivation, the ratchet, ChaCha20 framing or the CMAC
+// tag shows up here as a byte diff.
+common::SecretBytes fixed_session_key() {
+  crypto::Bytes key(32);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i);
+  }
+  return common::SecretBytes(std::move(key));
+}
+
+TEST(SecureChannel, RecordKnownAnswerAtSeqZero) {
+  SecureChannel a(fixed_session_key(), true);
+  EXPECT_EQ(crypto::to_hex(a.seal(crypto::bytes_of("table I record"))),
+            "0000000000000000833d57eb2fcf27030adc7f4bb38f"
+            "9d49e51e9e4bfbad339426dde7634d2a");
+}
+
+TEST(SecureChannel, RecordKnownAnswerAfterRatchet) {
+  SecureChannelConfig config;
+  config.rekey_interval = 2;
+  SecureChannel a(fixed_session_key(), true, config);
+  (void)a.seal({});
+  (void)a.seal({});
+  EXPECT_EQ(crypto::to_hex(a.seal(crypto::bytes_of("table I record"))),
+            "0000000000000002b7a45c4f55cc2858874c2e091df5"
+            "347b28115fe5318833d6ceba85421111");
+}
+
 TEST(SecureChannel, ConstructionRejectsBadInput) {
   EXPECT_THROW(SecureChannel({}, true), std::invalid_argument);
   SecureChannelConfig config;

@@ -3,6 +3,9 @@
 // accelerator hardware boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <new>
+
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 
@@ -15,8 +18,6 @@ TEST(Aes, Fips197Aes128) {
   Aes cipher(key);
   cipher.encrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
   EXPECT_EQ(to_hex(block), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  cipher.decrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
-  EXPECT_EQ(to_hex(block), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes, Fips197Aes192) {
@@ -34,14 +35,28 @@ TEST(Aes, Fips197Aes256) {
   Aes cipher(key);
   cipher.encrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
   EXPECT_EQ(to_hex(block), "8ea2b7ca516745bfeafc49904b496089");
-  cipher.decrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
-  EXPECT_EQ(to_hex(block), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes, RejectsBadKeySize) {
   EXPECT_THROW(Aes(Bytes(15, 0)), std::invalid_argument);
   EXPECT_THROW(Aes(Bytes(0, 0)), std::invalid_argument);
   EXPECT_THROW(Aes(Bytes(33, 0)), std::invalid_argument);
+}
+
+// The schedule's first round key is the raw key, so an unwiped Aes leaves
+// the key readable in whatever storage held it. Placement-new into a
+// caller-owned buffer lets the test read that storage after destruction.
+TEST(Aes, DestructorWipesKeyFromCallerStorage) {
+  const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  alignas(Aes) std::uint8_t storage[sizeof(Aes)];
+  const auto holds_key = [&] {
+    return std::search(storage, storage + sizeof(storage), key.begin(),
+                       key.end()) != storage + sizeof(storage);
+  };
+  Aes* cipher = new (storage) Aes(key);
+  ASSERT_TRUE(holds_key());
+  cipher->~Aes();
+  EXPECT_FALSE(holds_key());
 }
 
 // NIST SP 800-38A F.5.1: CTR-AES128 encrypt.
@@ -58,55 +73,56 @@ TEST(AesCtr, Sp800_38aVector) {
       "9806f66b7970fdff8617187bb9fffdff"
       "5ae4df3edbd5d35e5b4f09020db03eab"
       "1e031dda2fbe03d1792170a0f3009cee");
-  EXPECT_EQ(aes_ctr(key, counter, plaintext), expected);
+  const Aes cipher(key);
+  EXPECT_EQ(aes_ctr(cipher, counter, plaintext), expected);
   // CTR is an involution.
-  EXPECT_EQ(aes_ctr(key, counter, expected), plaintext);
+  EXPECT_EQ(aes_ctr(cipher, counter, expected), plaintext);
 }
 
 TEST(AesCtr, PartialBlock) {
-  const Bytes key(16, 0x42);
+  const Aes cipher(Bytes(16, 0x42));
   const Bytes nonce(16, 0x00);
   const Bytes msg = bytes_of("short");
-  const Bytes ct = aes_ctr(key, nonce, msg);
+  const Bytes ct = aes_ctr(cipher, nonce, msg);
   EXPECT_EQ(ct.size(), msg.size());
-  EXPECT_EQ(aes_ctr(key, nonce, ct), msg);
+  EXPECT_EQ(aes_ctr(cipher, nonce, ct), msg);
 }
 
 TEST(AesCtr, RejectsBadNonce) {
-  EXPECT_THROW(aes_ctr(Bytes(16, 0), Bytes(12, 0), Bytes(4, 0)),
+  EXPECT_THROW(aes_ctr(Aes(Bytes(16, 0)), Bytes(12, 0), Bytes(4, 0)),
                std::invalid_argument);
 }
 
 // NIST SP 800-38B D.1: AES-128 CMAC examples.
 TEST(AesCmac, EmptyMessage) {
-  const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
-  EXPECT_EQ(to_hex(aes_cmac(key, Bytes{})),
+  const Aes cipher(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
+  EXPECT_EQ(to_hex(aes_cmac(cipher, Bytes{})),
             "bb1d6929e95937287fa37d129b756746");
 }
 
 TEST(AesCmac, Example2) {
-  const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  const Aes cipher(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
   const Bytes msg = from_hex("6bc1bee22e409f96e93d7e117393172a");
-  EXPECT_EQ(to_hex(aes_cmac(key, msg)), "070a16b46b4d4144f79bdd9dd04a287c");
+  EXPECT_EQ(to_hex(aes_cmac(cipher, msg)), "070a16b46b4d4144f79bdd9dd04a287c");
 }
 
 TEST(AesCmac, Example3PartialBlock) {
-  const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  const Aes cipher(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
   const Bytes msg = from_hex(
       "6bc1bee22e409f96e93d7e117393172a"
       "ae2d8a571e03ac9c9eb76fac45af8e51"
       "30c81c46a35ce411");
-  EXPECT_EQ(to_hex(aes_cmac(key, msg)), "dfa66747de9ae63030ca32611497c827");
+  EXPECT_EQ(to_hex(aes_cmac(cipher, msg)), "dfa66747de9ae63030ca32611497c827");
 }
 
 TEST(AesCmac, Example4FullBlocks) {
-  const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  const Aes cipher(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
   const Bytes msg = from_hex(
       "6bc1bee22e409f96e93d7e117393172a"
       "ae2d8a571e03ac9c9eb76fac45af8e51"
       "30c81c46a35ce411e5fbc1191a0a52ef"
       "f69f2445df4f9b17ad2b417be66c3710");
-  EXPECT_EQ(to_hex(aes_cmac(key, msg)), "51f0bebf7e3b9d92fc49741779363cfe");
+  EXPECT_EQ(to_hex(aes_cmac(cipher, msg)), "51f0bebf7e3b9d92fc49741779363cfe");
 }
 
 TEST(SealedFrame, RoundTrip) {
@@ -115,6 +131,17 @@ TEST(SealedFrame, RoundTrip) {
   const Bytes msg = bytes_of("neural network weights, layer 0");
   const Bytes frame = aes_ctr_then_mac_seal(key, nonce, msg);
   EXPECT_EQ(aes_ctr_then_mac_open(key, frame), msg);
+}
+
+TEST(SealedFrame, KnownAnswer) {
+  const Bytes key = bytes_of("device binding key");
+  const Bytes nonce = from_hex("000102030405060708090a0b0c0d0e0f");
+  EXPECT_EQ(to_hex(aes_ctr_then_mac_seal(
+                key, nonce, bytes_of("neural network weights, layer 0"))),
+            "000102030405060708090a0b0c0d0e0f"
+            "a5e82f2e2169df24a33d5aedb4472b81"
+            "8918e91a8a5516620900da12addcdb37"
+            "477d64cbfa49865c69bb72027413b4");
 }
 
 TEST(SealedFrame, DetectsTampering) {
@@ -284,7 +311,7 @@ TEST(AesCtr, PipelinedMatchesManualCounterWalk) {
       if (++counter[static_cast<std::size_t>(b)] != 0) break;
     }
   }
-  EXPECT_EQ(aes_ctr(key, from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"), msg),
+  EXPECT_EQ(aes_ctr(cipher, from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"), msg),
             expected);
 }
 

@@ -81,11 +81,11 @@ TEST(TimingLeak, CmacTagVerificationIsConstantTime) {
   // tag over the input and compare in constant time. The input is the
   // message; the comparison result (match for the fixed class only) must
   // not modulate the timing.
-  const crypto::Bytes key(16, 0x0F);
+  const crypto::Aes cipher(crypto::Bytes(16, 0x0F));
   const crypto::Bytes message(256, 0x33);
-  const crypto::Bytes good_tag = crypto::aes_cmac(key, message);
+  const crypto::Bytes good_tag = crypto::aes_cmac(cipher, message);
   const TimingTarget target = [&](crypto::ByteView input) {
-    const crypto::Bytes tag = crypto::aes_cmac(key, input);
+    const crypto::Bytes tag = crypto::aes_cmac(cipher, input);
     volatile bool sink = crypto::ct_equal(tag, good_tag);
     (void)sink;
   };
