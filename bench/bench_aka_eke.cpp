@@ -5,6 +5,7 @@
 #include "core/aka_eke.hpp"
 #include "core/secure_channel.hpp"
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 
@@ -149,9 +150,8 @@ void BM_SecureChannelRecord(benchmark::State& state) {
   const crypto::Bytes secret = crypto::bytes_of("crp");
   auto handshake = core::run_eke_handshake(
       secret, secret, crypto::DhGroup::modp1536(), 1, 7);
-  core::SecureChannel sender(std::move(handshake.initiator.session_key), true);
-  core::SecureChannel receiver(std::move(handshake.responder.session_key),
-                               false);
+  core::SecureChannel sender(std::move(handshake.initiator_key), true);
+  core::SecureChannel receiver(std::move(handshake.responder_key), false);
   const crypto::Bytes payload(static_cast<std::size_t>(state.range(0)), 0x5C);
   for (auto _ : state) {
     const auto record = sender.seal(payload);

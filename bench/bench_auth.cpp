@@ -9,6 +9,7 @@
 //     timing cases.
 #include "bench_util.hpp"
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/crp_db.hpp"
 #include "puf/photonic_puf.hpp"

@@ -13,6 +13,7 @@
 #include "attacks/ml_attack.hpp"
 #include "attacks/side_channel.hpp"
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/arbiter_puf.hpp"
 #include "puf/composite.hpp"

@@ -13,6 +13,7 @@
 
 #include "core/key_manager.hpp"
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "filtering/filter.hpp"
 #include "metrics/population.hpp"

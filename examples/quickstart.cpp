@@ -10,6 +10,7 @@
 
 #include "core/key_manager.hpp"
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 

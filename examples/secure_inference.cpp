@@ -15,6 +15,7 @@
 #include "core/attestation.hpp"
 #include "core/key_manager.hpp"
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 

@@ -1,5 +1,6 @@
 #include "attacks/protocol_attacks.hpp"
 
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 
 namespace neuropuls::attacks {
@@ -29,9 +30,9 @@ World make_world(std::uint64_t seed) {
   return w;
 }
 
-bool honest_session(World& w, std::uint64_t session, std::uint64_t nonce) {
+bool honest_session(World& w, std::uint64_t session, std::uint64_t seed) {
   return core::run_auth_session(*w.verifier, *w.device, *w.channel, session,
-                                nonce);
+                                seed);
 }
 
 }  // namespace

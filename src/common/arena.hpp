@@ -83,13 +83,6 @@ class Arena {
     chunks_.clear();
   }
 
-  /// Bytes currently reserved across chunks (diagnostics).
-  std::size_t bytes_reserved() const noexcept {
-    std::size_t total = 0;
-    for (const Chunk& chunk : chunks_) total += chunk.capacity;
-    return total;
-  }
-
  private:
   struct Chunk {
     std::unique_ptr<std::byte[]> data;

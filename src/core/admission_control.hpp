@@ -23,10 +23,11 @@
 //      oldest — pastel's orphan-pool discipline. One client can never pin
 //      the table, and the victim is reported so the engine can kill it.
 //
-// Malformed/oversized frames observed downstream (SessionReport::
-// malformed_frames, ChannelShedStats) are charged back to the sender's
-// bucket via note_malformed(), so a client that floods garbage rate-
-// limits itself out of future admissions.
+// Malformed/oversized frames a session saw (SessionReport::
+// malformed_frames) are charged back to the sender's bucket via
+// note_malformed() when the engine retires the session, so a client that
+// floods garbage rate-limits itself out of future admissions. Frames the
+// channel itself shed (ChannelShedStats) are not charged.
 //
 // Threading: every method is safe from any engine worker. All state sits
 // behind one leaf mutex (admission_mutex_ — below every engine lock in

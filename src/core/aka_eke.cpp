@@ -174,32 +174,4 @@ bool EkeParty::finalize(const net::Message& client_confirm) {
   return true;
 }
 
-EkeHandshakeOutcome run_eke_handshake(const crypto::Bytes& initiator_secret,
-                                      const crypto::Bytes& responder_secret,
-                                      const crypto::DhGroup& group,
-                                      std::uint64_t session_id,
-                                      std::uint64_t seed) {
-  crypto::Bytes seed_i = crypto::bytes_of("eke-i");
-  crypto::append_u64_be(seed_i, seed);
-  crypto::Bytes seed_r = crypto::bytes_of("eke-r");
-  crypto::append_u64_be(seed_r, seed);
-
-  EkeParty initiator(initiator_secret, group, crypto::ChaChaDrbg(seed_i));
-  EkeParty responder(responder_secret, group, crypto::ChaChaDrbg(seed_r));
-
-  EkeHandshakeOutcome outcome;
-  const net::Message hello = initiator.initiate(session_id);
-  const auto server_hello = responder.respond(hello);
-  if (!server_hello) return outcome;
-  const auto client_confirm = initiator.confirm(*server_hello);
-  if (!client_confirm) return outcome;
-  if (!responder.finalize(*client_confirm)) return outcome;
-
-  outcome.initiator = {true, initiator.session_key().clone()};
-  outcome.responder = {true, responder.session_key().clone()};
-  outcome.keys_match =
-      common::ct_equal(initiator.session_key(), responder.session_key());
-  return outcome;
-}
-
 }  // namespace neuropuls::core

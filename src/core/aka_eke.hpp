@@ -29,11 +29,6 @@
 
 namespace neuropuls::core {
 
-struct EkeResult {
-  bool succeeded = false;
-  common::SecretBytes session_key;  // 32 bytes when succeeded
-};
-
 /// One side of the EKE handshake. The initiator is the Verifier, the
 /// responder the Device; both are constructed from the same low-entropy
 /// secret (the current CRP response).
@@ -87,17 +82,5 @@ class EkeParty {
   common::SecretBytes session_key_;
   std::uint64_t session_id_ = 0;
 };
-
-/// Runs a complete handshake in-process; returns both parties' results.
-struct EkeHandshakeOutcome {
-  EkeResult initiator;
-  EkeResult responder;
-  bool keys_match = false;
-};
-EkeHandshakeOutcome run_eke_handshake(const crypto::Bytes& initiator_secret,
-                                      const crypto::Bytes& responder_secret,
-                                      const crypto::DhGroup& group,
-                                      std::uint64_t session_id,
-                                      std::uint64_t seed);
 
 }  // namespace neuropuls::core

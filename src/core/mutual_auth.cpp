@@ -275,33 +275,4 @@ ProvisioningResult provision(puf::Puf& puf, crypto::ChaChaDrbg& rng) {
   return result;
 }
 
-bool run_auth_session(AuthVerifier& verifier, AuthDevice& device,
-                      net::DuplexChannel& channel, std::uint64_t session_id,
-                      std::uint64_t nonce) {
-  using net::Direction;
-  // A small poll budget lets each hop ride out adversary-delayed frames
-  // while still returning false (instead of spinning) on a dropped one.
-  constexpr std::size_t kPollBudget = 8;
-  channel.send(Direction::kAtoB, verifier.start(session_id, nonce));
-
-  const auto request = channel.receive_with_budget(Direction::kAtoB,
-                                                   kPollBudget);
-  if (!request) return false;
-  const auto response = device.handle_request(*request);
-  if (!response) return false;
-  channel.send(Direction::kBtoA, *response);
-
-  const auto delivered = channel.receive_with_budget(Direction::kBtoA,
-                                                     kPollBudget);
-  if (!delivered) return false;
-  const auto outcome = verifier.process_response(*delivered);
-  if (outcome.status != AuthStatus::kOk || !outcome.confirm) return false;
-  channel.send(Direction::kAtoB, *outcome.confirm);
-
-  const auto confirm = channel.receive_with_budget(Direction::kAtoB,
-                                                   kPollBudget);
-  if (!confirm) return false;
-  return device.handle_confirm(*confirm) == AuthStatus::kOk;
-}
-
 }  // namespace neuropuls::core

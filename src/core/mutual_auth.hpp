@@ -43,7 +43,7 @@
 #include "common/secret.hpp"
 #include "crypto/bytes.hpp"
 #include "crypto/chacha20.hpp"
-#include "net/channel.hpp"
+#include "net/message.hpp"
 #include "puf/puf.hpp"
 
 namespace neuropuls::core {
@@ -168,11 +168,5 @@ struct ProvisioningResult {
   puf::Response verifier_secret;
 };
 ProvisioningResult provision(puf::Puf& puf, crypto::ChaChaDrbg& rng);
-
-/// Runs one full session over a channel. Returns true iff both sides
-/// authenticated and rotated. Convenience for examples/benches.
-bool run_auth_session(AuthVerifier& verifier, AuthDevice& device,
-                      net::DuplexChannel& channel, std::uint64_t session_id,
-                      std::uint64_t nonce);
 
 }  // namespace neuropuls::core

@@ -33,7 +33,7 @@ struct SecureChannelConfig {
 class SecureChannel {
  public:
   /// `session_key` is the 32-byte EKE output, taint-typed: callers hand
-  /// over ownership (move, or `.clone()` an EkeResult key). Throws
+  /// over ownership (move, or `.clone()` an EkeParty key). Throws
   /// std::invalid_argument on an empty key.
   SecureChannel(common::SecretBytes session_key, bool is_initiator,
                 SecureChannelConfig config = {});

@@ -92,8 +92,8 @@ bool SessionMachine::step() {
         }
         report_.attempts = attempt_;
         if (attempt_ > 1) {
-          // Jitter is drawn now, before the first backoff poll — the same
-          // DRBG draw order as the blocking driver's backoff().
+          // Jitter is drawn now, before the first backoff poll, so the
+          // DRBG draw order is fixed: jitter, then the attempt's nonce.
           backoff_remaining_ = backoff_ticks(attempt_ - 1);
           mode_ = Mode::kBackoff;
           continue;
@@ -277,6 +277,52 @@ SessionReport run_serial(std::uint64_t seed, const MachineFactory& build) {
   while (machine->step()) {
   }
   return machine->report();
+}
+
+namespace {
+
+// One attempt with the default 8-poll receive budget: a lost frame fails
+// the exchange instead of retrying it.
+constexpr RetryPolicy kOneShot{1, 8, 2, 32};
+
+}  // namespace
+
+bool run_auth_session(AuthVerifier& verifier, AuthDevice& device,
+                      net::DuplexChannel& channel, std::uint64_t session_id,
+                      std::uint64_t seed) {
+  const SessionReport report =
+      run_serial(seed, [&](crypto::ChaChaDrbg& rng) {
+        return std::make_unique<AuthSessionMachine>(
+            channel, kOneShot, rng, verifier, device, session_id - 1);
+      });
+  return report.result == SessionResult::kConverged;
+}
+
+EkeHandshakeOutcome run_eke_handshake(const crypto::Bytes& initiator_secret,
+                                      const crypto::Bytes& responder_secret,
+                                      const crypto::DhGroup& group,
+                                      std::uint64_t session_id,
+                                      std::uint64_t seed) {
+  crypto::Bytes seed_i = crypto::bytes_of("eke-i");
+  crypto::append_u64_be(seed_i, seed);
+  crypto::Bytes seed_r = crypto::bytes_of("eke-r");
+  crypto::append_u64_be(seed_r, seed);
+  EkeParty initiator(initiator_secret, group, crypto::ChaChaDrbg(seed_i));
+  EkeParty responder(responder_secret, group, crypto::ChaChaDrbg(seed_r));
+
+  net::DuplexChannel channel;
+  const SessionReport report =
+      run_serial(seed, [&](crypto::ChaChaDrbg& rng) {
+        return std::make_unique<EkeSessionMachine>(
+            channel, kOneShot, rng, initiator, responder, session_id - 1);
+      });
+  EkeHandshakeOutcome outcome;
+  if (report.result != SessionResult::kConverged) return outcome;
+  outcome.initiator_key = initiator.session_key().clone();
+  outcome.responder_key = responder.session_key().clone();
+  outcome.keys_match =
+      common::ct_equal(outcome.initiator_key, outcome.responder_key);
+  return outcome;
 }
 
 }  // namespace neuropuls::core

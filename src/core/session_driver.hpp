@@ -1,16 +1,14 @@
-// Graceful-degradation session driver: retries over a lossy channel.
+// Session machines: the one place each protocol exchange is sequenced.
 //
-// `run_auth_session` / `run_eke_handshake` assume every frame arrives;
-// over a faulty link (faults::FaultyChannel) a dropped or corrupted frame
-// would either hang the naive driver or abort the whole exchange. A
-// SessionMachine wraps one protocol exchange in a bounded
-// retry/timeout/backoff state machine:
+// A SessionMachine wraps one protocol exchange (HSC-IoT mutual auth or
+// EKE) in a bounded retry/timeout/backoff state machine, so a dropped or
+// corrupted frame over a faulty link (faults::FaultyChannel) costs a
+// retry instead of hanging or aborting the exchange:
 //
 //   attempt k (session id = base + k):
 //     run the handshake, each receive bounded by `receive_poll_budget`
-//     channel polls (DuplexChannel::receive_with_budget semantics, with
-//     stale/wrong-type frames of other attempts discarded, not consumed
-//     against the budget);
+//     channel polls (stale/wrong-type frames of other attempts are
+//     discarded, not consumed against the budget);
 //   on failure: drain both directions, back off for a deterministic
 //     jittered number of poll ticks, and retry with a fresh session id —
 //     up to `max_attempts` attempts, then report kExhausted.
@@ -33,6 +31,8 @@
 // Both take the same (seed, factory) pair, so a serial run and an engine
 // run execute the identical operation sequence per session — that
 // equivalence is what the engine's determinism tests pin.
+// run_auth_session() and run_eke_handshake() are one-shot run_serial()
+// calls: a single attempt, no retry.
 #pragma once
 
 #include <cstdint>
@@ -102,9 +102,8 @@ struct SessionReport {
 /// One retried protocol exchange as a resumable state machine. step()
 /// advances the session until it performs exactly one channel poll (or
 /// terminates), so a scheduler can hold many sessions in flight without
-/// any session blocking a thread. The retry/backoff/expect semantics and
-/// the DRBG draw order (backoff jitter at backoff entry, nonce per
-/// attempt) are exactly those of the former blocking driver loops.
+/// any session blocking a thread. The DRBG draw order is fixed: backoff
+/// jitter at backoff entry, then the attempt's nonce.
 ///
 /// The machine borrows everything it touches — channel, DRBG, protocol
 /// endpoints — and owns only control state; run_serial and the engine
@@ -149,8 +148,8 @@ class SessionMachine {
   /// Handles a frame matching the current expectation.
   virtual FrameOutcome on_frame(const net::Message& frame) = 0;
 
-  /// Installs the next expected (direction, type); resets the per-receive
-  /// poll budget, mirroring the per-expect() budget of the serial driver.
+  /// Installs the next expected (direction, type) and resets the
+  /// per-receive poll budget.
   void expect_next(net::Direction direction, net::MessageType type);
 
   net::DuplexChannel& channel_;
@@ -222,5 +221,29 @@ using MachineFactory =
 /// builds the machine, and steps it to completion on the calling thread.
 /// Takes exactly what SessionEngine::submit takes.
 SessionReport run_serial(std::uint64_t seed, const MachineFactory& build);
+
+/// One HSC-IoT session (session id `session_id`, nonce drawn from the
+/// run_serial DRBG of `seed`), single attempt. Returns true iff both
+/// sides authenticated and rotated.
+bool run_auth_session(AuthVerifier& verifier, AuthDevice& device,
+                      net::DuplexChannel& channel, std::uint64_t session_id,
+                      std::uint64_t seed);
+
+/// Both parties' keys of a one-shot EKE handshake; empty unless the
+/// handshake converged.
+struct EkeHandshakeOutcome {
+  common::SecretBytes initiator_key;
+  common::SecretBytes responder_key;
+  bool keys_match = false;
+};
+
+/// One EKE handshake in-process (session id `session_id`), single
+/// attempt. The parties' ephemeral DRBGs are seeded "eke-i"/"eke-r" ||
+/// `seed`.
+EkeHandshakeOutcome run_eke_handshake(const crypto::Bytes& initiator_secret,
+                                      const crypto::Bytes& responder_secret,
+                                      const crypto::DhGroup& group,
+                                      std::uint64_t session_id,
+                                      std::uint64_t seed);
 
 }  // namespace neuropuls::core

@@ -10,8 +10,8 @@
 //                 their type flipped), so MAC checks must catch it;
 //   * duplicate — a second copy is injected ahead of the original;
 //   * delay     — the frame is held for a seeded number of poll ticks
-//                 (see DuplexChannel::receive_with_budget) and then
-//                 injected — "late", not "lost";
+//                 (DuplexChannel::poll) and then injected — "late",
+//                 not "lost";
 //   * reorder   — the frame is held until the *next* frame in the same
 //                 direction is sent, then released on the following poll
 //                 tick, so it arrives behind a later frame.

@@ -83,7 +83,7 @@ net::Message capture_replay_material(core::AuthVerifier& verifier,
                                      core::AuthDevice& device,
                                      net::DuplexChannel& channel,
                                      std::uint64_t session_id,
-                                     std::uint64_t nonce) {
+                                     std::uint64_t seed) {
   net::Message captured;
   channel.set_adversary([&](net::Direction direction,
                             const net::Message& message) {
@@ -94,7 +94,7 @@ net::Message capture_replay_material(core::AuthVerifier& verifier,
     return net::Verdict::pass();
   });
   const bool converged =
-      core::run_auth_session(verifier, device, channel, session_id, nonce);
+      core::run_auth_session(verifier, device, channel, session_id, seed);
   channel.set_adversary(nullptr);
   if (!converged || captured.payload.empty()) {
     throw std::runtime_error(

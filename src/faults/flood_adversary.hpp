@@ -84,6 +84,6 @@ net::Message capture_replay_material(core::AuthVerifier& verifier,
                                      core::AuthDevice& device,
                                      net::DuplexChannel& channel,
                                      std::uint64_t session_id,
-                                     std::uint64_t nonce);
+                                     std::uint64_t seed);
 
 }  // namespace neuropuls::faults

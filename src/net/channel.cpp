@@ -57,15 +57,6 @@ std::optional<Message> DuplexChannel::receive(Direction direction) {
   return message;
 }
 
-std::optional<Message> DuplexChannel::receive_with_budget(
-    Direction direction, std::size_t max_polls) {
-  for (std::size_t polls = 0;; ++polls) {
-    if (auto message = receive(direction)) return message;
-    if (polls >= max_polls) return std::nullopt;
-    poll();
-  }
-}
-
 void DuplexChannel::inject(Direction direction, Message message) {
   // The limits rule injected frames too: replaying a recorded frame must
   // not bypass the inbox bound a flood is pressing against.

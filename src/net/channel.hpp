@@ -33,8 +33,8 @@ struct Verdict {
 /// Adversary callback: full knowledge of direction and content.
 using Adversary = std::function<Verdict(Direction, const Message&)>;
 
-/// Poll callback: invoked by `poll()` / `receive_with_budget()` each time
-/// a receiver waits on an empty queue. This is the channel's notion of
+/// Poll callback: invoked by `poll()` each time a receiver waits on an
+/// empty queue. This is the channel's notion of
 /// time passing — a delay-injecting adversary (faults::FaultyChannel)
 /// uses it to tick held frames toward delivery.
 using PollHook = std::function<void()>;
@@ -64,8 +64,9 @@ struct ChannelLimits {
   std::size_t max_transcript_frames = 0;
 };
 
-/// Shed/overflow counters, per direction. These are the channel's abuse
-/// signal: a verifier charges them to the sending client's rate bucket.
+/// Shed/overflow counters, per direction, for inspection. Nothing charges
+/// them to a client: the engine charges only a session's
+/// SessionReport::malformed_frames to its rate bucket.
 struct ChannelShedStats {
   std::uint64_t dropped_oversized = 0;  // payload > max_frame_bytes
   std::uint64_t dropped_overflow = 0;   // inbox at max_inbox_frames
@@ -127,14 +128,6 @@ class DuplexChannel {
   /// Receives the next pending frame for the far end of `direction`
   /// (i.e., receive(kAtoB) pops what B should read).
   std::optional<Message> receive(Direction direction);
-
-  /// Bounded receive: if the queue is empty, polls the channel (ticking
-  /// any delay-injecting adversary) up to `max_polls` times before giving
-  /// up. Lets protocol drivers distinguish "frame dropped" (budget
-  /// exhausted ⇒ nullopt) from "not yet delivered" without spinning
-  /// forever on a lossy link.
-  std::optional<Message> receive_with_budget(Direction direction,
-                                             std::size_t max_polls);
 
   /// Injects a frame directly into a queue, bypassing the adversary —
   /// used by the adversary itself to replay recorded frames.

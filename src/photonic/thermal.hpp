@@ -36,7 +36,6 @@ class ThermalEnvironment {
   }
 
   double mean() const noexcept { return mean_; }
-  void set_mean(double kelvin) noexcept { mean_ = kelvin; }
 
  private:
   double mean_;

@@ -62,9 +62,6 @@ class RoPuf final : public Puf {
     return measure_count(i) - measure_count(j);
   }
 
-  std::size_t oscillator_count() const noexcept {
-    return config_.oscillators;
-  }
   void set_temperature(double kelvin) noexcept {
     config_.temperature = kelvin;
   }

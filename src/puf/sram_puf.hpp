@@ -56,9 +56,6 @@ class SramPuf final : public Puf {
   /// Total accumulated stress time.
   double age_hours() const noexcept { return age_hours_; }
 
-  /// The analog skew of one cell (used by tests and filtering research).
-  double cell_skew(std::size_t index) const { return skews_.at(index); }
-
  private:
   double noise_sigma_at_temperature() const noexcept;
 

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/aka_eke.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 
 namespace neuropuls::sim {
@@ -103,34 +103,19 @@ PhaseReport SecureSystem::authenticate() {
                               crypto::Sha256::hash(device_memory_),
                               photonic_puf_.challenge_bytes());
 
-  // Session with explicit device-side cost accounting.
-  net::DuplexChannel channel;
-  channel.send(net::Direction::kAtoB, verifier.start(1, 0x42));
-
-  const auto request = channel.receive(net::Direction::kAtoB);
-  // Device: DRBG for c_{i+1}, one PUF interrogation, memory hash, HMAC.
+  // Device-side cost of one session: DRBG for c_{i+1}, one PUF
+  // interrogation, memory hash, the response HMAC and the confirm check.
   cpu_.drbg(photonic_puf_.challenge_bytes());
   puf_peripheral_.evaluate(puf::Challenge(photonic_puf_.challenge_bytes(), 0),
                            cpu_);
   cpu_.hash_sha256(device_memory_.size());
   memory_.transfer(device_memory_.size());
   cpu_.hmac_sha256(photonic_puf_.response_bytes() + 48);
-
-  const auto response = device.handle_request(*request);
-  if (!response) throw std::runtime_error("authenticate: device failed");
-  channel.send(net::Direction::kBtoA, *response);
-
-  const auto delivered = channel.receive(net::Direction::kBtoA);
-  const auto outcome = verifier.process_response(*delivered);
-  if (outcome.status != core::AuthStatus::kOk || !outcome.confirm) {
-    throw std::runtime_error("authenticate: verifier rejected");
-  }
-  channel.send(net::Direction::kAtoB, *outcome.confirm);
-
-  const auto confirm = channel.receive(net::Direction::kAtoB);
   cpu_.hmac_sha256(photonic_puf_.challenge_bytes());
-  if (device.handle_confirm(*confirm) != core::AuthStatus::kOk) {
-    throw std::runtime_error("authenticate: confirm rejected");
+
+  net::DuplexChannel channel;
+  if (!core::run_auth_session(verifier, device, channel, 1, 0x42)) {
+    throw std::runtime_error("authenticate: session failed");
   }
   stats_.count("auth.sessions");
   return finish_phase("authenticate", t0, e0, m0);
@@ -190,7 +175,7 @@ PhaseReport SecureSystem::establish_session_key() {
   if (!outcome.keys_match) {
     throw std::runtime_error("establish_session_key: handshake failed");
   }
-  session_key_ = std::move(outcome.responder.session_key);
+  session_key_ = std::move(outcome.responder_key);
   stats_.count("eke.handshakes");
   return finish_phase("session_key", t0, e0, m0);
 }

@@ -3,6 +3,7 @@
 
 #include "core/aka_eke.hpp"
 #include "core/key_manager.hpp"
+#include "core/session_driver.hpp"
 #include "puf/photonic_puf.hpp"
 #include "puf/sram_puf.hpp"
 
@@ -14,17 +15,16 @@ const crypto::DhGroup& group() { return crypto::DhGroup::modp1536(); }
 TEST(Eke, HandshakeAgreesOnKey) {
   const crypto::Bytes secret = crypto::bytes_of("shared CRP response");
   const auto outcome = run_eke_handshake(secret, secret, group(), 1, 42);
-  EXPECT_TRUE(outcome.initiator.succeeded);
-  EXPECT_TRUE(outcome.responder.succeeded);
   EXPECT_TRUE(outcome.keys_match);
-  EXPECT_EQ(outcome.initiator.session_key.size(), 32u);
+  EXPECT_EQ(outcome.initiator_key.size(), 32u);
+  EXPECT_EQ(outcome.responder_key.size(), 32u);
 }
 
 TEST(Eke, WrongPasswordFails) {
   const auto outcome = run_eke_handshake(crypto::bytes_of("secret-A"),
                                          crypto::bytes_of("secret-B"),
                                          group(), 1, 42);
-  EXPECT_FALSE(outcome.initiator.succeeded);
+  EXPECT_TRUE(outcome.initiator_key.empty());
   EXPECT_FALSE(outcome.keys_match);
 }
 
@@ -36,7 +36,38 @@ TEST(Eke, ForwardSecrecyDistinctSessionKeys) {
   ASSERT_TRUE(s1.keys_match);
   ASSERT_TRUE(s2.keys_match);
   EXPECT_FALSE(
-      common::ct_equal(s1.initiator.session_key, s2.initiator.session_key));
+      common::ct_equal(s1.initiator_key, s2.initiator_key));
+}
+
+TEST(Eke, SessionKeyKnownAnswers) {
+  // Session id 9 over both MODP groups: pins the keys of the one-shot
+  // handshake, whatever sequences its four steps.
+  const crypto::Bytes secret = crypto::bytes_of("shared CRP response");
+  struct Case {
+    const crypto::DhGroup& group;
+    std::uint64_t seed;
+    const char* key;
+  };
+  const Case cases[] = {
+      {crypto::DhGroup::modp1536(), 1,
+       "07d0321914d1a142ba6d576876235e9b66de71ec541730f19145f8e3aaf499bc"},
+      {crypto::DhGroup::modp1536(), 42,
+       "e08e4154a658aefec87e7182ce35c3b11a2f09270adaf2a2ccaf003a468748e9"},
+      {crypto::DhGroup::modp1536(), 1234,
+       "cf7d9fc631e81d98fb3fefe557e307a6903e2801182b10b98d1b003ff8e8597b"},
+      {crypto::DhGroup::modp2048(), 1,
+       "232b2fe23da5b81a37f9090721993cf80808d12ab05c3cd71add08e79603eabb"},
+      {crypto::DhGroup::modp2048(), 42,
+       "b1875b4e3f9937d2efac97c4ae36ce51067b3f46f46358090359d9604ca0e080"},
+      {crypto::DhGroup::modp2048(), 1234,
+       "0310ae232d0f9918be4550cb11077f9a608548edc14de69a21c206d4340a86e1"},
+  };
+  for (const Case& c : cases) {
+    const auto outcome = run_eke_handshake(secret, secret, c.group, 9, c.seed);
+    ASSERT_TRUE(outcome.keys_match) << c.seed;
+    EXPECT_EQ(crypto::to_hex(outcome.initiator_key.reveal()), c.key)
+        << c.group.prime_bytes << " " << c.seed;
+  }
 }
 
 TEST(Eke, TamperedServerHelloRejected) {

@@ -3,7 +3,10 @@
 // integrity hints, and desynchronisation recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 
@@ -65,6 +68,44 @@ TEST(MutualAuth, CrpRotatesEverySession) {
       EXPECT_NE(secrets[a], secrets[b]) << a << "," << b;
     }
   }
+}
+
+TEST(MutualAuth, RotatedResponseKnownAnswer) {
+  // Three one-shot sessions from the fixed provisioning: pins every
+  // rotated CRP, whatever sequences the three hops.
+  Harness s = make_harness();
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(run_auth_session(*s.verifier, *s.device, *s.channel, i, i));
+  }
+  EXPECT_EQ(crypto::to_hex(s.device->current_response().reveal()),
+            "0e53065e");
+  EXPECT_TRUE(common::ct_equal(s.device->current_response(),
+                               s.verifier->current_secret()));
+}
+
+TEST(MutualAuth, OneShotSessionNeverRetries) {
+  Harness s = make_harness();
+  bool dropped = false;
+  s.channel->set_adversary([&](net::Direction, const net::Message& m) {
+    if (m.type == net::MessageType::kAuthRequest && !dropped) {
+      dropped = true;
+      return net::Verdict::drop();
+    }
+    return net::Verdict::pass();
+  });
+  const auto requests = [&] {
+    const auto& transcript = s.channel->transcript();
+    return std::count_if(transcript.begin(), transcript.end(),
+                         [](const net::TranscriptEntry& entry) {
+                           return entry.message.type ==
+                                  net::MessageType::kAuthRequest;
+                         });
+  };
+  // The dropped request is not re-sent: one attempt, then false.
+  EXPECT_FALSE(run_auth_session(*s.verifier, *s.device, *s.channel, 1, 1));
+  EXPECT_EQ(requests(), 1);
+  EXPECT_TRUE(run_auth_session(*s.verifier, *s.device, *s.channel, 2, 2));
+  EXPECT_EQ(requests(), 2);
 }
 
 TEST(MutualAuth, VerifierStateIsOneResponse) {

@@ -6,6 +6,7 @@
 
 #include "core/aka_eke.hpp"
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 
@@ -140,7 +141,7 @@ TEST_P(EkeSweep, AgreementAcrossSecretLengthsAndGroups) {
   secret.back() = 0x17;
   const auto outcome = run_eke_handshake(secret, secret, group, 9, 1234);
   EXPECT_TRUE(outcome.keys_match);
-  EXPECT_EQ(outcome.initiator.session_key.size(), 32u);
+  EXPECT_EQ(outcome.initiator_key.size(), 32u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,6 +4,7 @@
 
 #include "core/aka_eke.hpp"
 #include "core/secure_channel.hpp"
+#include "core/session_driver.hpp"
 
 namespace neuropuls::core {
 namespace {
@@ -13,7 +14,7 @@ common::SecretBytes session_key() {
   const crypto::Bytes secret = crypto::bytes_of("crp secret");
   auto outcome = run_eke_handshake(secret, secret,
                                    crypto::DhGroup::modp1536(), 1, 5);
-  return std::move(outcome.initiator.session_key);
+  return std::move(outcome.initiator_key);
 }
 
 TEST(SecureChannel, DuplexRoundTrip) {
@@ -107,7 +108,7 @@ TEST(SecureChannel, DistinctSessionKeysDoNotInterop) {
   const crypto::Bytes other_secret = crypto::bytes_of("other");
   auto other = run_eke_handshake(other_secret, other_secret,
                                  crypto::DhGroup::modp1536(), 2, 9);
-  SecureChannel b(std::move(other.responder.session_key), false);
+  SecureChannel b(std::move(other.responder_key), false);
   EXPECT_FALSE(b.open(a.seal(crypto::bytes_of("?"))).has_value());
 }
 

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "crypto/bytes.hpp"
 #include "faults/device_faults.hpp"
@@ -369,12 +370,15 @@ Message frame(std::uint8_t tag, std::uint64_t sid = 1) {
   return Message{MessageType::kData, sid, crypto::Bytes(4, tag)};
 }
 
-TEST(ReceiveWithBudget, DistinguishesPendingFromDropped) {
-  DuplexChannel channel;
-  channel.send(Direction::kAtoB, frame(1));
-  EXPECT_TRUE(channel.receive_with_budget(Direction::kAtoB, 0).has_value());
-  // Nothing pending and no delayed frames: budget exhausts cleanly.
-  EXPECT_FALSE(channel.receive_with_budget(Direction::kAtoB, 3).has_value());
+// Receives from `direction`, polling the channel (which ticks held
+// frames toward delivery) up to `max_polls` times while nothing is queued.
+std::optional<Message> poll_receive(DuplexChannel& channel, Direction direction,
+                                    std::size_t max_polls) {
+  for (std::size_t polls = 0;; ++polls) {
+    if (auto message = channel.receive(direction)) return message;
+    if (polls >= max_polls) return std::nullopt;
+    channel.poll();
+  }
 }
 
 TEST(FaultyChannel, ZeroRatesArePassThrough) {
@@ -460,7 +464,7 @@ TEST(FaultyChannel, DelayedFramesArriveWithinPollBudget) {
   EXPECT_EQ(channel.pending(Direction::kAtoB), 0u);
   EXPECT_EQ(faulty.held(), 1u);
   // A budget of max_delay_polls always outwaits the delay.
-  const auto m = channel.receive_with_budget(Direction::kAtoB, 5);
+  const auto m = poll_receive(channel, Direction::kAtoB, 5);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->payload, crypto::Bytes(4, 3));
   EXPECT_EQ(faulty.held(), 0u);
@@ -479,13 +483,13 @@ TEST(FaultyChannel, ReorderHoldsUntilNextSameDirectionSend) {
   EXPECT_EQ(channel.pending(Direction::kAtoB), 0u);
   EXPECT_EQ(faulty.held(), 1u);
   // Polling does not release a reorder hold — it waits on a *send*.
-  EXPECT_FALSE(channel.receive_with_budget(Direction::kAtoB, 3).has_value());
+  EXPECT_FALSE(poll_receive(channel, Direction::kAtoB, 3).has_value());
   // Traffic in the opposite direction does not arm it either.
   channel.send(Direction::kBtoA, frame(7));
   EXPECT_EQ(faulty.held(), 1u);
   // The next A->B send arms the hold; one poll later it is delivered.
   channel.send(Direction::kAtoB, frame(2));  // itself held (rate 1.0)
-  const auto released = channel.receive_with_budget(Direction::kAtoB, 1);
+  const auto released = poll_receive(channel, Direction::kAtoB, 1);
   ASSERT_TRUE(released.has_value());
   EXPECT_EQ(released->payload, crypto::Bytes(4, 1));
   EXPECT_EQ(faulty.stats(Direction::kAtoB).reordered, 2u);
@@ -503,7 +507,7 @@ TEST(FaultyChannel, ReorderPermutesButNeverLosesFrames) {
   constexpr int kFrames = 60;
   for (int i = 0; i < kFrames; ++i) {
     channel.send(Direction::kAtoB, frame(static_cast<std::uint8_t>(i)));
-    while (auto m = channel.receive_with_budget(Direction::kAtoB, 1)) {
+    while (auto m = poll_receive(channel, Direction::kAtoB, 1)) {
       order.push_back(m->payload[0]);
     }
   }
@@ -555,7 +559,7 @@ TEST(FaultyChannel, SameSeedSameFaultSchedule) {
     for (int i = 0; i < 300; ++i) {
       const auto dir = (i % 3 == 0) ? Direction::kBtoA : Direction::kAtoB;
       channel.send(dir, frame(static_cast<std::uint8_t>(i), i));
-      if (auto m = channel.receive_with_budget(dir, 2)) {
+      if (auto m = poll_receive(channel, dir, 2)) {
         const auto wire = net::encode_message(*m);
         log.insert(log.end(), wire.begin(), wire.end());
       }

@@ -12,6 +12,7 @@
 #include "core/key_manager.hpp"
 #include "core/mutual_auth.hpp"
 #include "core/secure_channel.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/composite.hpp"
 #include "puf/photonic_puf.hpp"
@@ -97,8 +98,8 @@ TEST(EndToEnd, AuthRotatedCrpSeedsEkeAndSecureChannel) {
   ASSERT_TRUE(handshake.keys_match);
 
   // Secure channel carries a ciphered inference result.
-  core::SecureChannel v_end(std::move(handshake.initiator.session_key), true);
-  core::SecureChannel d_end(std::move(handshake.responder.session_key), false);
+  core::SecureChannel v_end(std::move(handshake.initiator_key), true);
+  core::SecureChannel d_end(std::move(handshake.responder_key), false);
 
   const crypto::Bytes inference_key = crypto::bytes_of("accel key");
   accel::SecureAccelerator accelerator(

@@ -466,10 +466,12 @@ const std::set<std::string> kScopedLockTypes = {"MutexLock", "ShardLock",
 // store: shard locks are leaves of the documented order.
 const std::set<std::string> kEngineLockNames = {"sched_mutex", "admit_mutex"};
 
-// Calls that can block (parking, channel receives) or take the global
-// allocator lock (operator new and the std::make_* wrappers).
-const std::set<std::string> kBlockingCalls = {"park", "receive",
-                                              "receive_with_budget"};
+// Calls that can block (parking, channel receives), run a whole session
+// exchange with its PUF evaluations and modexps (the serial session
+// drivers), or take the global allocator lock (operator new and the
+// std::make_* wrappers).
+const std::set<std::string> kBlockingCalls = {
+    "park", "receive", "run_serial", "run_auth_session", "run_eke_handshake"};
 const std::set<std::string> kAllocCalls = {"make_unique", "make_shared"};
 
 // The admission controller's lock guards the flood-facing fast path:

@@ -1,25 +1,28 @@
 // ctlint fixture: the blocking-under-lock pass. Lint-only — never
 // compiled.
 //
-// Covers: parking, channel receives, and allocation while a scoped lock
-// is live; the unlock()/lock() toggle; scope exit; and suppression.
+// Covers: parking, channel receives, serial session runs, and allocation
+// while a scoped lock is live; the unlock()/lock() toggle; scope exit;
+// and suppression.
 
 #include <memory>
 
 #include "common/mutex.hpp"
 #include "common/parallel.hpp"
+#include "core/session_driver.hpp"
 #include "net/channel.hpp"
 
 namespace fixture {
 
 void blocking_while_held(neuropuls::common::Mutex& mu,
                          neuropuls::common::ParkingLot& lot,
-                         neuropuls::net::DuplexChannel& chan) {
+                         neuropuls::net::DuplexChannel& chan,
+                         const neuropuls::core::MachineFactory& build) {
   using neuropuls::net::Direction;
   neuropuls::common::MutexLock guard(mu);
   lot.park();  // ctlint:expect(blocking-under-lock)
   auto one = chan.receive(Direction::kAtoB);  // ctlint:expect(blocking-under-lock)
-  auto two = chan.receive_with_budget(Direction::kBtoA, 4);  // ctlint:expect(blocking-under-lock)
+  auto two = neuropuls::core::run_serial(4, build);  // ctlint:expect(blocking-under-lock)
   auto raw = new int[4];  // ctlint:expect(blocking-under-lock)
   auto owned = std::make_unique<int>(1);  // ctlint:expect(blocking-under-lock)
   delete[] raw;
