@@ -73,28 +73,23 @@ ProtocolAttackReport mitm_session_graft(std::uint64_t seed) {
 
   // The attacker relays the verifier's request to the device but rewrites
   // the session id, hoping to make the device answer a session the
-  // attacker controls; it then re-frames the device's answer back.
+  // attacker controls; it then re-frames the device's answer back. Written
+  // as single steps: a session machine drops a frame for a foreign session
+  // before the device sees it, which would hide the MAC check under test.
   constexpr std::uint64_t kAttackerSession = 0xEE;
-  w.channel->set_adversary([&](net::Direction d, const net::Message& m) {
-    if (d == net::Direction::kAtoB &&
-        m.type == net::MessageType::kAuthRequest) {
-      net::Message reframed = m;
-      reframed.session_id = kAttackerSession;
-      return net::Verdict::replace(reframed);
-    }
-    if (d == net::Direction::kBtoA &&
-        m.type == net::MessageType::kAuthResponse) {
-      net::Message reframed = m;
-      reframed.session_id = 1;  // graft back onto the verifier's session
-      return net::Verdict::replace(reframed);
-    }
-    return net::Verdict::pass();
-  });
+  net::Message request = w.verifier->start(1, 100);
+  request.session_id = kAttackerSession;
+  auto response = w.device->handle_request(request);
+  if (!response) {
+    report.honest_parties_recovered = false;
+    return report;
+  }
+  response->session_id = 1;  // graft back onto the verifier's session
   // The grafted response carries a MAC computed over the attacker's
   // session id; the verifier MACs over its own id -> must fail.
-  report.attacker_succeeded = honest_session(w, 1, 100);
+  const auto outcome = w.verifier->process_response(*response);
+  report.attacker_succeeded = outcome.status == core::AuthStatus::kOk;
 
-  w.channel->set_adversary(nullptr);
   report.honest_parties_recovered = honest_session(w, 9, 900);
   return report;
 }

@@ -283,7 +283,7 @@ namespace {
 
 // One attempt with the default 8-poll receive budget: a lost frame fails
 // the exchange instead of retrying it.
-constexpr RetryPolicy kOneShot{1, 8, 2, 32};
+constexpr RetryPolicy kOneShot{.max_attempts = 1};
 
 }  // namespace
 

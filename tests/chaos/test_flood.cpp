@@ -150,7 +150,7 @@ TEST(FloodChaos, ReplayStormZeroFalseAccepts) {
     evil.client_id = 9000 + (k % 3);  // a few hot attacker identities
     evil.replay_seed = faults::capture_replay_material(
         *evil.fixture->verifier, *evil.fixture->device, evil.fixture->channel,
-        /*session_id=*/1, /*nonce=*/0xAB00 + k);
+        /*session_id=*/1, /*seed=*/0xAB00 + k);
     slots.push_back(std::move(evil));
   }
 
