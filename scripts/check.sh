@@ -17,13 +17,14 @@
 #                               # the host ISA; ctest re-asserts lane/scalar
 #                               # bit-identity under FMA contraction)
 #   scripts/check.sh chaos      # fault-injection sweep only: runs the
-#                               # ctest label `chaos` (tests/chaos) under
-#                               # BOTH ASan and UBSan — held-frame queues,
-#                               # retry/backoff loops, corrupted-blob
-#                               # parsing, and admission control's
-#                               # shedding/eviction under flood storms are
-#                               # exactly where lifetime and UB bugs would
-#                               # hide
+#                               # ctest label `chaos` (tests/chaos,
+#                               # test_net, test_faults) under BOTH ASan
+#                               # and UBSan — channel read cursors,
+#                               # held-frame queues, retry/backoff loops,
+#                               # corrupted-blob parsing, and admission
+#                               # control's shedding/eviction under flood
+#                               # storms are exactly where lifetime and UB
+#                               # bugs would hide
 #   scripts/check.sh reactor    # concurrency sweep: one ThreadSanitizer
 #                               # build, then ctest -L concurrency (sharded
 #                               # CrpDatabase stress, SessionEngine

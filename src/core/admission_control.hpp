@@ -26,8 +26,7 @@
 // Malformed/oversized frames a session saw (SessionReport::
 // malformed_frames) are charged back to the sender's bucket via
 // note_malformed() when the engine retires the session, so a client that
-// floods garbage rate-limits itself out of future admissions. Frames the
-// channel itself shed (ChannelShedStats) are not charged.
+// floods garbage rate-limits itself out of future admissions.
 //
 // Threading: every method is safe from any engine worker. All state sits
 // behind one leaf mutex (admission_mutex_ — below every engine lock in

@@ -43,16 +43,6 @@ inline crypto::Bytes pack_bits(const BitVec& bits) {
   return out;
 }
 
-/// Hamming distance between equal-length bit vectors.
-inline std::size_t hamming(const BitVec& a, const BitVec& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("hamming: length mismatch");
-  }
-  std::size_t d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += (a[i] ^ b[i]) & 1;
-  return d;
-}
-
 /// XOR of equal-length bit vectors.
 inline BitVec xor_bits(const BitVec& a, const BitVec& b) {
   if (a.size() != b.size()) {

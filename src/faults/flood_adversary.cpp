@@ -39,8 +39,8 @@ net::Message FloodAuthMachine::forged_response() {
                           std::move(junk)};
     }
     case FloodMode::kOversized: {
-      // Far above both the channel's and the machine's frame caps. The
-      // byte pattern is irrelevant — no parser may ever see it.
+      // Far above the machine's frame cap. The byte pattern is
+      // irrelevant — no parser may ever see it.
       return net::Message{net::MessageType::kAuthResponse, sid_,
                           crypto::Bytes(core::kMaxFrameBytes + 1024, 0xA5)};
     }

@@ -16,10 +16,9 @@
 //                 different secret, so the verifier must reject it and,
 //                 per the mutual_auth replay latch, never re-rotate or
 //                 spend fresh PUF/CRP material on it.
-//   kOversized  — answers with a payload far above every frame-size
-//                 limit. Depending on configuration it is shed by
-//                 ChannelLimits (never enqueued) or by the machine's
-//                 kMaxFrameBytes guard (discarded before parsing).
+//   kOversized  — answers with a payload far above core::kMaxFrameBytes.
+//                 The verifier machine's size guard discards it before
+//                 any parse code runs and counts it as malformed.
 //   kHalfOpen   — opens the session and then goes silent: no frame is
 //                 ever sent, every attempt burns its full poll budget.
 //                 The cheapest attack per byte, and exactly what the

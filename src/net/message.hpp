@@ -7,9 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <optional>
 #include <string>
 
 #include "crypto/bytes.hpp"

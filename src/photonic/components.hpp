@@ -69,21 +69,6 @@ class DirectionalCoupler {
   double kappa2_;
 };
 
-/// Static phase shifter (a short waveguide trimmed by fabrication).
-class PhaseShifter {
- public:
-  explicit PhaseShifter(double phase_radians = 0.0) noexcept
-      : phase_(phase_radians) {}
-
-  Complex transfer() const noexcept {
-    return std::polar(1.0, -phase_);
-  }
-  double phase() const noexcept { return phase_; }
-
- private:
-  double phase_;
-};
-
 /// 1x2 Y-junction splitter with excess loss; splits power evenly.
 class YSplitter {
  public:

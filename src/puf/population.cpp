@@ -43,14 +43,6 @@ std::vector<Response> PufPopulation::evaluate_noiseless_all(
   return responses;
 }
 
-std::vector<Response> PufPopulation::evaluate_all(const Challenge& challenge) {
-  std::vector<Response> responses(devices_.size());
-  run_parallel(pool_, devices_.size(), [&](std::size_t d) {
-    responses[d] = devices_[d]->evaluate(challenge);
-  });
-  return responses;
-}
-
 std::vector<std::vector<Response>> PufPopulation::evaluate_repeats(
     const Challenge& challenge, std::size_t repeats) {
   std::vector<std::vector<Response>> readings(devices_.size());

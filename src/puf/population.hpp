@@ -40,11 +40,6 @@ class PufPopulation {
   /// One noise-free (model) response per device, evaluated concurrently.
   std::vector<Response> evaluate_noiseless_all(const Challenge& challenge) const;
 
-  /// One noisy response per device, evaluated concurrently. Each device
-  /// consumes exactly one value of its own noise counter — identical to
-  /// calling device(d).evaluate(challenge) in a serial loop.
-  std::vector<Response> evaluate_all(const Challenge& challenge);
-
   /// `repeats` noisy re-readings per device (the reliability /
   /// identification re-read matrix), devices in parallel; each device's
   /// readings use its next `repeats` counter values in order.

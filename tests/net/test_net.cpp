@@ -1,7 +1,14 @@
 // Wire-format and adversarial-channel tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "common/alloc_probe.hpp"
 #include "net/channel.hpp"
+
+NEUROPULS_DEFINE_ALLOC_PROBE()
 
 namespace neuropuls::net {
 namespace {
@@ -100,58 +107,96 @@ TEST(Channel, TranscriptRecordsEverything) {
   EXPECT_EQ(channel.transcript()[1].direction, Direction::kBtoA);
 }
 
-TEST(ChannelLimits, FullInboxDropsWithStatInsteadOfGrowing) {
-  ChannelLimits limits;
-  limits.max_inbox_frames = 2;
-  DuplexChannel channel(limits);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    channel.send(Direction::kAtoB, {MessageType::kData, i, {}});
-  }
-  EXPECT_EQ(channel.pending(Direction::kAtoB), 2u);
-  EXPECT_EQ(channel.shed_stats(Direction::kAtoB).dropped_overflow, 3u);
-  // The shed frames are still visible in the transcript, as undelivered.
-  ASSERT_EQ(channel.transcript().size(), 5u);
-  EXPECT_TRUE(channel.transcript()[1].delivered);
-  EXPECT_FALSE(channel.transcript()[4].delivered);
-  // Draining the inbox re-opens capacity for new traffic.
-  ASSERT_TRUE(channel.receive(Direction::kAtoB).has_value());
-  channel.send(Direction::kAtoB, {MessageType::kData, 9, {}});
-  EXPECT_EQ(channel.pending(Direction::kAtoB), 2u);
-  EXPECT_EQ(channel.shed_stats(Direction::kAtoB).dropped_overflow, 3u);
+TEST(Channel, ConstructionAllocatesNothing) {
+  const auto before = common::alloc_probe::allocations();
+  std::optional<DuplexChannel> channel;
+  channel.emplace();
+  EXPECT_FALSE(channel->readable(Direction::kAtoB));
+  channel.reset();
+  EXPECT_EQ(common::alloc_probe::allocations(), before);
 }
 
-TEST(ChannelLimits, OversizedFrameNeverEnqueues) {
-  ChannelLimits limits;
-  limits.max_frame_bytes = 16;
-  DuplexChannel channel(limits);
-  channel.send(Direction::kBtoA, {MessageType::kData, 1, crypto::Bytes(17, 0xFF)});
-  EXPECT_FALSE(channel.readable(Direction::kBtoA));
-  EXPECT_EQ(channel.shed_stats(Direction::kBtoA).dropped_oversized, 1u);
-  channel.send(Direction::kBtoA, {MessageType::kData, 2, crypto::Bytes(16, 0x01)});
-  EXPECT_TRUE(channel.readable(Direction::kBtoA));
-}
-
-TEST(ChannelLimits, TranscriptCapCountsInsteadOfStoring) {
-  ChannelLimits limits;
-  limits.max_transcript_frames = 3;
-  DuplexChannel channel(limits);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    channel.send(Direction::kAtoB, {MessageType::kData, i, {}});
-  }
-  EXPECT_EQ(channel.transcript().size(), 3u);
-  EXPECT_EQ(channel.shed_stats(Direction::kAtoB).transcript_truncated, 3u);
-  // Delivery is unaffected: all six frames are still readable.
-  EXPECT_EQ(channel.pending(Direction::kAtoB), 6u);
-}
-
-TEST(ChannelLimits, DefaultsAreUnbounded) {
+// Each direction must receive exactly its delivered transcript entries,
+// in transcript order, whatever the adversary dropped, replaced or
+// injected in between, and pending() must count what is left to read.
+TEST(Channel, ReceiveFollowsTranscriptOrderPerDirection) {
   DuplexChannel channel;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    channel.send(Direction::kAtoB, {MessageType::kData, i, crypto::Bytes(64, 1)});
+  channel.set_adversary([&channel](Direction direction, const Message& m) {
+    switch (m.session_id) {
+      case 3:
+        return Verdict::drop();
+      case 5:
+        return Verdict::replace({MessageType::kData, 50, {0x50}});
+      case 7:
+        channel.inject(direction, m);  // duplicate lands ahead of m
+        return Verdict::pass();
+      default:
+        return Verdict::pass();
+    }
+  });
+
+  const Direction directions[] = {Direction::kAtoB, Direction::kBtoA};
+  std::vector<Message> received[2];
+  const auto delivered_in = [&](Direction direction) {
+    std::vector<Message> delivered;
+    for (const auto& entry : channel.transcript()) {
+      if (entry.delivered && entry.direction == direction) {
+        delivered.push_back(entry.message);
+      }
+    }
+    return delivered;
+  };
+  const auto check_pending = [&] {
+    for (const Direction d : directions) {
+      const std::size_t left =
+          delivered_in(d).size() - received[static_cast<int>(d)].size();
+      EXPECT_EQ(channel.pending(d), left);
+      EXPECT_EQ(channel.readable(d), left != 0);
+    }
+  };
+  const auto send = [&](Direction direction, std::uint64_t sid) {
+    channel.send(direction, {MessageType::kData, sid,
+                             {static_cast<std::uint8_t>(sid)}});
+    check_pending();
+  };
+  const auto receive = [&](Direction direction) {
+    auto message = channel.receive(direction);
+    ASSERT_TRUE(message.has_value());
+    received[static_cast<int>(direction)].push_back(std::move(*message));
+    check_pending();
+  };
+
+  send(Direction::kAtoB, 1);
+  send(Direction::kBtoA, 2);
+  send(Direction::kAtoB, 3);  // dropped
+  receive(Direction::kAtoB);
+  send(Direction::kBtoA, 4);
+  send(Direction::kAtoB, 5);  // replaced by 50
+  send(Direction::kBtoA, 7);  // duplicated
+  receive(Direction::kBtoA);
+  send(Direction::kAtoB, 8);
+  channel.inject(Direction::kBtoA, {MessageType::kData, 9, {0x09}});
+  check_pending();
+  for (int i = 0; i < 4; ++i) receive(Direction::kBtoA);
+  for (int i = 0; i < 2; ++i) receive(Direction::kAtoB);
+  EXPECT_FALSE(channel.receive(Direction::kAtoB).has_value());
+  EXPECT_FALSE(channel.receive(Direction::kBtoA).has_value());
+
+  const auto ids = [](const std::vector<Message>& messages) {
+    std::vector<std::uint64_t> out;
+    for (const auto& m : messages) out.push_back(m.session_id);
+    return out;
+  };
+  for (const Direction d : directions) {
+    EXPECT_EQ(received[static_cast<int>(d)], delivered_in(d));
   }
-  EXPECT_EQ(channel.pending(Direction::kAtoB), 100u);
-  EXPECT_EQ(channel.shed_stats(Direction::kAtoB).dropped_overflow, 0u);
-  EXPECT_EQ(channel.shed_stats(Direction::kAtoB).dropped_oversized, 0u);
+  EXPECT_EQ(ids(received[static_cast<int>(Direction::kAtoB)]),
+            (std::vector<std::uint64_t>{1, 50, 8}));
+  EXPECT_EQ(ids(received[static_cast<int>(Direction::kBtoA)]),
+            (std::vector<std::uint64_t>{2, 4, 7, 7, 9}));
+  ASSERT_EQ(channel.transcript().size(), 10u);
+  EXPECT_FALSE(channel.transcript()[2].delivered);  // 3, dropped
+  EXPECT_FALSE(channel.transcript()[4].delivered);  // 5, replaced
 }
 
 }  // namespace
