@@ -2,14 +2,18 @@
 //
 // Prints a dudect-style t-statistic table for the stack's secret-handling
 // primitives — the constant-time comparator, CMAC tag verification,
-// HMAC-SHA256 verification, MODP modexp over a secret exponent — against
-// the deliberately variable-time control, then times the harness itself
-// so its cost per audited primitive is known.
+// HMAC-SHA256 verification, the AES block cipher on each kernel (AES-NI
+// and the portable table S-box, reported as measured), MODP modexp over a
+// secret exponent — against the deliberately variable-time control, then
+// times the harness itself so its cost per audited primitive is known.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "crypto/aes.hpp"
+#include "crypto/block_kernels.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/hmac.hpp"
 #include "metrics/timing_leak.hpp"
@@ -69,6 +73,30 @@ void print_leak_table() {
                   (void)sink;
                 },
                 message, config));
+  // One block under one key, fixed plaintext against random ones, on each
+  // kernel driven directly with the same schedule.
+  std::array<std::uint8_t, crypto::detail::kAesScheduleBytes> schedule{};
+  const std::size_t rounds =
+      crypto::detail::aes_expand_key(crypto::Bytes(16, 0x0F), schedule);
+  const auto aes_row = [&](const char* name, crypto::detail::AesBlocks kernel) {
+    if (kernel == nullptr) {
+      std::printf("  %-28s %9s  %10s  %10s   %s\n", name, "-", "-", "-",
+                  "n/a (no AES-NI)");
+      return;
+    }
+    print_row(name, measure_timing_leak(
+                        [&](crypto::ByteView input) {
+                          std::array<std::uint8_t, 16> block{};
+                          std::copy(input.begin(), input.end(), block.begin());
+                          kernel(schedule.data(), rounds, block.data(), 1);
+                          volatile std::uint8_t sink = block[0];
+                          (void)sink;
+                        },
+                        crypto::Bytes(16, 0x00), config));
+  };
+  aes_row("AES block, AES-NI", crypto::detail::aes_blocks_aesni());
+  aes_row("AES block, portable S-box", &crypto::detail::aes_blocks_portable);
+  crypto::secure_wipe(schedule.data(), schedule.size());
   // Modexp is ~0.3 ms a call, so it gets a tenth of the samples.
   TimingLeakConfig modexp_config = config;
   modexp_config.samples_per_class = 2000;

@@ -270,7 +270,7 @@ LAST_BUILD="build-check/${FULL_CONFIGS[${#FULL_CONFIGS[@]}-1]}"
 # sanitizer or -march=native tree times a different program. The plain
 # tree is reused when this invocation built it; otherwise only the bench
 # binaries are built there.
-BENCH_BINS=(bench_puf_quality bench_system_level bench_server bench_crp_store_recovery bench_aka_eke)
+BENCH_BINS=(bench_puf_quality bench_system_level bench_server bench_crp_store_recovery bench_aka_eke bench_crypto)
 SMOKE_BUILD="build-check/plain"
 if [[ " ${FULL_CONFIGS[*]} " != *" plain "* ]]; then
   echo "==> bench smoke: configure + build ${BENCH_BINS[*]} (${SMOKE_BUILD})"
@@ -279,8 +279,10 @@ fi
 BENCH_SMOKE_DIR="${SMOKE_BUILD}/bench-smoke"
 # BM_Modexp2048 and BM_EkeHandshake2048 (bench_aka_eke) gate the MODP
 # kernel dispatch: a silent fall-back to the portable Montgomery row is a
-# ~2.5x cliff that no test would notice.
-BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048'
+# ~2.5x cliff that no test would notice. BM_AesCtr/16384, BM_AesCmac/1024,
+# BM_Sha256/1024 and BM_HmacSha256/64 (bench_crypto) gate the AES-NI and
+# SHA-NI dispatch the same way: the portable kernels are 4-90x slower.
+BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048|BM_AesCtr/16384|BM_AesCmac/1024|BM_Sha256/1024|BM_HmacSha256/64'
 mkdir -p "${BENCH_SMOKE_DIR}"
 for bench in "${BENCH_BINS[@]}"; do
   bench_bin="${SMOKE_BUILD}/bench/${bench}"
@@ -307,7 +309,8 @@ python3 scripts/bench_regress.py --merge "${BENCH_SMOKE_DIR}/BENCH_smoke.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_system_level.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_server.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_crp_store_recovery.json" \
-  "${BENCH_SMOKE_DIR}/BENCH_bench_aka_eke.json"
+  "${BENCH_SMOKE_DIR}/BENCH_bench_aka_eke.json" \
+  "${BENCH_SMOKE_DIR}/BENCH_bench_crypto.json"
 # --allow-missing: the smoke filter deliberately runs a subset of the
 # baseline's cases; a full-length run should compare WITHOUT it so a
 # vanished case fails loudly.

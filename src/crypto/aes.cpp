@@ -2,7 +2,12 @@
 
 #include <cstring>
 
+#include "crypto/block_kernels.hpp"
 #include "crypto/hmac.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace neuropuls::crypto {
 
@@ -85,10 +90,14 @@ void mix_columns(std::uint8_t* s) noexcept {
   for (int c = 0; c < 4; ++c) {
     std::uint8_t* col = s + 4 * c;
     const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gf_mul(a0, 2) ^ gf_mul(a1, 3) ^ a2 ^ a3);
-    col[1] = static_cast<std::uint8_t>(a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3);
-    col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3));
-    col[3] = static_cast<std::uint8_t>(gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2));
+    // 2x is xtime(x) and 3x is xtime(x) ^ x: one shift and a masked
+    // reduction each, where gf_mul would loop over all eight bits.
+    const std::uint8_t d0 = xtime(a0), d1 = xtime(a1), d2 = xtime(a2),
+                       d3 = xtime(a3);
+    col[0] = static_cast<std::uint8_t>(d0 ^ d1 ^ a1 ^ a2 ^ a3);
+    col[1] = static_cast<std::uint8_t>(a0 ^ d1 ^ d2 ^ a2 ^ a3);
+    col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ d2 ^ d3 ^ a3);
+    col[3] = static_cast<std::uint8_t>(d0 ^ a0 ^ a1 ^ a2 ^ d3);
   }
 }
 
@@ -96,20 +105,71 @@ void add_round_key(std::uint8_t* s, const std::uint8_t* rk) noexcept {
   for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
 }
 
+#if defined(__x86_64__)
+
+// N blocks through every round, interleaved so N independent AESENC
+// chains hide the instruction's latency. Reads the FIPS 197 schedule
+// as is: AES-NI round keys use the same byte order.
+template <std::size_t N>
+__attribute__((target("aes,sse4.1"))) inline void aesni_encrypt_n(
+    const std::uint8_t* round_keys, std::size_t rounds,
+    std::uint8_t* blocks) noexcept {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
+  auto* io = reinterpret_cast<__m128i*>(blocks);
+  __m128i s[N];
+  const __m128i first = _mm_loadu_si128(rk);
+#pragma GCC unroll 8
+  for (std::size_t b = 0; b < N; ++b) {
+    s[b] = _mm_xor_si128(_mm_loadu_si128(io + b), first);
+  }
+  for (std::size_t round = 1; round < rounds; ++round) {
+    const __m128i k = _mm_loadu_si128(rk + round);
+#pragma GCC unroll 8
+    for (std::size_t b = 0; b < N; ++b) s[b] = _mm_aesenc_si128(s[b], k);
+  }
+  const __m128i last = _mm_loadu_si128(rk + rounds);
+#pragma GCC unroll 8
+  for (std::size_t b = 0; b < N; ++b) {
+    _mm_storeu_si128(io + b, _mm_aesenclast_si128(s[b], last));
+  }
+}
+
+__attribute__((target("aes,sse4.1"))) void aes_blocks_aesni_body(
+    const std::uint8_t* round_keys, std::size_t rounds, std::uint8_t* blocks,
+    std::size_t nblocks) noexcept {
+  for (; nblocks >= 8; nblocks -= 8, blocks += 16 * 8) {
+    aesni_encrypt_n<8>(round_keys, rounds, blocks);
+  }
+  if (nblocks >= 4) {
+    aesni_encrypt_n<4>(round_keys, rounds, blocks);
+    nblocks -= 4;
+    blocks += 16 * 4;
+  }
+  for (; nblocks > 0; --nblocks, blocks += 16) {
+    aesni_encrypt_n<1>(round_keys, rounds, blocks);
+  }
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
-Aes::Aes(ByteView key) {
+namespace detail {
+
+std::size_t aes_expand_key(
+    ByteView key, std::span<std::uint8_t, kAesScheduleBytes> round_keys) {
   std::size_t nk;  // key length in 32-bit words
+  std::size_t rounds;
   switch (key.size()) {
-    case 16: nk = 4; rounds_ = 10; break;
-    case 24: nk = 6; rounds_ = 12; break;
-    case 32: nk = 8; rounds_ = 14; break;
+    case 16: nk = 4; rounds = 10; break;
+    case 24: nk = 6; rounds = 12; break;
+    case 32: nk = 8; rounds = 14; break;
     default:
       throw std::invalid_argument("Aes: key must be 16, 24, or 32 bytes");
   }
 
-  const std::size_t total_words = 4 * (rounds_ + 1);
-  std::uint8_t* w = round_keys_.data();
+  const std::size_t total_words = 4 * (rounds + 1);
+  std::uint8_t* w = round_keys.data();
   std::memcpy(w, key.data(), key.size());
 
   for (std::size_t i = nk; i < total_words; ++i) {
@@ -130,32 +190,16 @@ Aes::Aes(ByteView key) {
           static_cast<std::uint8_t>(w[4 * (i - nk) + static_cast<std::size_t>(j)] ^ temp[j]);
     }
   }
+  return rounds;
 }
 
-Aes::~Aes() { secure_wipe(round_keys_.data(), round_keys_.size()); }
-
-void Aes::encrypt_block(
-    std::span<std::uint8_t, kBlockSize> block) const noexcept {
-  std::uint8_t* s = block.data();
-  add_round_key(s, round_keys_.data());
-  for (std::size_t round = 1; round < rounds_; ++round) {
-    sub_bytes(s);
-    shift_rows(s);
-    mix_columns(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-  }
-  sub_bytes(s);
-  shift_rows(s);
-  add_round_key(s, round_keys_.data() + 16 * rounds_);
-}
-
-void Aes::encrypt_blocks(std::uint8_t* blocks,
-                         std::size_t nblocks) const noexcept {
+void aes_blocks_portable(const std::uint8_t* round_keys, std::size_t rounds,
+                         std::uint8_t* blocks, std::size_t nblocks) noexcept {
   for (std::size_t b = 0; b < nblocks; ++b) {
-    add_round_key(blocks + 16 * b, round_keys_.data());
+    add_round_key(blocks + 16 * b, round_keys);
   }
-  for (std::size_t round = 1; round < rounds_; ++round) {
-    const std::uint8_t* rk = round_keys_.data() + 16 * round;
+  for (std::size_t round = 1; round < rounds; ++round) {
+    const std::uint8_t* rk = round_keys + 16 * round;
     for (std::size_t b = 0; b < nblocks; ++b) {
       std::uint8_t* s = blocks + 16 * b;
       sub_bytes(s);
@@ -164,13 +208,48 @@ void Aes::encrypt_blocks(std::uint8_t* blocks,
       add_round_key(s, rk);
     }
   }
-  const std::uint8_t* rk_final = round_keys_.data() + 16 * rounds_;
+  const std::uint8_t* rk_final = round_keys + 16 * rounds;
   for (std::size_t b = 0; b < nblocks; ++b) {
     std::uint8_t* s = blocks + 16 * b;
     sub_bytes(s);
     shift_rows(s);
     add_round_key(s, rk_final);
   }
+}
+
+AesBlocks aes_blocks_aesni() noexcept {
+#if defined(__x86_64__)
+  if (cpu_features().aes_ni) return &aes_blocks_aesni_body;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+namespace {
+
+// The kernel this process runs: AES-NI where the CPUID probe found it,
+// else the portable reference.
+detail::AesBlocks aes_kernel() noexcept {
+  const detail::AesBlocks hardware = detail::aes_blocks_aesni();
+  return hardware != nullptr ? hardware : &detail::aes_blocks_portable;
+}
+
+}  // namespace
+
+Aes::Aes(ByteView key)
+    : rounds_(detail::aes_expand_key(key, round_keys_)) {}
+
+Aes::~Aes() { secure_wipe(round_keys_.data(), round_keys_.size()); }
+
+void Aes::encrypt_block(
+    std::span<std::uint8_t, kBlockSize> block) const noexcept {
+  encrypt_blocks(block.data(), 1);
+}
+
+void Aes::encrypt_blocks(std::uint8_t* blocks,
+                         std::size_t nblocks) const noexcept {
+  aes_kernel()(round_keys_.data(), rounds_, blocks, nblocks);
 }
 
 std::uint8_t aes_sbox(std::uint8_t x) noexcept { return kSbox[x]; }
@@ -182,14 +261,31 @@ namespace {
 // two batches without oversizing the stack buffer.
 constexpr std::size_t kCtrPipeline = 8;
 
+// dst ^= src over n bytes, a 64-bit word at a time: with AES-NI the
+// keystream costs less than a byte-wise XOR of it would.
+void xor_keystream(std::uint8_t* dst, const std::uint8_t* src,
+                   std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t d, s;
+    std::memcpy(&d, dst + i, 8);
+    std::memcpy(&s, src + i, 8);
+    d ^= s;
+    std::memcpy(dst + i, &d, 8);
+  }
+  for (; i < n; ++i) dst[i] ^= src[i];
+}
+
 }  // namespace
 
 Bytes aes_ctr(const Aes& cipher, ByteView nonce16, ByteView data) {
   if (nonce16.size() != Aes::kBlockSize) {
     throw std::invalid_argument("aes_ctr: nonce must be 16 bytes");
   }
-  std::array<std::uint8_t, Aes::kBlockSize> counter{};
-  std::memcpy(counter.data(), nonce16.data(), Aes::kBlockSize);
+  // The low 32 bits count big-endian and wrap; the other 12 bytes stay.
+  std::uint32_t low = (std::uint32_t{nonce16[12]} << 24) |
+                      (std::uint32_t{nonce16[13]} << 16) |
+                      (std::uint32_t{nonce16[14]} << 8) | nonce16[15];
 
   Bytes out(data.begin(), data.end());
   std::array<std::uint8_t, Aes::kBlockSize * kCtrPipeline> keystream{};
@@ -199,18 +295,18 @@ Bytes aes_ctr(const Aes& cipher, ByteView nonce16, ByteView data) {
         std::min<std::size_t>(keystream.size(), out.size() - offset);
     const std::size_t blocks = (n + Aes::kBlockSize - 1) / Aes::kBlockSize;
     // Materialise the counter blocks, then pipeline them through the
-    // cipher in one round-major pass. The tail block may be generated in
-    // full and used partially — CTR keystream is positional.
-    for (std::size_t b = 0; b < blocks; ++b) {
-      std::memcpy(keystream.data() + Aes::kBlockSize * b, counter.data(),
-                  Aes::kBlockSize);
-      // Increment the low 32 bits big-endian.
-      for (int i = 15; i >= 12; --i) {
-        if (++counter[static_cast<std::size_t>(i)] != 0) break;
-      }
+    // cipher in one pass. The tail block may be generated in full and
+    // used partially — CTR keystream is positional.
+    for (std::size_t b = 0; b < blocks; ++b, ++low) {
+      std::uint8_t* block = keystream.data() + Aes::kBlockSize * b;
+      std::memcpy(block, nonce16.data(), 12);
+      block[12] = static_cast<std::uint8_t>(low >> 24);
+      block[13] = static_cast<std::uint8_t>(low >> 16);
+      block[14] = static_cast<std::uint8_t>(low >> 8);
+      block[15] = static_cast<std::uint8_t>(low);
     }
     cipher.encrypt_blocks(keystream.data(), blocks);
-    for (std::size_t i = 0; i < n; ++i) out[offset + i] ^= keystream[i];
+    xor_keystream(out.data() + offset, keystream.data(), n);
   }
   return out;
 }

@@ -12,11 +12,17 @@
 // construction and the destructor wipes the schedule, so callers keep an
 // `Aes` rather than key bytes.
 //
-// This is a portable table-based implementation: SubBytes reads a
-// compile-time generated 256-entry S-box indexed by secret state, so it
-// is NOT constant-time (a cache-timing channel; see ROADMAP item 1), and
-// MixColumns works on bytes. The point here is correctness and
-// modelling, not throughput records.
+// Two kernels do the block encryption, picked once per process by the
+// CPUID probe in crypto/block_kernels.hpp (no build option, no switch):
+//  - AES-NI on x86-64 CPUs that have it, up to 8 blocks interleaved per
+//    round. Each round is one instruction with no data-dependent memory
+//    access, so this path is constant-time.
+//  - Elsewhere, the portable reference: SubBytes reads a compile-time
+//    generated 256-entry S-box indexed by secret state, so it is NOT
+//    constant-time (a cache-timing channel), and MixColumns works on
+//    bytes. Making it constant-time with a bitsliced S-box is ROADMAP
+//    item 1 step 3, still open.
+// Both read the same FIPS 197 schedule and give identical bytes.
 #pragma once
 
 #include <array>
@@ -43,9 +49,8 @@ class Aes {
   /// Encrypts one 16-byte block in place.
   void encrypt_block(std::span<std::uint8_t, kBlockSize> block) const noexcept;
 
-  /// Encrypts `nblocks` contiguous 16-byte blocks in place, round-major:
-  /// each round's SubBytes/ShiftRows/MixColumns/AddRoundKey pass runs
-  /// across every block before the next round starts, so the independent
+  /// Encrypts `nblocks` contiguous 16-byte blocks in place, each round
+  /// run across every block before the next starts, so the independent
   /// block pipelines interleave (CTR keystream generation is exactly this
   /// shape). Bit-identical to nblocks encrypt_block calls.
   void encrypt_blocks(std::uint8_t* blocks, std::size_t nblocks) const noexcept;

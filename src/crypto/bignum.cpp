@@ -4,9 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
-#if defined(__x86_64__)
-#include <cpuid.h>
-#endif
+#include "crypto/block_kernels.hpp"
 
 namespace neuropuls::crypto {
 
@@ -311,14 +309,6 @@ inline std::uint64_t eq_mask(std::uint64_t a, std::uint64_t b) noexcept {
 
 #if defined(__x86_64__)
 
-bool cpu_has_bmi2_adx() noexcept {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-  constexpr unsigned kBmi2 = 1u << 8;
-  constexpr unsigned kAdx = 1u << 19;
-  return (ebx & kBmi2) && (ebx & kAdx);
-}
-
 // The row t[0..N+1] += x*y on two carry chains: adcx adds each low product
 // word into t[j], adox adds the previous high word into the same t[j]. mulx,
 // mov and lea leave both flags alone, so the chains survive the unrolled
@@ -380,8 +370,7 @@ void mont_row_portable(std::uint64_t* t, std::uint64_t x,
 
 MontRow mont_row_adx(std::size_t n) noexcept {
 #if defined(__x86_64__)
-  static const bool supported = cpu_has_bmi2_adx();
-  if (supported) {
+  if (cpu_features().bmi2_adx) {
     if (n == 24) return &mont_row_adx_n<24>;
     if (n == 32) return &mont_row_adx_n<32>;
   }

@@ -5,20 +5,31 @@
 namespace neuropuls::crypto {
 
 HmacSha256::HmacSha256(ByteView key) {
-  std::array<std::uint8_t, Sha256::kBlockSize> block_key{};
+  std::array<std::uint8_t, Sha256::kBlockSize> block_key{};  // ctlint:secret
   if (key.size() > Sha256::kBlockSize) {
-    const auto digest = Sha256::digest(key);
+    Sha256 long_key;
+    long_key.update(key);
+    auto digest = long_key.finalize();  // ctlint:secret
     std::memcpy(block_key.data(), digest.data(), digest.size());
+    secure_wipe(digest.data(), digest.size());
+    long_key.wipe();
   } else if (!key.empty()) {  // empty views may carry a null data()
     std::memcpy(block_key.data(), key.data(), key.size());
   }
 
-  std::array<std::uint8_t, Sha256::kBlockSize> ipad_key{};
+  std::array<std::uint8_t, Sha256::kBlockSize> ipad_key{};  // ctlint:secret
   for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
     ipad_key[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
     opad_key_[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
   }
   inner_.update(ipad_key);
+  secure_wipe(block_key.data(), block_key.size());
+  secure_wipe(ipad_key.data(), ipad_key.size());
+}
+
+HmacSha256::~HmacSha256() {
+  inner_.wipe();
+  secure_wipe(opad_key_.data(), opad_key_.size());
 }
 
 Bytes HmacSha256::finalize() {
@@ -27,6 +38,7 @@ Bytes HmacSha256::finalize() {
   outer.update(opad_key_);
   outer.update(inner_digest);
   const auto d = outer.finalize();
+  outer.wipe();
   return Bytes(d.begin(), d.end());
 }
 
@@ -38,11 +50,8 @@ Bytes hmac_sha256(ByteView key, ByteView data) {
 
 Bytes hkdf_extract(ByteView salt, ByteView ikm) {
   // Per RFC 5869 an absent salt is a string of zero bytes of hash length.
-  if (salt.empty()) {
-    const Bytes zero(Sha256::kDigestSize, 0);
-    return hmac_sha256(zero, ikm);
-  }
-  return hmac_sha256(salt, ikm);
+  static constexpr std::array<std::uint8_t, Sha256::kDigestSize> kZeroSalt{};
+  return hmac_sha256(salt.empty() ? ByteView(kZeroSalt) : salt, ikm);
 }
 
 Bytes hkdf_expand(ByteView prk, ByteView info, std::size_t length) {
@@ -52,24 +61,29 @@ Bytes hkdf_expand(ByteView prk, ByteView info, std::size_t length) {
   }
   Bytes okm;
   okm.reserve(length);
-  Bytes previous;
+  Bytes previous;  // ctlint:secret the last OKM block
   std::uint8_t counter = 1;
   while (okm.size() < length) {
     HmacSha256 mac(prk);
     mac.update(previous);
     mac.update(info);
     mac.update(ByteView(&counter, 1));
+    secure_wipe(previous);
     previous = mac.finalize();
     const std::size_t take =
         std::min(kHashLen, length - okm.size());
     okm.insert(okm.end(), previous.begin(), previous.begin() + static_cast<std::ptrdiff_t>(take));
     ++counter;
   }
+  secure_wipe(previous);
   return okm;
 }
 
 Bytes hkdf(ByteView salt, ByteView ikm, ByteView info, std::size_t length) {
-  return hkdf_expand(hkdf_extract(salt, ikm), info, length);
+  Bytes prk = hkdf_extract(salt, ikm);  // ctlint:secret
+  Bytes okm = hkdf_expand(prk, info, length);
+  secure_wipe(prk);
+  return okm;
 }
 
 }  // namespace neuropuls::crypto

@@ -16,15 +16,20 @@ namespace neuropuls::crypto {
 Bytes hmac_sha256(ByteView key, ByteView data);
 
 /// Incremental HMAC for multi-part messages (mirrors Sha256's interface).
+/// It holds the key as the ipad midstate and the opad block (for auth,
+/// that key is the PUF response r_i); the destructor wipes both.
 class HmacSha256 {
  public:
   explicit HmacSha256(ByteView key);
+  HmacSha256(const HmacSha256&) = default;
+  HmacSha256& operator=(const HmacSha256&) = default;
+  ~HmacSha256();
 
   void update(ByteView data) noexcept { inner_.update(data); }
   Bytes finalize();
 
  private:
-  Sha256 inner_;
+  Sha256 inner_;  // the ipad midstate
   std::array<std::uint8_t, Sha256::kBlockSize> opad_key_{};
 };
 

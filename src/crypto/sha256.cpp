@@ -3,11 +3,17 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/block_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace neuropuls::crypto {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
+alignas(16) constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -45,28 +51,77 @@ inline std::uint32_t maj(std::uint32_t x, std::uint32_t y,
   return (x & y) ^ (x & z) ^ (y & z);
 }
 
+#if defined(__x86_64__)
+
+// SHA-NI keeps the chaining value as two vectors, ABEF and CDGH (lane 3
+// first). The kernel converts from and to state[0..7] = a..h itself, and
+// each 4-word group of the schedule costs one MSG1, one ALIGNR and one
+// MSG2. The four live schedule vectors rotate through `m`.
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_shani_body(
+    std::uint32_t* state, const std::uint8_t* data,
+    std::size_t nblocks) noexcept {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const auto* k = reinterpret_cast<const __m128i*>(kRoundConstants.data());
+
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const auto* in = reinterpret_cast<const __m128i*>(data);
+    __m128i m[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& w = m[g % 4];
+      if (g < 4) {
+        w = _mm_shuffle_epi8(_mm_loadu_si128(in + g), byte_swap);
+      } else {
+        // W[t-16] + s0(W[t-15]), + W[t-7], + s1(W[t-2]).
+        const __m128i prev = m[(g + 3) % 4];
+        w = _mm_sha256msg1_epu32(w, m[(g + 1) % 4]);
+        w = _mm_add_epi32(w, _mm_alignr_epi8(prev, m[(g + 2) % 4], 4));
+        w = _mm_sha256msg2_epu32(w, prev);
+      }
+      __m128i wk = _mm_add_epi32(w, _mm_load_si128(k + g));
+      // Two rounds each; RNDS2 returns the new ABEF and the old ABEF is
+      // the new CDGH, so the two vectors trade roles and trade back.
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
-void Sha256::reset() noexcept {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
+namespace detail {
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  process_blocks(block, 1);
-}
-
-void Sha256::process_blocks(const std::uint8_t* data,
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* data,
                             std::size_t nblocks) noexcept {
   // Chaining state lives in locals for the whole run; blocks feed forward
-  // through s0..s7 without touching state_ until the end.
-  std::uint32_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
-  std::uint32_t s4 = state_[4], s5 = state_[5], s6 = state_[6], s7 = state_[7];
+  // through s0..s7 without touching `state` until the end.
+  std::uint32_t s0 = state[0], s1 = state[1], s2 = state[2], s3 = state[3];
+  std::uint32_t s4 = state[4], s5 = state[5], s6 = state[6], s7 = state[7];
 
   for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::uint8_t* block = data + blk * kBlockSize;
+    const std::uint8_t* block = data + blk * Sha256::kBlockSize;
     std::uint32_t w[64];
     for (int i = 0; i < 16; ++i) {
       w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -106,7 +161,39 @@ void Sha256::process_blocks(const std::uint8_t* data,
     s7 += h;
   }
 
-  state_ = {s0, s1, s2, s3, s4, s5, s6, s7};
+  state[0] = s0, state[1] = s1, state[2] = s2, state[3] = s3;
+  state[4] = s4, state[5] = s5, state[6] = s6, state[7] = s7;
+}
+
+Sha256Blocks sha256_blocks_shani() noexcept {
+#if defined(__x86_64__)
+  if (cpu_features().sha_ni) return &sha256_blocks_shani_body;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+void Sha256::reset() noexcept {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  buffer_len_ = 0;
+  total_len_ = 0;
+}
+
+void Sha256::wipe() noexcept {
+  secure_wipe(state_.data(), sizeof(state_));
+  secure_wipe(buffer_.data(), buffer_.size());
+  buffer_len_ = 0;
+  total_len_ = 0;
+}
+
+void Sha256::process_blocks(const std::uint8_t* data,
+                            std::size_t nblocks) noexcept {
+  // SHA-NI where the CPUID probe found it, else the portable reference.
+  const detail::Sha256Blocks hardware = detail::sha256_blocks_shani();
+  (hardware != nullptr ? hardware : &detail::sha256_blocks_portable)(
+      state_.data(), data, nblocks);
 }
 
 void Sha256::update(ByteView data) noexcept {
@@ -123,7 +210,7 @@ void Sha256::update(ByteView data) noexcept {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      process_blocks(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }

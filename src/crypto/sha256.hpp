@@ -3,10 +3,16 @@
 // The attestation protocol of Section III-B chains
 // `h_{i+1} = HASH(m_{i+1}, r_{i+1}, h_i)` over a random walk through device
 // memory, and the mutual-authentication protocol (Fig. 4) derives MAC keys
-// from PUF responses. Both are built on this implementation. It is a
-// straightforward, dependency-free software SHA-256 with an incremental
-// (init/update/final) interface so memory regions can be hashed without
-// copying them into a contiguous buffer.
+// from PUF responses. Both are built on this implementation, which has an
+// incremental (init/update/final) interface so memory regions can be
+// hashed without copying them into a contiguous buffer.
+//
+// The compression function runs on one of two kernels, picked once per
+// process by the CPUID probe in crypto/block_kernels.hpp (no build
+// option, no switch): the SHA-NI instructions on x86-64 CPUs that have
+// them, else the portable FIPS 180-4 reference. Both are constant-time:
+// neither branches on nor indexes memory by the data or the chaining
+// value, and they give identical digests.
 #pragma once
 
 #include <array>
@@ -31,6 +37,10 @@ class Sha256 {
   /// Restores the initial hash state so the context can be reused.
   void reset() noexcept;
 
+  /// Zeroes the chaining state and the buffered input, for a context
+  /// that hashed key material; reset() it before any further use.
+  void wipe() noexcept;
+
   /// Absorbs `data` into the running hash.
   void update(ByteView data) noexcept;
 
@@ -50,11 +60,9 @@ class Sha256 {
   static Bytes hash(ByteView data);
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-  /// Streaming multi-block compression: runs `nblocks` consecutive
-  /// 64-byte blocks through the compression function with the chaining
-  /// state held in registers across blocks (one state load/store per call
-  /// instead of per block). Bit-identical to nblocks process_block calls.
+  /// Runs `nblocks` consecutive 64-byte blocks through the compression
+  /// kernel this process picked (crypto/block_kernels.hpp), with the
+  /// chaining state held in registers across blocks.
   void process_blocks(const std::uint8_t* data, std::size_t nblocks) noexcept;
 
   std::array<std::uint32_t, 8> state_{};

@@ -2,6 +2,11 @@
 // RFC 4231, RFC 5869) plus incremental-interface consistency checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <new>
+
+#include "crypto/block_kernels.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/siphash.hpp"
@@ -121,6 +126,39 @@ TEST(HmacSha256, IncrementalMatchesOneShot) {
   mac.update(ByteView(data).first(7));
   mac.update(ByteView(data).subspan(7));
   EXPECT_EQ(mac.finalize(), hmac_sha256(key, data));
+}
+
+// An HMAC context holds its key twice: as the opad block and as the SHA-256
+// midstate after the ipad block. Placement-new into a caller-owned buffer
+// lets the test read that storage after destruction, in the style of
+// Aes.DestructorWipesKeyFromCallerStorage.
+TEST(HmacSha256, DestructorWipesKeyFromCallerStorage) {
+  const Bytes key = from_hex(
+      "0b1c2d3e4f5061728394a5b6c7d8e9fa0b1c2d3e4f5061728394a5b6c7d8e9fa");
+  std::array<std::uint8_t, 64> opad{}, ipad{};
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::uint8_t k = i < key.size() ? key[i] : 0;
+    opad[i] = static_cast<std::uint8_t>(k ^ 0x5c);
+    ipad[i] = static_cast<std::uint8_t>(k ^ 0x36);
+  }
+  std::uint32_t midstate[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                               0xa54ff53a, 0x510e527f, 0x9b05688c,
+                               0x1f83d9ab, 0x5be0cd19};
+  detail::sha256_blocks_portable(midstate, ipad.data(), 1);
+  std::uint8_t midstate_bytes[sizeof(midstate)];
+  std::memcpy(midstate_bytes, midstate, sizeof(midstate));
+
+  alignas(HmacSha256) std::uint8_t storage[sizeof(HmacSha256)];
+  const auto holds = [&](const std::uint8_t* first, const std::uint8_t* last) {
+    return std::search(storage, storage + sizeof(storage), first, last) !=
+           storage + sizeof(storage);
+  };
+  auto* mac = new (storage) HmacSha256(key);
+  ASSERT_TRUE(holds(opad.data(), opad.data() + opad.size()));
+  ASSERT_TRUE(holds(midstate_bytes, midstate_bytes + sizeof(midstate_bytes)));
+  mac->~HmacSha256();
+  EXPECT_FALSE(holds(opad.data(), opad.data() + opad.size()));
+  EXPECT_FALSE(holds(midstate_bytes, midstate_bytes + sizeof(midstate_bytes)));
 }
 
 // RFC 5869 test case 1.
