@@ -28,6 +28,7 @@
 //   * BM_FleetEnrollNaive        — per-device serial baseline
 //   * BM_FleetAuthCampaign       — wave-scheduled mutual-auth sessions
 //   * BM_FleetRotationSweep      — authenticate + rotate, full loop
+//   * BM_FleetRotationSweepDurable — the same over a durable store
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -335,6 +336,32 @@ void BM_FleetRotationSweep(benchmark::State& state) {
                           kDevices);
 }
 BENCHMARK(BM_FleetRotationSweep)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// BM_FleetRotationSweep over a durable store: every wave's takes wait
+// for stable storage, which the in-memory store never does.
+void BM_FleetRotationSweepDurable(benchmark::State& state) {
+  constexpr std::size_t kDevices = 2048;
+  ThreadPool pool(2);
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      const io::TempDir dir("np-bench-fleet-rot-durable");
+      CrpDatabase db(8, durable_in(dir.path()));
+      FleetSimulator sim(fleet_config(kDevices, 1, &pool), db);
+      (void)sim.enroll();
+      state.ResumeTiming();
+      const auto sweep = sim.run_rotation_sweep();
+      benchmark::DoNotOptimize(sweep.rotated);
+      state.PauseTiming();
+    }  // the store's shutdown drain and the directory removal stay untimed
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kDevices);
+}
+BENCHMARK(BM_FleetRotationSweepDurable)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -51,6 +51,13 @@
 #                               # staging and per-wave fixture reuse are
 #                               # exactly where buffer-lifetime bugs would
 #                               # hide
+#   scripts/check.sh mutants    # mutation-kill matrix: scripts/mutants.sh
+#                               # builds each mutant of
+#                               # tools/mutants/mutants.json in its own
+#                               # git-archive copy and requires its named
+#                               # tests to fail (the comment-only control
+#                               # must pass); minutes per mutant, so never
+#                               # part of the default run
 #   scripts/check.sh lint       # static-analysis flavor: ctlint (all
 #                               # passes, empty-baseline gate) + fixture
 #                               # self-test, bench_regress schema
@@ -92,6 +99,7 @@ FLAVORS=(
   "durability  ctest -L io under ASan AND UBSan (durable CRP store, crash sweeps)"
   "fleet       ctest -L fleet under ASan (fleet simulator, streaming metrics)"
   "lint        ctlint + fixtures + bench schema + clang-tidy/thread-safety"
+  "mutants     scripts/mutants.sh: every mutant must fail its named tests"
 )
 
 list_flavors() {
@@ -240,6 +248,9 @@ for config in "${CONFIGS[@]}"; do
     lint)
       run_lint_flavor
       ;;
+    mutants)
+      scripts/mutants.sh
+      ;;
     *)
       echo "unknown config '${config}'" >&2
       list_flavors >&2
@@ -270,7 +281,7 @@ LAST_BUILD="build-check/${FULL_CONFIGS[${#FULL_CONFIGS[@]}-1]}"
 # sanitizer or -march=native tree times a different program. The plain
 # tree is reused when this invocation built it; otherwise only the bench
 # binaries are built there.
-BENCH_BINS=(bench_puf_quality bench_system_level bench_server bench_crp_store_recovery bench_aka_eke bench_crypto)
+BENCH_BINS=(bench_puf_quality bench_system_level bench_server bench_crp_store_recovery bench_aka_eke bench_crypto bench_fleet)
 SMOKE_BUILD="build-check/plain"
 if [[ " ${FULL_CONFIGS[*]} " != *" plain "* ]]; then
   echo "==> bench smoke: configure + build ${BENCH_BINS[*]} (${SMOKE_BUILD})"
@@ -282,7 +293,9 @@ BENCH_SMOKE_DIR="${SMOKE_BUILD}/bench-smoke"
 # ~2.5x cliff that no test would notice. BM_AesCtr/16384, BM_AesCmac/1024,
 # BM_Sha256/1024 and BM_HmacSha256/64 (bench_crypto) gate the AES-NI and
 # SHA-NI dispatch the same way: the portable kernels are 4-90x slower.
-BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048|BM_AesCtr/16384|BM_AesCmac/1024|BM_Sha256/1024|BM_HmacSha256/64'
+# BM_FleetRotationSweepDurable (bench_fleet) gates the batched durable
+# take: one fsync-waiting take per device is about 9x slower.
+BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048|BM_AesCtr/16384|BM_AesCmac/1024|BM_Sha256/1024|BM_HmacSha256/64|BM_FleetRotationSweepDurable'
 mkdir -p "${BENCH_SMOKE_DIR}"
 for bench in "${BENCH_BINS[@]}"; do
   bench_bin="${SMOKE_BUILD}/bench/${bench}"
@@ -291,7 +304,8 @@ for bench in "${BENCH_BINS[@]}"; do
     exit 1
   fi
   echo "==> bench smoke: ${bench}"
-  "${bench_bin}" \
+  # NEUROPULS_FLEET_SCALE keeps bench_fleet's printed tables small.
+  NEUROPULS_FLEET_SCALE=10000 "${bench_bin}" \
     --benchmark_min_time=0.01 \
     --benchmark_filter="${BENCH_SMOKE_FILTER}" \
     --benchmark_out="${BENCH_SMOKE_DIR}/BENCH_${bench}.json" \
@@ -310,7 +324,8 @@ python3 scripts/bench_regress.py --merge "${BENCH_SMOKE_DIR}/BENCH_smoke.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_server.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_crp_store_recovery.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_aka_eke.json" \
-  "${BENCH_SMOKE_DIR}/BENCH_bench_crypto.json"
+  "${BENCH_SMOKE_DIR}/BENCH_bench_crypto.json" \
+  "${BENCH_SMOKE_DIR}/BENCH_bench_fleet.json"
 # --allow-missing: the smoke filter deliberately runs a subset of the
 # baseline's cases; a full-length run should compare WITHOUT it so a
 # vanished case fails loudly.

@@ -1,5 +1,6 @@
 #include "fleet/fleet.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -424,13 +425,17 @@ void FleetSimulator::commit_rotation(const std::vector<std::size_t>& devices,
   // sequence leaves each device with >= 1 live CRP.
   db_.insert_batch(std::move(replacements));
   db_.sync();
+  std::vector<puf::Challenge> retired;
+  retired.reserve(devices.size());
   for (const std::size_t device : devices) {
-    DeviceState& s = states_[device];
-    if (db_.take(challenge_of(device, s.oldest)).has_value()) {
-      ++s.oldest;
-    }
+    retired.push_back(challenge_of(device, states_[device].oldest));
+  }
+  const auto taken = db_.take_batch(retired);
+  for (std::size_t k = 0; k < devices.size(); ++k) {
+    DeviceState& s = states_[devices[k]];
+    if (taken[k].has_value()) ++s.oldest;
     ++s.next;
-    refresh_cursor(device);
+    refresh_cursor(devices[k]);
   }
 }
 
@@ -462,6 +467,8 @@ ResumeReport FleetSimulator::resume_rotation() {
   const auto enrolled = static_cast<std::uint32_t>(config_.generations);
   std::vector<puf::Crp> staging;
   std::vector<std::size_t> redo;
+  std::vector<std::size_t> finish;
+  std::vector<puf::Challenge> retired;
   for (std::size_t device = 0; device < states_.size(); ++device) {
     DeviceState& s = states_[device];
     if ((s.flags & kRevoked) != 0) continue;
@@ -475,10 +482,8 @@ ResumeReport FleetSimulator::resume_rotation() {
       ++report.already_rotated;
     } else if (s.next > enrolled) {
       // Replacement durable but the old CRP still live: finish the take.
-      if (db_.take(challenge_of(device, s.oldest)).has_value()) {
-        ++s.oldest;
-      }
-      refresh_cursor(device);
+      finish.push_back(device);
+      retired.push_back(challenge_of(device, s.oldest));
       ++report.finished_takes;
     } else {
       // The replacement insert never reached stable storage: redo the
@@ -488,25 +493,33 @@ ResumeReport FleetSimulator::resume_rotation() {
       ++report.redone;
     }
   }
+  const auto taken = db_.take_batch(retired);
+  for (std::size_t k = 0; k < finish.size(); ++k) {
+    if (taken[k].has_value()) ++states_[finish[k]].oldest;
+    refresh_cursor(finish[k]);
+  }
   if (!redo.empty()) commit_rotation(redo, std::move(staging));
   return report;
 }
 
 std::size_t FleetSimulator::run_revocation_sweep(std::size_t first,
                                                  std::size_t count) {
-  std::size_t consumed = 0;
   const std::size_t last = std::min(first + count, config_.devices);
+  std::vector<puf::Challenge> revoked;
   for (std::size_t device = first; device < last; ++device) {
     DeviceState& s = states_[device];
     for (std::uint32_t g = s.oldest; g < s.next; ++g) {
-      // Keyed takes refuse quarantined CRPs; those are swept separately
-      // by evict_quarantined() — revocation only consumes live pairs.
-      if (db_.take(challenge_of(device, g)).has_value()) ++consumed;
+      revoked.push_back(challenge_of(device, g));
     }
     s.oldest = s.next;
     s.flags |= kRevoked;
   }
-  return consumed;
+  // Keyed takes refuse quarantined CRPs; those are swept separately by
+  // evict_quarantined() — revocation only consumes live pairs.
+  const auto taken = db_.take_batch(revoked);
+  return static_cast<std::size_t>(
+      std::count_if(taken.begin(), taken.end(),
+                    [](const auto& crp) { return crp.has_value(); }));
 }
 
 std::size_t FleetSimulator::reenroll_quarantined() {

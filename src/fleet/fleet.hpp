@@ -27,11 +27,11 @@
 //
 // Key rotation — crash safety. A rotation retires a device's oldest
 // CRP and provisions a fresh one. The sweep orders each wave as: batch
-// durable insert of all new CRPs -> sync() barrier -> keyed take() of
-// each old CRP. A verifier crash at any byte therefore leaves every
-// device with at least one live CRP (the WAL records inserts before
-// takes reach stable storage), and the durable-take guarantee means a
-// consumed CRP is never re-issued. recover_state()/resume_rotation()
+// durable insert of all new CRPs -> sync() barrier -> one take_batch()
+// of the wave's old CRPs. A verifier crash at any byte therefore leaves
+// every device with at least one live CRP (the WAL records inserts
+// before takes reach stable storage), and the durable-take guarantee
+// means a consumed CRP is never re-issued. recover_state()/resume_rotation()
 // rebuild the cursor window from the recovered store and finish any
 // half-done rotations — the chaos suite crash-sweeps this path byte by
 // byte (tests/chaos/test_fleet_crash.cpp).
@@ -146,7 +146,8 @@ class FleetSimulator {
 
   /// Rotates every authenticable device one generation: authenticate
   /// with the oldest CRP, then durable-insert the next-generation CRP,
-  /// sync, and keyed-take the old one (crash-safe ordering).
+  /// sync, and take the wave's old ones in one batch (crash-safe
+  /// ordering).
   CampaignReport run_rotation_sweep();
 
   /// Rebuilds every device's generation window from the (recovered)

@@ -79,6 +79,38 @@ crypto::ByteView read_into_arena(common::Arena& arena,
   return {data, size};
 }
 
+/// Items grouped by shard: shard s's items are
+/// order[offsets[s], offsets[s + 1]), in input order.
+struct ShardGroups {
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> offsets;
+};
+
+/// Counting sort (no per-shard vectors): one pass counts shard
+/// occupancy, a prefix sum turns the counts into scatter offsets, and a
+/// stable scatter fills the grouped order that drives one locked pass
+/// per touched shard.
+template <typename ShardOf>
+ShardGroups group_by_shard(std::size_t items, std::size_t shards,
+                           ShardOf shard_of) {
+  std::vector<std::size_t> shard(items);
+  ShardGroups groups{std::vector<std::size_t>(items),
+                     std::vector<std::size_t>(shards + 1, 0)};
+  for (std::size_t i = 0; i < items; ++i) {
+    shard[i] = shard_of(i);
+    ++groups.offsets[shard[i] + 1];
+  }
+  for (std::size_t s = 0; s < shards; ++s) {
+    groups.offsets[s + 1] += groups.offsets[s];
+  }
+  std::vector<std::size_t> cursor(groups.offsets.begin(),
+                                  groups.offsets.end() - 1);
+  for (std::size_t i = 0; i < items; ++i) {
+    groups.order[cursor[shard[i]]++] = i;
+  }
+  return groups;
+}
+
 }  // namespace
 
 CrpDatabase::CrpDatabase(std::size_t shards) {
@@ -236,39 +268,24 @@ void CrpDatabase::insert(Crp crp) {
 
 void CrpDatabase::insert_batch(std::vector<Crp> crps) {
   if (crps.empty()) return;
-  // Group CRPs by shard via counting sort (no per-shard vectors): one
-  // pass computes shard occupancy, a prefix sum turns it into scatter
-  // offsets, and the grouped order array drives one locked pass per
-  // touched shard.
-  std::vector<std::size_t> shard_of(crps.size());
-  std::vector<std::size_t> counts(shards_.size(), 0);
-  for (std::size_t i = 0; i < crps.size(); ++i) {
-    shard_of[i] = shard_index_for(crps[i].challenge);
-    ++counts[shard_of[i]];
-  }
-  std::vector<std::size_t> offsets(shards_.size() + 1, 0);
+  const ShardGroups groups =
+      group_by_shard(crps.size(), shards_.size(), [&](std::size_t i) {
+        return shard_index_for(crps[i].challenge);
+      });
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    offsets[s + 1] = offsets[s] + counts[s];
-  }
-  std::vector<std::size_t> grouped(crps.size());
-  {
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t i = 0; i < crps.size(); ++i) {
-      grouped[cursor[shard_of[i]]++] = i;
-    }
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (counts[s] == 0) continue;
+    const std::size_t first = groups.offsets[s];
+    const std::size_t last = groups.offsets[s + 1];
+    if (first == last) continue;
     Shard& shard = *shards_[s];
     // One hand-off covers the whole shard group; the highest sequence
     // stands in for every record below it.
     Logged logged;
     {
       const ShardLock lock(shard);
-      shard.entries.reserve(shard.entries.size() + counts[s]);
+      shard.entries.reserve(shard.entries.size() + (last - first));
       std::size_t added = 0;
-      for (std::size_t g = offsets[s]; g < offsets[s + 1]; ++g) {
-        if (insert_locked(shard, crps[grouped[g]], logged)) ++added;
+      for (std::size_t g = first; g < last; ++g) {
+        if (insert_locked(shard, crps[groups.order[g]], logged)) ++added;
       }
       size_.fetch_add(added, std::memory_order_relaxed);
     }
@@ -337,19 +354,43 @@ std::optional<Crp> CrpDatabase::take() {
 }
 
 std::optional<Crp> CrpDatabase::take(const Challenge& challenge) {
-  const std::size_t index = shard_index_for(crypto::ByteView{challenge});
-  Shard& shard = *shards_[index];
-  std::optional<Crp> crp;
-  Logged logged;
-  {
-    const ShardLock lock(shard);
-    const auto it = shard.index.find(crypto::ByteView{challenge});
-    if (it == shard.index.end()) return std::nullopt;
-    if (shard.entries[it->second].health.quarantined) return std::nullopt;
-    crp = take_locked(shard, it->second, logged);
+  return std::move(take_batch({&challenge, 1}).front());
+}
+
+std::vector<std::optional<Crp>> CrpDatabase::take_batch(
+    std::span<const Challenge> challenges) {
+  std::vector<std::optional<Crp>> taken(challenges.size());
+  const ShardGroups groups =
+      group_by_shard(challenges.size(), shards_.size(), [&](std::size_t i) {
+        return shard_index_for(crypto::ByteView{challenges[i]});
+      });
+  // Per shard, the highest take sequence logged: the one durable wait
+  // below covers every record at or under it.
+  std::vector<std::uint64_t> target(shards_.size(), 0);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::size_t first = groups.offsets[s];
+    const std::size_t last = groups.offsets[s + 1];
+    if (first == last) continue;
+    Shard& shard = *shards_[s];
+    Logged logged;
+    {
+      const ShardLock lock(shard);
+      for (std::size_t g = first; g < last; ++g) {
+        const std::size_t i = groups.order[g];
+        // Unknown, quarantined, or taken earlier in this batch: no record.
+        const auto it = shard.index.find(crypto::ByteView{challenges[i]});
+        if (it == shard.index.end()) continue;
+        if (shard.entries[it->second].health.quarantined) continue;
+        taken[i] = take_locked(shard, it->second, logged);
+      }
+    }
+    wal_after_append(s, logged, false);
+    target[s] = logged.seq;
   }
-  wal_after_append(index, logged, true);
-  return crp;
+  // The one-time-use invariant: hand out no CRP until every take record
+  // of the batch is on stable storage.
+  wal_await(0, target);
+  return taken;
 }
 
 std::optional<Response> CrpDatabase::lookup(const Challenge& challenge) const {
@@ -474,24 +515,16 @@ std::size_t CrpDatabase::storage_bytes() const noexcept {
 // Durability: append-side handshake.
 
 void CrpDatabase::wal_after_append(std::size_t shard, const Logged& logged,
-                                   bool take) {
+                                   bool wait) {
   if (logged.bytes == 0) return;
   WalState& w = *wal_;
   const std::size_t bytes = logged.bytes;
   const std::size_t before =
       w.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (take) {
+  if (wait) {
     // The one-time-use invariant: do not hand the CRP out until its take
     // record is on stable storage.
-    common::MutexLock lock(w.mutex);
-    while (w.durable_seq[shard] < logged.seq && !w.stop) {
-      // Re-arm each round: the writer consumes the flag per flush and
-      // more of our bytes may still be pending.
-      w.sync_requested = true;
-      w.writer_cv.notify_one();
-      w.done_cv.wait(w.mutex);
-    }
-    if (!w.error.empty()) throw wal::CrpStoreError(w.error);
+    wal_await(shard, {&logged.seq, 1});
     return;
   }
   const bool first_pending = before == 0;
@@ -505,29 +538,34 @@ void CrpDatabase::wal_after_append(std::size_t shard, const Logged& logged,
   }
 }
 
-void CrpDatabase::sync() {
+void CrpDatabase::wal_await(std::size_t first,
+                            std::span<const std::uint64_t> target) {
   if (!wal_) return;
   WalState& w = *wal_;
-  std::vector<std::uint64_t> target(shards_.size(), 0);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardLock lock(*shards_[i]);
-    target[i] = shards_[i]->wal_seq;
-  }
   common::MutexLock lock(w.mutex);
   for (;;) {
     bool reached = true;
-    for (std::size_t i = 0; i < target.size(); ++i) {
-      if (w.durable_seq[i] < target[i]) {
-        reached = false;
-        break;
-      }
+    for (std::size_t i = 0; i < target.size() && reached; ++i) {
+      reached = w.durable_seq[first + i] >= target[i];
     }
     if (reached || w.stop) break;
+    // Re-arm each round: the writer consumes the flag per flush and more
+    // of the awaited bytes may still be pending.
     w.sync_requested = true;
     w.writer_cv.notify_one();
     w.done_cv.wait(w.mutex);
   }
   if (!w.error.empty()) throw wal::CrpStoreError(w.error);
+}
+
+void CrpDatabase::sync() {
+  if (!wal_) return;
+  std::vector<std::uint64_t> target(shards_.size(), 0);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const ShardLock lock(*shards_[i]);
+    target[i] = shards_[i]->wal_seq;
+  }
+  wal_await(0, target);
 }
 
 void CrpDatabase::snapshot() {

@@ -30,11 +30,15 @@
 // All file I/O happens on the writer thread, strictly outside every
 // shard lock; shard locks stay leaves in the canonical lock order, and
 // the ctlint `blocking-under-lock` pass enforces that no write/fsync
-// call sneaks into a critical section. take() always waits for its
-// record to reach stable storage before handing out the CRP, which is
-// what makes the paper's one-time-use guarantee survive a crash: a
-// consumed CRP is never re-issued and never resurrected. Cold start
-// replays snapshot + WAL per shard in parallel over common::parallel;
+// call sneaks into a critical section. Every take waits, holding no
+// shard lock, until its record is on stable storage before handing out
+// the CRP, which is what makes the paper's one-time-use guarantee
+// survive a crash: a consumed CRP is never re-issued and never
+// resurrected. take_batch logs a batch of keyed takes under one lock
+// per touched shard and then makes that wait once for all of them, so
+// a crash in mid-batch leaves each shard's log holding a prefix of that
+// shard's takes, none of which any caller has seen. Cold start replays
+// snapshot + WAL per shard in parallel over common::parallel;
 // a store reopens only with the shard count its manifest records.
 // With no directory configured, nothing here runs — the in-memory store
 // behaves bit-identically to the pre-durability class.
@@ -46,6 +50,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -206,13 +211,23 @@ class CrpDatabase {
   /// earlier on a degrading device.
   std::optional<Crp> take();
 
-  /// Consumes the CRP for a specific challenge (one-time use), with the
-  /// same durable-take guarantee as take(). Returns std::nullopt when
-  /// the challenge is unknown or quarantined. This is the rotation
-  /// primitive: a campaign retires a device's old CRP by key after its
-  /// replacement is durably inserted, so a crash between the two steps
-  /// leaves the device with at least one live CRP, never zero.
+  /// Consumes the CRP for a specific challenge (one-time use): a batch
+  /// of one. Returns std::nullopt when the challenge is unknown or
+  /// quarantined. This is the rotation primitive: a campaign retires a
+  /// device's old CRP by key after its replacement is durably inserted,
+  /// so a crash between the two steps leaves the device with at least
+  /// one live CRP, never zero.
   std::optional<Crp> take(const Challenge& challenge);
+
+  /// Consumes the CRPs for many challenges with one lock acquisition and
+  /// one WAL hand-off per touched shard, then one durable wait for all
+  /// the take records. Result i is the CRP taken for challenges[i], or
+  /// std::nullopt when that challenge is unknown, quarantined, or
+  /// repeats an earlier one in the batch; such a challenge logs no
+  /// record. Nothing returns before every take record is on stable
+  /// storage; a crash before that leaves a prefix of each shard's takes.
+  std::vector<std::optional<Crp>> take_batch(
+      std::span<const Challenge> challenges);
 
   /// Looks up the enrolled response for a challenge without consuming it.
   /// Quarantined CRPs are not served.
@@ -373,10 +388,14 @@ class CrpDatabase {
   struct WalState;
 
   /// The one hand-off after the shard lock is released: accounts the
-  /// logged bytes, wakes the writer on a batch boundary, and — for a
-  /// take — blocks until `logged.seq` is on stable storage. No-op when
+  /// logged bytes, wakes the writer on a batch boundary, and — with
+  /// `wait` — blocks until `logged.seq` is on stable storage. No-op when
   /// nothing was logged.
-  void wal_after_append(std::size_t shard, const Logged& logged, bool take);
+  void wal_after_append(std::size_t shard, const Logged& logged, bool wait);
+  /// The durable wait, taking no shard lock: blocks until the durable
+  /// sequence of shard `first + i` reaches `target[i]` for every i, then
+  /// throws wal::CrpStoreError if the writer failed. No-op in memory.
+  void wal_await(std::size_t first, std::span<const std::uint64_t> target);
   void wal_writer_main();
   void wal_flush_pending(std::vector<crypto::Bytes>& scratch);
   void wal_rotate_and_snapshot();

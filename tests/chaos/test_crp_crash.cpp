@@ -11,7 +11,9 @@
 //   * a CRP whose take record was torn off IS served again — the taker
 //     never saw it, take() blocks until the record is on disk,
 //   * quarantine flags replay exactly (health records carry resulting
-//     counters), and torn tails are counted, never fatal.
+//     counters), and torn tails are counted, never fatal,
+//   * a cut inside one take_batch keeps exactly the batch's takes
+//     before the cut, as the same oracle predicts.
 //
 // Damage that is NOT a crash prefix — a byte flipped in the middle of
 // the log, a corrupted or misplaced snapshot, a corrupted manifest —
@@ -61,6 +63,30 @@ void write_file(const std::string& path, crypto::ByteView data) {
   file.write_all(data);
 }
 
+/// Each record's end offset in a whole-record WAL image, from the
+/// (pristine) length fields — the framing walked independently of
+/// decode_wal.
+std::vector<std::size_t> record_ends_of(const crypto::Bytes& image) {
+  std::vector<std::size_t> ends;
+  std::size_t offset = 0;
+  while (offset + wal::kRecordHeaderBytes <= image.size()) {
+    offset += wal::kRecordHeaderBytes + read_u32_be(image, offset);
+    ends.push_back(offset);
+  }
+  EXPECT_EQ(offset, image.size()) << "clean image must be whole records";
+  return ends;
+}
+
+/// Records wholly inside the first `cut` bytes; everything after is torn.
+std::size_t records_within(const std::vector<std::size_t>& record_ends,
+                           std::size_t cut) {
+  std::size_t survivors = 0;
+  while (survivors < record_ends.size() && record_ends[survivors] <= cut) {
+    ++survivors;
+  }
+  return survivors;
+}
+
 /// Record-driven oracle: the expected store contents after replaying the
 /// first `count` records of the pristine log. Ground truth comes from
 /// the records themselves (the take record names the consumed
@@ -99,6 +125,25 @@ struct Oracle {
   }
 };
 
+/// The recovered store against the oracle: its size, its quarantine
+/// count, and, for every challenge the log ever inserted, presence
+/// exactly when the oracle holds it.
+void expect_matches_oracle(const CrpDatabase& db, const Oracle& oracle,
+                           const std::vector<wal::RecordView>& records) {
+  EXPECT_EQ(db.size(), oracle.present.size());
+  EXPECT_EQ(db.quarantined(), oracle.quarantined_count());
+  for (const wal::RecordView& record : records) {
+    if (record.type != wal::RecordType::kInsert) continue;
+    const crypto::Bytes challenge(record.challenge.begin(),
+                                  record.challenge.end());
+    EXPECT_EQ(db.health(challenge).has_value(),
+              oracle.present.count(challenge) == 1)
+        << (oracle.consumed.count(challenge)
+                ? "consumed CRP resurrected"
+                : "stored CRP lost or phantom CRP appeared");
+  }
+}
+
 /// The shared pristine image: one single-shard store driven through
 /// inserts, a quarantine-and-evict, a quarantine-that-stays, health
 /// updates, and takes (the log ends mid-story on a take record, so the
@@ -127,15 +172,7 @@ class CrpCrashTest : public ::testing::Test {
     s.manifest = io::read_file(wal::manifest_path(s.source.path()));
     s.image = io::read_file(wal::wal_path(s.source.path(), 0, 0));
 
-    // Walk the framing independently of decode_wal: each record's byte
-    // extent from its (pristine) length field.
-    std::size_t offset = 0;
-    while (offset + wal::kRecordHeaderBytes <= s.image.size()) {
-      const std::uint32_t len = read_u32_be(s.image, offset);
-      offset += wal::kRecordHeaderBytes + len;
-      s.record_ends.push_back(offset);
-    }
-    ASSERT_EQ(offset, s.image.size()) << "clean image must be whole records";
+    s.record_ends = record_ends_of(s.image);
     // 24 inserts + 5 health + 1 evict + 3 takes:
     ASSERT_EQ(s.record_ends.size(), 33u);
 
@@ -177,12 +214,7 @@ TEST_F(CrpCrashTest, TruncationAtEveryByteRecoversExactPrefix) {
   const SharedState& s = *state_;
   for (std::size_t cut = 0; cut <= s.image.size(); ++cut) {
     SCOPED_TRACE("truncated to " + std::to_string(cut) + " bytes");
-    // Records fully inside the preserved prefix; everything after is torn.
-    std::size_t survivors = 0;
-    while (survivors < s.record_ends.size() &&
-           s.record_ends[survivors] <= cut) {
-      ++survivors;
-    }
+    const std::size_t survivors = records_within(s.record_ends, cut);
     const std::size_t valid = survivors == 0 ? 0 : s.record_ends[survivors - 1];
     Oracle oracle;
     for (std::size_t r = 0; r < survivors; ++r) oracle.apply(s.records[r]);
@@ -195,18 +227,72 @@ TEST_F(CrpCrashTest, TruncationAtEveryByteRecoversExactPrefix) {
     const CrpRecoveryStats stats = db.recovery_stats();
     EXPECT_EQ(stats.wal_records, survivors);
     EXPECT_EQ(stats.torn_bytes, cut - valid);
-    EXPECT_EQ(db.size(), oracle.present.size());
-    EXPECT_EQ(db.quarantined(), oracle.quarantined_count());
-    for (const wal::RecordView& record : s.records) {
-      if (record.type != wal::RecordType::kInsert) continue;
-      const crypto::Bytes challenge(record.challenge.begin(),
-                                    record.challenge.end());
-      EXPECT_EQ(db.health(challenge).has_value(),
-                oracle.present.count(challenge) == 1)
-          << (oracle.consumed.count(challenge)
-                  ? "consumed CRP resurrected"
-                  : "stored CRP lost or phantom CRP appeared");
+    expect_matches_oracle(db, oracle, s.records);
+  }
+}
+
+// A crash inside one take_batch. The batch's take records close a
+// single-shard log, so every byte cut among them is a crash before the
+// batch's durable wait returned: recovery must equal the record-driven
+// oracle for the surviving prefix — takes that reached disk stay
+// consumed, the rest are served again, none twice.
+TEST_F(CrpCrashTest, TruncationInsideTakeBatchRecoversExactPrefix) {
+  const io::TempDir source("np-crp-crash-batch");
+  {
+    CrpDatabase db(1, open_options(source.path()));
+    db.set_quarantine_threshold(1);
+    for (std::uint32_t i = 0; i < 10; ++i) db.insert(make_crp(i));
+    db.record_failure(make_crp(3).challenge);  // quarantined
+    // Unknown (99), quarantined (3) and repeated (2) challenges log no
+    // take record: five takes remain.
+    std::vector<Challenge> batch;
+    for (const std::uint32_t i : {1u, 2u, 99u, 3u, 4u, 2u, 6u, 7u}) {
+      batch.push_back(make_crp(i).challenge);
     }
+    const auto taken = db.take_batch(batch);
+    ASSERT_EQ(std::count_if(taken.begin(), taken.end(),
+                            [](const auto& crp) { return crp.has_value(); }),
+              5);
+  }
+  const crypto::Bytes manifest =
+      io::read_file(wal::manifest_path(source.path()));
+  const crypto::Bytes image = io::read_file(wal::wal_path(source.path(), 0, 0));
+  const std::vector<std::size_t> record_ends = record_ends_of(image);
+  const std::vector<wal::RecordView> records = wal::decode_wal(image).records;
+  // 10 inserts + 1 health + the batch's 5 takes.
+  ASSERT_EQ(records.size(), 16u);
+  ASSERT_EQ(record_ends.size(), records.size());
+  constexpr std::size_t kBatchFirst = 11;
+  for (std::size_t r = kBatchFirst; r < records.size(); ++r) {
+    ASSERT_EQ(records[r].type, wal::RecordType::kTake);
+  }
+
+  for (std::size_t cut = record_ends[kBatchFirst - 1]; cut <= image.size();
+       ++cut) {
+    SCOPED_TRACE("truncated to " + std::to_string(cut) + " bytes");
+    const std::size_t survivors = records_within(record_ends, cut);
+    Oracle oracle;
+    for (std::size_t r = 0; r < survivors; ++r) oracle.apply(records[r]);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    const io::TempDir dir("np-crp-crash");
+    write_file(wal::manifest_path(dir.path()), manifest);
+    write_file(wal::wal_path(dir.path(), 0, 0), {image.data(), cut});
+    CrpDatabase db(1, open_options(dir.path()));
+    EXPECT_EQ(db.recovery_stats().wal_records, survivors);
+    EXPECT_EQ(db.recovery_stats().torn_bytes,
+              cut - record_ends[survivors - 1]);
+    expect_matches_oracle(db, oracle, records);
+
+    std::set<crypto::Bytes> issued;
+    while (const auto crp = db.take()) {
+      EXPECT_TRUE(issued.insert(crp->challenge).second)
+          << "CRP double-issued in one run";
+      EXPECT_EQ(oracle.consumed.count(crp->challenge), 0u)
+          << "CRP consumed before the crash was issued again";
+    }
+    EXPECT_EQ(issued.size(), oracle.present.size() - 1)
+        << "every live CRP but the quarantined one is served";
   }
 }
 
@@ -224,11 +310,7 @@ TEST_F(CrpCrashTest, NoDoubleIssueAcrossRecovery) {
   }
   for (const std::size_t cut : cuts) {
     SCOPED_TRACE("truncated to " + std::to_string(cut) + " bytes");
-    std::size_t survivors = 0;
-    while (survivors < s.record_ends.size() &&
-           s.record_ends[survivors] <= cut) {
-      ++survivors;
-    }
+    const std::size_t survivors = records_within(s.record_ends, cut);
     Oracle oracle;
     for (std::size_t r = 0; r < survivors; ++r) oracle.apply(s.records[r]);
     if (::testing::Test::HasFatalFailure()) return;

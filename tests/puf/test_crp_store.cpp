@@ -1,10 +1,11 @@
-// Durable CrpDatabase (ctest labels: io, concurrency): group-commit WAL
-// round trips, snapshot compaction, refusing a reopen at a different
+// Durable CrpDatabase (ctest labels: io, concurrency, chaos): group-commit
+// WAL round trips, snapshot compaction, refusing a reopen at a different
 // shard count, deterministic post-recovery take() order, lock_stats
-// across restarts, fsync-per-op as insert + sync(), and one CRP per
-// live challenge. The crash-point sweeps (truncation / corruption at
-// every byte) live in tests/chaos/test_crp_crash.cpp; this file covers
-// the clean-shutdown and happy-path recovery contracts.
+// across restarts, fsync-per-op as insert + sync(), one CRP per live
+// challenge, and take_batch's records on disk before it returns. The
+// crash-point sweeps (truncation / corruption at every byte) live in
+// tests/chaos/test_crp_crash.cpp; this file covers the clean-shutdown
+// and happy-path recovery contracts.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -384,6 +385,62 @@ TEST(CrpStore, KeyedTakeIsDurable) {
   EXPECT_FALSE(db.health(make_crp(3).challenge).has_value());
   EXPECT_FALSE(db.health(make_crp(5).challenge).has_value());
   EXPECT_TRUE(db.lookup(make_crp(4).challenge).has_value());
+}
+
+// take_batch's one durable wait, checked without a crash: the moment the
+// call returns, while the store is still open, every shard's log on
+// disk must already hold a take record for each CRP it handed out, and
+// none for a challenge it refused.
+TEST(CrpStore, TakeBatchRecordsAreOnDiskWhenItReturns) {
+  const io::TempDir dir("np-crp-store");
+  constexpr std::size_t kShards = 4;
+  CrpDatabase db(kShards, durable_in(dir.path()));
+  db.set_quarantine_threshold(1);
+  constexpr std::uint32_t kStored = 32;
+  constexpr std::uint32_t kTaken = 24;
+  for (std::uint32_t i = 0; i < kStored; ++i) db.insert(make_crp(i));
+  db.record_failure(make_crp(30).challenge);  // quarantined
+  db.sync();  // nothing pending: only the batch's records are in flight
+
+  std::vector<Challenge> batch;
+  for (std::uint32_t i = 0; i < kTaken; ++i) {
+    batch.push_back(make_crp(i).challenge);
+  }
+  batch.push_back(make_crp(99).challenge);  // unknown
+  batch.push_back(make_crp(30).challenge);  // quarantined
+  batch.push_back(make_crp(2).challenge);   // repeated
+  const std::vector<std::optional<Crp>> taken = db.take_batch(batch);
+
+  std::multiset<Challenge> on_disk;
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    // The decoded records are views into `image`.
+    const crypto::Bytes image =
+        io::read_file(wal::wal_path(dir.path(), shard, 0));
+    const auto decoded = wal::decode_wal(image);
+    std::size_t shard_takes = 0;
+    for (const wal::RecordView& record : decoded.records) {
+      if (record.type != wal::RecordType::kTake) continue;
+      on_disk.emplace(record.challenge.begin(), record.challenge.end());
+      ++shard_takes;
+    }
+    EXPECT_GT(shard_takes, 0u) << "batch must span shard " << shard;
+  }
+
+  ASSERT_EQ(taken.size(), batch.size());
+  std::multiset<Challenge> handed_out;
+  for (std::uint32_t i = 0; i < kTaken; ++i) {
+    ASSERT_TRUE(taken[i].has_value()) << "challenge " << i;
+    EXPECT_EQ(taken[i]->challenge, batch[i]);
+    EXPECT_EQ(taken[i]->response, make_crp(i).response);
+    handed_out.insert(taken[i]->challenge);
+  }
+  EXPECT_FALSE(taken[kTaken].has_value()) << "unknown challenge taken";
+  EXPECT_FALSE(taken[kTaken + 1].has_value()) << "quarantined challenge taken";
+  EXPECT_FALSE(taken[kTaken + 2].has_value()) << "repeated challenge retaken";
+  EXPECT_EQ(on_disk, handed_out)
+      << "a take record is missing from disk or names a refused challenge";
+  EXPECT_EQ(db.size(), kStored - kTaken);
+  EXPECT_TRUE(db.health(make_crp(30).challenge).has_value());
 }
 
 TEST(CrpStore, InsertBatchMatchesSerialInsertsAndIsDurable) {
