@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <ostream>
 #include <string>
 
 #include "crypto/aes.hpp"
@@ -30,6 +31,11 @@ detail::AesBlocks portable_aes() { return &detail::aes_blocks_portable; }
 
 const AesEntry kAesEntries[] = {{"portable", &portable_aes},
                                 {"aesni", &detail::aes_blocks_aesni}};
+
+// Print an entry by name: gtest's default byte dump would put the
+// load address of `get` into every listed test name, so no two runs of
+// the binary would list the same names.
+void PrintTo(const AesEntry& entry, std::ostream* os) { *os << entry.name; }
 
 // A key schedule driven through one bare kernel.
 class KernelAes {
@@ -215,6 +221,8 @@ detail::Sha256Blocks portable_sha() { return &detail::sha256_blocks_portable; }
 
 const ShaEntry kShaEntries[] = {{"portable", &portable_sha},
                                 {"shani", &detail::sha256_blocks_shani}};
+
+void PrintTo(const ShaEntry& entry, std::ostream* os) { *os << entry.name; }
 
 // FIPS 180-4 padding around a bare compression kernel.
 Bytes digest_with(detail::Sha256Blocks kernel, ByteView message) {
