@@ -411,24 +411,29 @@ puf::Crp make_crp(std::uint32_t i) {
   return crp;
 }
 
-// Mixed verifier workload per thread: insert one fresh CRP, look up one
-// enrolled challenge, take one for an auth round — 3 ops per iteration.
+// Mixed verifier workload per thread: insert one fresh CRP, then run an
+// auth round on one preloaded CRP — look it up and take it by key — 3 ops
+// per iteration. Thread t's rounds use preloaded CRPs
+// [t * iterations, (t + 1) * iterations), so the store must be preloaded
+// with threads * iterations CRPs.
 void hammer_store(puf::CrpDatabase& db, std::uint32_t thread_id,
                   std::uint32_t iterations) {
   for (std::uint32_t i = 0; i < iterations; ++i) {
     db.insert(make_crp(1u << 24 | thread_id << 20 | i));
-    (void)db.lookup(make_crp(thread_id * iterations + i).challenge);
-    (void)db.take();
+    const puf::Challenge enrolled =
+        make_crp(thread_id * iterations + i).challenge;
+    (void)db.lookup(enrolled);
+    (void)db.take(enrolled);
   }
 }
 
 void print_crp_store_table() {
   bench::banner("E14", "CRP store ops/sec vs shard count (4-thread load)");
-  constexpr std::uint32_t kPreload = 4096;
   constexpr std::uint32_t kIterations = 8192;
   constexpr unsigned kThreads = 4;
-  std::printf("  %-10s %-14s %-14s %-11s %-10s %-10s\n", "shards", "ops/sec",
-              "acquisitions", "contended", "takes", "steals");
+  constexpr std::uint32_t kPreload = kThreads * kIterations;
+  std::printf("  %-10s %-14s %-14s %-11s %-10s\n", "shards", "ops/sec",
+              "acquisitions", "contended", "takes");
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     puf::CrpDatabase db(shards);
     for (std::uint32_t i = 0; i < kPreload; ++i) db.insert(make_crp(i));
@@ -440,21 +445,19 @@ void print_crp_store_table() {
     for (auto& thread : threads) thread.join();
     const double elapsed = seconds_since(start);
     const auto stats = db.lock_stats();
-    std::printf("  %-10zu %-14.0f %-14llu %-11.2f %-10llu %-10llu\n", shards,
+    std::printf("  %-10zu %-14.0f %-14llu %-11.2f %-10llu\n", shards,
                 3.0 * kThreads * kIterations / elapsed,
                 static_cast<unsigned long long>(stats.acquisitions),
                 stats.acquisitions == 0
                     ? 0.0
                     : 100.0 * static_cast<double>(stats.contended) /
                           static_cast<double>(stats.acquisitions),
-                static_cast<unsigned long long>(stats.takes),
-                static_cast<unsigned long long>(stats.take_steals));
+                static_cast<unsigned long long>(stats.takes));
   }
   bench::note("contended = shard-mutex acquisitions that found the lock "
               "held (percent of acquisitions); striping drives it toward "
-              "zero as shards exceed threads. takes/steals are the store's "
-              "scheduling counters: steals are takes served past their "
-              "round-robin start shard.");
+              "zero as shards exceed threads. takes = CRPs consumed by "
+              "keyed takes, one per auth round.");
 }
 
 void print_tables() {
@@ -549,7 +552,9 @@ void BM_CrpStoreMixedOps(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     puf::CrpDatabase db(shards);
-    for (std::uint32_t i = 0; i < 2048; ++i) db.insert(make_crp(i));
+    for (std::uint32_t i = 0; i < kThreads * kIterations; ++i) {
+      db.insert(make_crp(i));
+    }
     state.ResumeTiming();
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t) {

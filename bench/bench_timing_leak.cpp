@@ -76,8 +76,7 @@ void print_leak_table() {
   // One block under one key, fixed plaintext against random ones, on each
   // kernel driven directly with the same schedule.
   std::array<std::uint8_t, crypto::detail::kAesScheduleBytes> schedule{};
-  const std::size_t rounds =
-      crypto::detail::aes_expand_key(crypto::Bytes(16, 0x0F), schedule);
+  crypto::detail::aes_expand_key(crypto::Bytes(16, 0x0F), schedule);
   const auto aes_row = [&](const char* name, crypto::detail::AesBlocks kernel) {
     if (kernel == nullptr) {
       std::printf("  %-28s %9s  %10s  %10s   %s\n", name, "-", "-", "-",
@@ -88,7 +87,7 @@ void print_leak_table() {
                         [&](crypto::ByteView input) {
                           std::array<std::uint8_t, 16> block{};
                           std::copy(input.begin(), input.end(), block.begin());
-                          kernel(schedule.data(), rounds, block.data(), 1);
+                          kernel(schedule.data(), block.data(), 1);
                           volatile std::uint8_t sink = block[0];
                           (void)sink;
                         },

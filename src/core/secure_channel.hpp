@@ -8,10 +8,11 @@
 // sequence check, reordering fails the MAC (the tag covers the sequence
 // number), and the two directions use independent keys (no reflection
 // attacks). The body runs through the batched in-place ChaCha20 keystream
-// (the paper's lightweight cipher for this device class; the table-based,
-// not constant-time AES here is audit-oriented and an order of magnitude
-// slower per byte, so it keeps only the CMAC tag role). Rekeying via
-// HKDF ratchet after a configurable record count bounds key usage.
+// (the paper's lightweight cipher for this device class). ChaCha20 stays
+// because the record format pins it: the wire bytes and their known
+// answers are ChaCha20's, whatever AES kernel the host runs; AES keeps
+// only the CMAC tag role. Rekeying via HKDF ratchet after a configurable
+// record count bounds key usage.
 #pragma once
 
 #include <cstdint>

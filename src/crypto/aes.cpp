@@ -71,6 +71,8 @@ constexpr std::array<std::uint8_t, 11> kRcon = {0x00, 0x01, 0x02, 0x04, 0x08,
                                                 0x10, 0x20, 0x40, 0x80, 0x1B,
                                                 0x36};
 
+constexpr std::size_t kRounds = 10;
+
 void sub_bytes(std::uint8_t* s) noexcept {
   for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
 }
@@ -112,8 +114,7 @@ void add_round_key(std::uint8_t* s, const std::uint8_t* rk) noexcept {
 // as is: AES-NI round keys use the same byte order.
 template <std::size_t N>
 __attribute__((target("aes,sse4.1"))) inline void aesni_encrypt_n(
-    const std::uint8_t* round_keys, std::size_t rounds,
-    std::uint8_t* blocks) noexcept {
+    const std::uint8_t* round_keys, std::uint8_t* blocks) noexcept {
   const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
   auto* io = reinterpret_cast<__m128i*>(blocks);
   __m128i s[N];
@@ -122,12 +123,12 @@ __attribute__((target("aes,sse4.1"))) inline void aesni_encrypt_n(
   for (std::size_t b = 0; b < N; ++b) {
     s[b] = _mm_xor_si128(_mm_loadu_si128(io + b), first);
   }
-  for (std::size_t round = 1; round < rounds; ++round) {
+  for (std::size_t round = 1; round < kRounds; ++round) {
     const __m128i k = _mm_loadu_si128(rk + round);
 #pragma GCC unroll 8
     for (std::size_t b = 0; b < N; ++b) s[b] = _mm_aesenc_si128(s[b], k);
   }
-  const __m128i last = _mm_loadu_si128(rk + rounds);
+  const __m128i last = _mm_loadu_si128(rk + kRounds);
 #pragma GCC unroll 8
   for (std::size_t b = 0; b < N; ++b) {
     _mm_storeu_si128(io + b, _mm_aesenclast_si128(s[b], last));
@@ -135,18 +136,18 @@ __attribute__((target("aes,sse4.1"))) inline void aesni_encrypt_n(
 }
 
 __attribute__((target("aes,sse4.1"))) void aes_blocks_aesni_body(
-    const std::uint8_t* round_keys, std::size_t rounds, std::uint8_t* blocks,
+    const std::uint8_t* round_keys, std::uint8_t* blocks,
     std::size_t nblocks) noexcept {
   for (; nblocks >= 8; nblocks -= 8, blocks += 16 * 8) {
-    aesni_encrypt_n<8>(round_keys, rounds, blocks);
+    aesni_encrypt_n<8>(round_keys, blocks);
   }
   if (nblocks >= 4) {
-    aesni_encrypt_n<4>(round_keys, rounds, blocks);
+    aesni_encrypt_n<4>(round_keys, blocks);
     nblocks -= 4;
     blocks += 16 * 4;
   }
   for (; nblocks > 0; --nblocks, blocks += 16) {
-    aesni_encrypt_n<1>(round_keys, rounds, blocks);
+    aesni_encrypt_n<1>(round_keys, blocks);
   }
 }
 
@@ -156,49 +157,39 @@ __attribute__((target("aes,sse4.1"))) void aes_blocks_aesni_body(
 
 namespace detail {
 
-std::size_t aes_expand_key(
-    ByteView key, std::span<std::uint8_t, kAesScheduleBytes> round_keys) {
-  std::size_t nk;  // key length in 32-bit words
-  std::size_t rounds;
-  switch (key.size()) {
-    case 16: nk = 4; rounds = 10; break;
-    case 24: nk = 6; rounds = 12; break;
-    case 32: nk = 8; rounds = 14; break;
-    default:
-      throw std::invalid_argument("Aes: key must be 16, 24, or 32 bytes");
+void aes_expand_key(ByteView key,
+                    std::span<std::uint8_t, kAesScheduleBytes> round_keys) {
+  constexpr std::size_t kNk = 4;  // key length in 32-bit words
+  // ctlint:allow(secret-compare) the key length is public
+  if (key.size() != 4 * kNk) {
+    throw std::invalid_argument("Aes: key must be 16 bytes");
   }
-
-  const std::size_t total_words = 4 * (rounds + 1);
   std::uint8_t* w = round_keys.data();
   std::memcpy(w, key.data(), key.size());
 
-  for (std::size_t i = nk; i < total_words; ++i) {
+  for (std::size_t i = kNk; i < 4 * (kRounds + 1); ++i) {
     std::uint8_t temp[4];
     std::memcpy(temp, w + 4 * (i - 1), 4);
-    if (i % nk == 0) {
+    if (i % kNk == 0) {
       // RotWord + SubWord + Rcon
       const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / nk]);
+      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / kNk]);
       temp[1] = kSbox[temp[2]];
       temp[2] = kSbox[temp[3]];
       temp[3] = kSbox[t0];
-    } else if (nk > 6 && i % nk == 4) {
-      for (int j = 0; j < 4; ++j) temp[j] = kSbox[temp[j]];
     }
-    for (int j = 0; j < 4; ++j) {
-      w[4 * i + static_cast<std::size_t>(j)] =
-          static_cast<std::uint8_t>(w[4 * (i - nk) + static_cast<std::size_t>(j)] ^ temp[j]);
+    for (std::size_t j = 0; j < 4; ++j) {
+      w[4 * i + j] = static_cast<std::uint8_t>(w[4 * (i - kNk) + j] ^ temp[j]);
     }
   }
-  return rounds;
 }
 
-void aes_blocks_portable(const std::uint8_t* round_keys, std::size_t rounds,
-                         std::uint8_t* blocks, std::size_t nblocks) noexcept {
+void aes_blocks_portable(const std::uint8_t* round_keys, std::uint8_t* blocks,
+                         std::size_t nblocks) noexcept {
   for (std::size_t b = 0; b < nblocks; ++b) {
     add_round_key(blocks + 16 * b, round_keys);
   }
-  for (std::size_t round = 1; round < rounds; ++round) {
+  for (std::size_t round = 1; round < kRounds; ++round) {
     const std::uint8_t* rk = round_keys + 16 * round;
     for (std::size_t b = 0; b < nblocks; ++b) {
       std::uint8_t* s = blocks + 16 * b;
@@ -208,7 +199,7 @@ void aes_blocks_portable(const std::uint8_t* round_keys, std::size_t rounds,
       add_round_key(s, rk);
     }
   }
-  const std::uint8_t* rk_final = round_keys + 16 * rounds;
+  const std::uint8_t* rk_final = round_keys + 16 * kRounds;
   for (std::size_t b = 0; b < nblocks; ++b) {
     std::uint8_t* s = blocks + 16 * b;
     sub_bytes(s);
@@ -237,8 +228,7 @@ detail::AesBlocks aes_kernel() noexcept {
 
 }  // namespace
 
-Aes::Aes(ByteView key)
-    : rounds_(detail::aes_expand_key(key, round_keys_)) {}
+Aes::Aes(ByteView key) { detail::aes_expand_key(key, round_keys_); }
 
 Aes::~Aes() { secure_wipe(round_keys_.data(), round_keys_.size()); }
 
@@ -249,7 +239,7 @@ void Aes::encrypt_block(
 
 void Aes::encrypt_blocks(std::uint8_t* blocks,
                          std::size_t nblocks) const noexcept {
-  aes_kernel()(round_keys_.data(), rounds_, blocks, nblocks);
+  aes_kernel()(round_keys_.data(), blocks, nblocks);
 }
 
 std::uint8_t aes_sbox(std::uint8_t x) noexcept { return kSbox[x]; }

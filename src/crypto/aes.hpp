@@ -1,5 +1,7 @@
-// AES-128/192/256 encryption (FIPS 197) with CTR mode and CMAC (NIST SP
-// 800-38B).
+// AES-128 encryption (FIPS 197) with CTR mode and CMAC (NIST SP 800-38B).
+// Every AES key in the stack is a 16-byte HKDF output (hkdf_aes128), so
+// there is one key schedule and one round count; 24- and 32-byte keys
+// are refused.
 //
 // Table I of the paper specifies that the neural-network configuration,
 // inputs, and outputs cross the hardware boundary only in encrypted form.
@@ -21,7 +23,7 @@
 //    generated 256-entry S-box indexed by secret state, so it is NOT
 //    constant-time (a cache-timing channel), and MixColumns works on
 //    bytes. Making it constant-time with a bitsliced S-box is ROADMAP
-//    item 1 step 3, still open.
+//    item 1 step 2, still open.
 // Both read the same FIPS 197 schedule and give identical bytes.
 #pragma once
 
@@ -33,12 +35,12 @@
 
 namespace neuropuls::crypto {
 
-/// An AES block cipher keyed at construction. Supports 128/192/256-bit keys.
+/// An AES-128 block cipher keyed at construction.
 class Aes {
  public:
   static constexpr std::size_t kBlockSize = 16;
 
-  /// Throws std::invalid_argument unless key is 16, 24, or 32 bytes.
+  /// Throws std::invalid_argument unless key is 16 bytes.
   explicit Aes(ByteView key);
 
   /// Every copy owns, and on destruction wipes, its own key schedule.
@@ -56,9 +58,8 @@ class Aes {
   void encrypt_blocks(std::uint8_t* blocks, std::size_t nblocks) const noexcept;
 
  private:
-  // Up to 15 round keys of 16 bytes each (AES-256).
-  std::array<std::uint8_t, 16 * 15> round_keys_{};
-  std::size_t rounds_ = 0;
+  // 11 round keys of 16 bytes each.
+  std::array<std::uint8_t, 16 * 11> round_keys_{};
 };
 
 /// AES-CTR stream transform. Encryption and decryption are the same

@@ -23,23 +23,22 @@ struct CpuFeatures {
 /// function-local static). Every kernel choice reads it.
 const CpuFeatures& cpu_features() noexcept;
 
-/// Bytes of an expanded AES schedule: up to 15 round keys (AES-256).
-inline constexpr std::size_t kAesScheduleBytes = 16 * 15;
+/// Bytes of an expanded AES-128 schedule: 11 round keys.
+inline constexpr std::size_t kAesScheduleBytes = 16 * 11;
 
-/// Expands a 16-, 24- or 32-byte key into the FIPS 197 schedule and
-/// returns the round count. Throws std::invalid_argument for any other
-/// key length.
-std::size_t aes_expand_key(
-    ByteView key, std::span<std::uint8_t, kAesScheduleBytes> round_keys);
+/// Expands a 16-byte key into the FIPS 197 AES-128 schedule. Throws
+/// std::invalid_argument for any other key length.
+void aes_expand_key(ByteView key,
+                    std::span<std::uint8_t, kAesScheduleBytes> round_keys);
 
 /// Encrypts `nblocks` contiguous 16-byte blocks in place under an
-/// expanded schedule of `rounds` + 1 round keys.
-using AesBlocks = void (*)(const std::uint8_t* round_keys, std::size_t rounds,
+/// expanded AES-128 schedule (10 rounds).
+using AesBlocks = void (*)(const std::uint8_t* round_keys,
                            std::uint8_t* blocks, std::size_t nblocks) noexcept;
 
 /// Portable table-based AES, round-major across the blocks.
-void aes_blocks_portable(const std::uint8_t* round_keys, std::size_t rounds,
-                         std::uint8_t* blocks, std::size_t nblocks) noexcept;
+void aes_blocks_portable(const std::uint8_t* round_keys, std::uint8_t* blocks,
+                         std::size_t nblocks) noexcept;
 
 /// The AES-NI kernel (up to 8 blocks interleaved per round), or nullptr
 /// when the target is not x86-64 or CPUID reports no AES-NI.

@@ -18,7 +18,6 @@ namespace io = common::io;
 struct CrpDatabase::ReplayCounts {
   std::uint64_t snapshot_entries = 0;
   std::uint64_t wal_records = 0;
-  std::uint64_t takes = 0;
   std::uint64_t torn_bytes = 0;
   /// A next-generation log was found: a snapshot was interrupted.
   bool orphan = false;
@@ -40,7 +39,7 @@ struct CrpDatabase::WalState {
   common::Mutex mutex;
   /// Wakes the writer: pending work, a sync/snapshot request, or stop.
   common::CondVar writer_cv;
-  /// Wakes sync()/durable-take/snapshot() waiters after a writer round.
+  /// Wakes sync()/take_batch/snapshot() waiters after a writer round.
   common::CondVar done_cv;
   /// Highest record sequence per shard known to be on stable storage.
   std::vector<std::uint64_t> durable_seq NP_GUARDED_BY(mutex);
@@ -140,8 +139,8 @@ CrpDatabase::CrpDatabase(std::size_t shards, CrpDurabilityOptions durability)
     }
     io::atomic_write_file(
         manifest,
-        wal::encode_manifest(wal::Manifest{
-            0, static_cast<std::uint32_t>(shards_.size()), 0}));
+        wal::encode_manifest(
+            wal::Manifest{0, static_cast<std::uint32_t>(shards_.size())}));
   } else {
     const wal::Manifest m = wal::decode_manifest(io::read_file(manifest));
     w.generation = m.generation;
@@ -159,8 +158,7 @@ CrpDatabase::CrpDatabase(std::size_t shards, CrpDurabilityOptions durability)
     io::atomic_write_file(
         manifest,
         wal::encode_manifest(wal::Manifest{
-            fresh, static_cast<std::uint32_t>(shards_.size()),
-            take_cursor_.load(std::memory_order_relaxed)}));
+            fresh, static_cast<std::uint32_t>(shards_.size())}));
     w.generation = fresh;
   }
   w.recovery.generation = w.generation;
@@ -211,8 +209,9 @@ std::size_t CrpDatabase::shard_index_for(
   return detail::ChallengeHash{}(challenge) % shards_.size();
 }
 
-void CrpDatabase::enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
-                         unsigned readings) {
+std::vector<Challenge> CrpDatabase::enroll(Puf& puf, std::size_t count,
+                                          crypto::ChaChaDrbg& rng,
+                                          unsigned readings) {
   const std::size_t width = puf.challenge_bytes();
   if (width < 8) {
     // Narrow challenges: redrawing duplicates would never finish once the
@@ -223,14 +222,18 @@ void CrpDatabase::enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
           "CrpDatabase::enroll: count exceeds the free challenge space");
     }
   }
+  std::vector<Challenge> challenges;
+  challenges.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     Crp crp;
     do {
       crp.challenge = rng.generate(width);
     } while (health(crp.challenge).has_value());
     crp.response = enroll_majority(puf, crp.challenge, readings | 1);
+    challenges.push_back(crp.challenge);
     insert(std::move(crp));
   }
+  return challenges;
 }
 
 template <typename Encode>
@@ -254,8 +257,7 @@ bool CrpDatabase::insert_locked(Shard& shard, Crp& crp, Logged& logged) {
 }
 
 void CrpDatabase::insert(Crp crp) {
-  const std::size_t index = shard_index_for(crp.challenge);
-  Shard& shard = *shards_[index];
+  Shard& shard = shard_for(crp.challenge);
   Logged logged;
   {
     const ShardLock lock(shard);
@@ -263,7 +265,7 @@ void CrpDatabase::insert(Crp crp) {
       size_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  wal_after_append(index, logged, false);
+  wal_after_append(logged);
 }
 
 void CrpDatabase::insert_batch(std::vector<Crp> crps) {
@@ -289,7 +291,7 @@ void CrpDatabase::insert_batch(std::vector<Crp> crps) {
       }
       size_.fetch_add(added, std::memory_order_relaxed);
     }
-    wal_after_append(s, logged, false);
+    wal_after_append(logged);
   }
 }
 
@@ -320,37 +322,6 @@ Crp CrpDatabase::take_locked(Shard& shard, std::size_t pos, Logged& logged) {
     wal::append_take_record(out, seq, crp.challenge);
   });
   return crp;
-}
-
-std::optional<Crp> CrpDatabase::take() {
-  // Round-robin over shards so concurrent takers spread across stripes;
-  // with one shard this degenerates to the serial scan order. Within a
-  // shard, scan from the back (cheap removal) past any quarantined
-  // entries: a CRP in quarantine must never be served for authentication.
-  const std::size_t start =
-      take_cursor_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  for (std::size_t probe = 0; probe < shards_.size(); ++probe) {
-    const std::size_t index = (start + probe) % shards_.size();
-    Shard& shard = *shards_[index];
-    std::optional<Crp> crp;
-    Logged logged;
-    {
-      const ShardLock lock(shard);
-      for (std::size_t i = shard.entries.size(); i-- > 0;) {
-        if (shard.entries[i].health.quarantined) continue;
-        crp = take_locked(shard, i, logged);
-        if (probe != 0) {
-          take_steals_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-    }
-    if (crp.has_value()) {
-      wal_after_append(index, logged, true);
-      return crp;
-    }
-  }
-  return std::nullopt;
 }
 
 std::optional<Crp> CrpDatabase::take(const Challenge& challenge) {
@@ -384,12 +355,12 @@ std::vector<std::optional<Crp>> CrpDatabase::take_batch(
         taken[i] = take_locked(shard, it->second, logged);
       }
     }
-    wal_after_append(s, logged, false);
+    wal_after_append(logged);
     target[s] = logged.seq;
   }
   // The one-time-use invariant: hand out no CRP until every take record
   // of the batch is on stable storage.
-  wal_await(0, target);
+  wal_await(target);
   return taken;
 }
 
@@ -412,8 +383,7 @@ void CrpDatabase::record_failure(const Challenge& challenge) {
 }
 
 void CrpDatabase::record_outcome(const Challenge& challenge, bool success) {
-  const std::size_t index = shard_index_for(crypto::ByteView{challenge});
-  Shard& shard = *shards_[index];
+  Shard& shard = shard_for(crypto::ByteView{challenge});
   Logged logged;
   {
     const ShardLock lock(shard);
@@ -436,7 +406,7 @@ void CrpDatabase::record_outcome(const Challenge& challenge, bool success) {
       wal::append_health_record(out, seq, challenge, health);
     });
   }
-  wal_after_append(index, logged, false);
+  wal_after_append(logged);
 }
 
 std::optional<CrpHealth> CrpDatabase::health(const Challenge& challenge) const {
@@ -474,7 +444,7 @@ std::size_t CrpDatabase::evict_quarantined() {
         ++evicted;
       }
     }
-    wal_after_append(index, logged, false);
+    wal_after_append(logged);
   }
   size_.fetch_sub(evicted, std::memory_order_relaxed);
   return evicted;
@@ -488,15 +458,11 @@ std::size_t CrpDatabase::shard_size(std::size_t shard) const {
 
 CrpStoreStats CrpDatabase::lock_stats() const {
   CrpStoreStats stats;
-  stats.shard_takes.reserve(shards_.size());
   for (const auto& shard : shards_) {
     stats.acquisitions += shard->acquisitions.load(std::memory_order_relaxed);
     stats.contended += shard->contended.load(std::memory_order_relaxed);
-    const std::uint64_t takes = shard->takes.load(std::memory_order_relaxed);
-    stats.takes += takes;
-    stats.shard_takes.push_back(takes);
+    stats.takes += shard->takes.load(std::memory_order_relaxed);
   }
-  stats.take_steals = take_steals_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -514,19 +480,12 @@ std::size_t CrpDatabase::storage_bytes() const noexcept {
 // ---------------------------------------------------------------------------
 // Durability: append-side handshake.
 
-void CrpDatabase::wal_after_append(std::size_t shard, const Logged& logged,
-                                   bool wait) {
+void CrpDatabase::wal_after_append(const Logged& logged) {
   if (logged.bytes == 0) return;
   WalState& w = *wal_;
   const std::size_t bytes = logged.bytes;
   const std::size_t before =
       w.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (wait) {
-    // The one-time-use invariant: do not hand the CRP out until its take
-    // record is on stable storage.
-    wal_await(shard, {&logged.seq, 1});
-    return;
-  }
   const bool first_pending = before == 0;
   const bool batch_full =
       before < kBatchBytes && before + bytes >= kBatchBytes;
@@ -538,15 +497,14 @@ void CrpDatabase::wal_after_append(std::size_t shard, const Logged& logged,
   }
 }
 
-void CrpDatabase::wal_await(std::size_t first,
-                            std::span<const std::uint64_t> target) {
+void CrpDatabase::wal_await(std::span<const std::uint64_t> target) {
   if (!wal_) return;
   WalState& w = *wal_;
   common::MutexLock lock(w.mutex);
   for (;;) {
     bool reached = true;
     for (std::size_t i = 0; i < target.size() && reached; ++i) {
-      reached = w.durable_seq[first + i] >= target[i];
+      reached = w.durable_seq[i] >= target[i];
     }
     if (reached || w.stop) break;
     // Re-arm each round: the writer consumes the flag per flush and more
@@ -565,7 +523,7 @@ void CrpDatabase::sync() {
     const ShardLock lock(*shards_[i]);
     target[i] = shards_[i]->wal_seq;
   }
-  wal_await(0, target);
+  wal_await(target);
 }
 
 void CrpDatabase::snapshot() {
@@ -690,9 +648,8 @@ void CrpDatabase::wal_rotate_and_snapshot() {
   // logs), a crash after it recovers from the new one.
   io::atomic_write_file(
       wal::manifest_path(w.dir),
-      wal::encode_manifest(wal::Manifest{
-          next, static_cast<std::uint32_t>(shards_.size()),
-          take_cursor_.load(std::memory_order_relaxed)}));
+      wal::encode_manifest(
+          wal::Manifest{next, static_cast<std::uint32_t>(shards_.size())}));
   w.generation = next;
   // (4) Everything from older generations is now redundant.
   wal_cleanup_stale();
@@ -704,9 +661,9 @@ void CrpDatabase::wal_write_snapshot_files(std::uint64_t generation) {
     Shard& shard = *shards_[i];
     crypto::Bytes image;
     {
-      // Entries are serialised in storage order so a recovered shard
-      // reproduces the exact take() scan order. Encoding under the lock
-      // is memory-only work; the file write below happens outside it.
+      // Entries are serialised in storage order, so a recovered shard
+      // has the same layout. Encoding under the lock is memory-only
+      // work; the file write below happens outside it.
       const ShardLock lock(shard);
       wal::SnapshotBuilder builder(
           static_cast<std::uint32_t>(i),
@@ -837,7 +794,6 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
   }
   for (const wal::RecordView& record : records) {
     apply_recovered_record(shard, record);
-    if (record.type == wal::RecordType::kTake) ++counts.takes;
   }
   shard.wal_seq = last_seq;
   return counts;
@@ -860,20 +816,12 @@ bool CrpDatabase::wal_recover(const wal::Manifest& manifest) {
   for (const ReplayCounts& counts : per_shard) {
     total.snapshot_entries += counts.snapshot_entries;
     total.wal_records += counts.wal_records;
-    total.takes += counts.takes;
     total.torn_bytes += counts.torn_bytes;
     total.orphan = total.orphan || counts.orphan;
   }
   w.recovery.snapshot_entries = total.snapshot_entries;
   w.recovery.wal_records = total.wal_records;
-  w.recovery.replayed_takes = total.takes;
   w.recovery.torn_bytes = total.torn_bytes;
-  // Deterministic cursor restore: the manifest's cursor plus one
-  // advance per replayed take. Unsuccessful take() calls between the
-  // snapshot and the crash also advanced the live cursor but left no
-  // record; their advances are deliberately not reproduced.
-  take_cursor_.store(manifest.take_cursor + total.takes,
-                     std::memory_order_relaxed);
   // A torn tail means the live WAL file ends in a partial record. The
   // append fd would write the next record after that garbage, wedging
   // the *next* recovery on a mid-file corruption — so compact to a

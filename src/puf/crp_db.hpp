@@ -15,9 +15,9 @@
 // the per-shard index already computes. Every public operation is
 // thread-safe; operations on different shards never contend, and
 // contention that does happen is counted (`lock_stats`) so
-// `bench/bench_server` can plot ops/sec against shard count. The default
-// single-shard configuration behaves exactly like the previous serial
-// class, iteration order included.
+// `bench/bench_server` can plot ops/sec against shard count. A CRP is
+// consumed by its challenge only (take / take_batch): the verifier always
+// knows which CRP it is retiring, so the store keeps no take order.
 //
 // Durability (opt-in via CrpDurabilityOptions): every mutation appends
 // one record to a per-shard write-ahead log before the call returns.
@@ -98,7 +98,7 @@ struct ChallengeEqual {
 
 /// Per-CRP health counters maintained by the verifier: authentication
 /// outcomes against this CRP. A run of consecutive failures marks the
-/// CRP quarantined — it stops being served by take()/lookup() (the
+/// CRP quarantined — it stops being served by take/lookup (the
 /// response may be rotting on a degraded device, or the pair may be under
 /// active attack) until evicted or the database is re-enrolled.
 struct CrpHealth {
@@ -130,40 +130,30 @@ struct CrpRecoveryStats {
   std::uint64_t generation = 0;
   std::uint64_t snapshot_entries = 0;
   std::uint64_t wal_records = 0;
-  /// Take records replayed — added to the manifest's cursor to restore
-  /// the round-robin position deterministically.
-  std::uint64_t replayed_takes = 0;
   /// Torn bytes dropped from WAL tails (crash evidence; 0 after a clean
   /// shutdown).
   std::uint64_t torn_bytes = 0;
 };
 
-/// Aggregate store statistics across shards — locking and take-path
-/// scheduling in one struct, so bench/bench_server can print the store's
-/// contention picture next to the session engine's steal/park counters.
-/// `contended` counts acquisitions that found the shard mutex already
-/// held — the signal that the shard count is too low for the offered
-/// concurrency.
+/// Aggregate store statistics across shards, so bench/bench_server can
+/// print the store's contention picture. `contended` counts acquisitions
+/// that found the shard mutex already held — the signal that the shard
+/// count is too low for the offered concurrency.
 struct CrpStoreStats {
   std::uint64_t acquisitions = 0;
   std::uint64_t contended = 0;
-  /// take() calls that returned a CRP.
+  /// CRPs consumed by take/take_batch.
   std::uint64_t takes = 0;
-  /// Successful takes served by a shard other than the taker's
-  /// round-robin start shard — the store-side analogue of a scheduler
-  /// steal. Stays near zero while the cursor keeps shards draining
-  /// evenly; grows once imbalance forces cross-shard probing.
+  /// Always 0: a keyed take goes to its challenge's shard, so no take
+  /// is ever served past its start shard. Kept only because perfbench
+  /// reports it as `puf.crp_db.take_steals`.
   std::uint64_t take_steals = 0;
-  /// Successful takes served per shard (fairness/starvation diagnostic:
-  /// under concurrent takers no shard should sit at zero while others
-  /// drain).
-  std::vector<std::uint64_t> shard_takes;
 };
 
 class CrpDatabase {
  public:
   /// `shards` fixes the stripe count for the lifetime of the store
-  /// (clamped to >= 1). One shard = the serial-compatible configuration.
+  /// (clamped to >= 1).
   explicit CrpDatabase(std::size_t shards = 1);
 
   /// Durable store: recovers existing state from `durability.directory`
@@ -182,7 +172,8 @@ class CrpDatabase {
   CrpDatabase(const CrpDatabase&) = delete;
   CrpDatabase& operator=(const CrpDatabase&) = delete;
 
-  /// Enrolls `count` CRPs by driving the PUF with challenges from `rng`.
+  /// Enrolls `count` CRPs by driving the PUF with challenges from `rng`
+  /// and returns their challenges in draw order, the keys to take them by.
   /// Each response is majority-voted over `readings` evaluations. A
   /// challenge already in the store is drawn again, so every enrolled
   /// CRP is new; throws std::invalid_argument when `count` exceeds the
@@ -190,8 +181,8 @@ class CrpDatabase {
   /// CRPs already stored). The PUF itself is not thread-safe, so
   /// enrollment stays a serial operation (inserts synchronise with
   /// concurrent readers as usual).
-  void enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
-              unsigned readings = 5);
+  std::vector<Challenge> enroll(Puf& puf, std::size_t count,
+                                crypto::ChaChaDrbg& rng, unsigned readings = 5);
 
   /// Inserts one externally produced CRP. A challenge that is already
   /// stored is skipped (no entry, no WAL record): a live challenge maps
@@ -204,12 +195,6 @@ class CrpDatabase {
   /// writer-wakeup cost a million times over. Already-stored challenges
   /// (including repeats within the batch) are skipped as in insert().
   void insert_batch(std::vector<Crp> crps);
-
-  /// Pops an unused, non-quarantined CRP for an authentication round
-  /// (one-time use). Returns std::nullopt when no healthy CRP remains —
-  /// the classic operational limit of CRP-database schemes, reached
-  /// earlier on a degrading device.
-  std::optional<Crp> take();
 
   /// Consumes the CRP for a specific challenge (one-time use): a batch
   /// of one. Returns std::nullopt when the challenge is unknown or
@@ -266,8 +251,8 @@ class CrpDatabase {
   /// Entries currently stored in shard `shard` (for balance diagnostics).
   std::size_t shard_size(std::size_t shard) const;
 
-  /// Aggregate lock acquisition/contention and take-path counters across
-  /// all shards (shard_takes is indexed by shard).
+  /// Aggregate lock acquisition/contention and take counters across all
+  /// shards.
   CrpStoreStats lock_stats() const;
 
   /// Verifier storage footprint in bytes (challenges + responses).
@@ -295,8 +280,8 @@ class CrpDatabase {
   };
 
   /// One lock stripe: its own entries vector + challenge index, guarded
-  /// by one mutex. The swap-with-back compaction scheme of the serial
-  /// class operates per shard unchanged. Shard locks are LEAVES in the
+  /// by one mutex; removal swaps the last entry into the freed slot.
+  /// Shard locks are LEAVES in the
   /// canonical lock order: nothing is ever acquired while one is held.
   struct Shard {
     mutable common::Mutex mutex;
@@ -388,14 +373,13 @@ class CrpDatabase {
   struct WalState;
 
   /// The one hand-off after the shard lock is released: accounts the
-  /// logged bytes, wakes the writer on a batch boundary, and — with
-  /// `wait` — blocks until `logged.seq` is on stable storage. No-op when
+  /// logged bytes and wakes the writer on a batch boundary. No-op when
   /// nothing was logged.
-  void wal_after_append(std::size_t shard, const Logged& logged, bool wait);
+  void wal_after_append(const Logged& logged);
   /// The durable wait, taking no shard lock: blocks until the durable
-  /// sequence of shard `first + i` reaches `target[i]` for every i, then
+  /// sequence of shard i reaches `target[i]` for every shard, then
   /// throws wal::CrpStoreError if the writer failed. No-op in memory.
-  void wal_await(std::size_t first, std::span<const std::uint64_t> target);
+  void wal_await(std::span<const std::uint64_t> target);
   void wal_writer_main();
   void wal_flush_pending(std::vector<crypto::Bytes>& scratch);
   void wal_rotate_and_snapshot();
@@ -416,11 +400,6 @@ class CrpDatabase {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<WalState> wal_;
   std::atomic<std::size_t> size_{0};
-  /// Round-robin starting shard for take(): spreads concurrent takers
-  /// across stripes instead of draining shard 0 first.
-  std::atomic<std::size_t> take_cursor_{0};
-  /// Successful takes that had to probe past their start shard.
-  std::atomic<std::uint64_t> take_steals_{0};
   std::uint32_t quarantine_threshold_ = 3;
 };
 

@@ -20,7 +20,7 @@ constexpr std::uint8_t kSnapshotMagic[kSnapshotMagicBytes] = {
     'N', 'P', 'S', 'N', 'A', 'P', '0', '1'};
 constexpr std::uint8_t kManifestMagic[8] = {'N', 'P', 'C', 'R',
                                             'P', 'M', 'A', 'N'};
-constexpr std::uint32_t kManifestVersion = 1;
+constexpr std::uint32_t kManifestVersion = 2;
 
 void append_health_fields(crypto::Bytes& out, const CrpHealth& health) {
   crypto::append_u32_be(out, health.successes);
@@ -260,18 +260,17 @@ SnapshotView decode_snapshot(crypto::ByteView image) {
 
 crypto::Bytes encode_manifest(const Manifest& manifest) {
   crypto::Bytes out;
-  out.reserve(8 + 4 + 8 + 4 + 8 + 8);
+  out.reserve(8 + 4 + 8 + 4 + 8);
   for (const std::uint8_t byte : kManifestMagic) out.push_back(byte);
   crypto::append_u32_be(out, kManifestVersion);
   crypto::append_u64_be(out, manifest.generation);
   crypto::append_u32_be(out, manifest.shard_count);
-  crypto::append_u64_be(out, manifest.take_cursor);
   crypto::append_u64_be(out, crypto::siphash24(kWalKey, out));
   return out;
 }
 
 Manifest decode_manifest(crypto::ByteView image) {
-  constexpr std::size_t kManifestBytes = 8 + 4 + 8 + 4 + 8 + 8;
+  constexpr std::size_t kManifestBytes = 8 + 4 + 8 + 4 + 8;
   if (image.size() != kManifestBytes) {
     throw CrpStoreError("manifest: wrong size");
   }
@@ -290,7 +289,6 @@ Manifest decode_manifest(crypto::ByteView image) {
   Manifest manifest;
   manifest.generation = reader.read_u64();
   manifest.shard_count = reader.read_u32();
-  manifest.take_cursor = reader.read_u64();
   return manifest;
 }
 

@@ -35,10 +35,11 @@
 // runs.
 //
 // Snapshot format: magic, shard index, shard count at write, the WAL
-// sequence number the state covers, the entries in storage order
-// (preserving take() scan order across a restart), and a SHA-256
-// trailer over everything before it. Manifest: generation + shard count
-// + take cursor, SipHash-checksummed, committed by atomic rename.
+// sequence number the state covers, the entries in storage order (so a
+// recovered shard has the same layout), and a SHA-256 trailer over
+// everything before it. Manifest: version, generation and shard count,
+// SipHash-checksummed, committed by atomic rename; a manifest of any
+// other version or size fails with CrpStoreError.
 #pragma once
 
 #include <cstdint>
@@ -151,10 +152,6 @@ SnapshotView decode_snapshot(crypto::ByteView image);
 struct Manifest {
   std::uint64_t generation = 0;
   std::uint32_t shard_count = 0;
-  /// take() round-robin cursor at the last snapshot; recovery restores
-  /// the cursor deterministically as this value plus one per replayed
-  /// take record.
-  std::uint64_t take_cursor = 0;
 };
 
 crypto::Bytes encode_manifest(const Manifest& manifest);

@@ -9,7 +9,7 @@
 //   * a CRP whose take record survived the crash is never re-issued
 //     (the one-time-use invariant the paper's protocol rests on),
 //   * a CRP whose take record was torn off IS served again — the taker
-//     never saw it, take() blocks until the record is on disk,
+//     never saw it, a take blocks until the record is on disk,
 //   * quarantine flags replay exactly (health records carry resulting
 //     counters), and torn tails are counted, never fatal,
 //   * a cut inside one take_batch keeps exactly the batch's takes
@@ -90,7 +90,7 @@ std::size_t records_within(const std::vector<std::size_t>& record_ends,
 /// Record-driven oracle: the expected store contents after replaying the
 /// first `count` records of the pristine log. Ground truth comes from
 /// the records themselves (the take record names the consumed
-/// challenge), so the oracle needs no model of take()'s scan order.
+/// challenge).
 struct Oracle {
   struct EntryState {
     bool quarantined = false;
@@ -144,10 +144,36 @@ void expect_matches_oracle(const CrpDatabase& db, const Oracle& oracle,
   }
 }
 
+/// Takes every challenge the log ever inserted from the recovered store,
+/// twice, in keyed batches, and returns what the first batch served. No
+/// served CRP may be one the oracle saw consumed before the crash, and
+/// the second batch must serve nothing: a CRP is issued at most once.
+std::set<crypto::Bytes> take_every_inserted(
+    CrpDatabase& db, const Oracle& oracle,
+    const std::vector<wal::RecordView>& records) {
+  std::vector<Challenge> inserted;
+  for (const wal::RecordView& record : records) {
+    if (record.type != wal::RecordType::kInsert) continue;
+    inserted.emplace_back(record.challenge.begin(), record.challenge.end());
+  }
+  std::set<crypto::Bytes> issued;
+  for (const auto& crp : db.take_batch(inserted)) {
+    if (!crp.has_value()) continue;
+    EXPECT_TRUE(issued.insert(crp->challenge).second)
+        << "CRP double-issued in one batch";
+    EXPECT_EQ(oracle.consumed.count(crp->challenge), 0u)
+        << "CRP consumed before the crash was issued again";
+  }
+  for (const auto& crp : db.take_batch(inserted)) {
+    EXPECT_FALSE(crp.has_value()) << "CRP double-issued in one run";
+  }
+  return issued;
+}
+
 /// The shared pristine image: one single-shard store driven through
 /// inserts, a quarantine-and-evict, a quarantine-that-stays, health
-/// updates, and takes (the log ends mid-story on a take record, so the
-/// truncation sweep's tail offsets are exactly the "killed mid-take()"
+/// updates, and keyed takes (the log ends mid-story on a take record, so
+/// the truncation sweep's tail offsets are exactly the "killed mid-take"
 /// case). Built once, reused by every sweep.
 class CrpCrashTest : public ::testing::Test {
  protected:
@@ -166,7 +192,9 @@ class CrpCrashTest : public ::testing::Test {
       db.record_failure(make_crp(9).challenge);
       db.record_failure(make_crp(9).challenge);  // quarantined, kept
       db.record_success(make_crp(11).challenge);
-      for (int t = 0; t < 3; ++t) ASSERT_TRUE(db.take().has_value());
+      for (const std::uint32_t i : {23u, 0u, 12u}) {
+        ASSERT_TRUE(db.take(make_crp(i).challenge).has_value());
+      }
     }  // clean close: the image on disk is complete and torn-free
 
     s.manifest = io::read_file(wal::manifest_path(s.source.path()));
@@ -284,23 +312,19 @@ TEST_F(CrpCrashTest, TruncationInsideTakeBatchRecoversExactPrefix) {
               cut - record_ends[survivors - 1]);
     expect_matches_oracle(db, oracle, records);
 
-    std::set<crypto::Bytes> issued;
-    while (const auto crp = db.take()) {
-      EXPECT_TRUE(issued.insert(crp->challenge).second)
-          << "CRP double-issued in one run";
-      EXPECT_EQ(oracle.consumed.count(crp->challenge), 0u)
-          << "CRP consumed before the crash was issued again";
-    }
+    const std::set<crypto::Bytes> issued =
+        take_every_inserted(db, oracle, records);
     EXPECT_EQ(issued.size(), oracle.present.size() - 1)
         << "every live CRP but the quarantined one is served";
   }
 }
 
-// The double-issue check, drained end to end: every take() the recovered
-// store serves must come from the oracle's servable set — never a
-// challenge whose take record survived the crash — and must drain that
-// set completely. Sampled at every record boundary plus a mid-record
-// offset each, which covers all state transitions of the byte sweep.
+// The double-issue check, drained end to end: every CRP the recovered
+// store serves to keyed takes of every challenge ever inserted must come
+// from the oracle's servable set — never a challenge whose take record
+// survived the crash — and the takes must drain that set completely.
+// Sampled at every record boundary plus a mid-record offset each, which
+// covers all state transitions of the byte sweep.
 TEST_F(CrpCrashTest, NoDoubleIssueAcrossRecovery) {
   const SharedState& s = *state_;
   std::vector<std::size_t> cuts{0, 7};
@@ -322,14 +346,7 @@ TEST_F(CrpCrashTest, NoDoubleIssueAcrossRecovery) {
     const io::TempDir dir("np-crp-crash");
     stage(dir.path(), {s.image.data(), cut});
     CrpDatabase db(1, open_options(dir.path()));
-    std::set<crypto::Bytes> issued;
-    while (const auto crp = db.take()) {
-      EXPECT_TRUE(issued.insert(crp->challenge).second)
-          << "CRP double-issued in one run";
-      EXPECT_EQ(oracle.consumed.count(crp->challenge), 0u)
-          << "CRP consumed before the crash was issued again";
-    }
-    EXPECT_EQ(issued, servable);
+    EXPECT_EQ(take_every_inserted(db, oracle, s.records), servable);
   }
 }
 

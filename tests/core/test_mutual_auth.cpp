@@ -302,6 +302,35 @@ TEST(MutualAuth, MalformedInputsRejectedWithoutStateChange) {
   EXPECT_EQ(outcome.status, AuthStatus::kBadSession);
 }
 
+// The device rotates its CRP only on a confirm whose MAC it verified: a
+// well-formed confirm for the live session with a forged MAC (the
+// genuine one with one bit flipped, or all zeros) must be refused with
+// no rotation, and the genuine confirm must still complete the session.
+TEST(MutualAuth, ForgedConfirmRejectedWithoutRotation) {
+  Harness s = make_harness();
+  const common::SecretBytes before = s.device->current_response().clone();
+  const auto response = s.device->handle_request(s.verifier->start(1, 0xAB));
+  ASSERT_TRUE(response.has_value());
+  const auto outcome = s.verifier->process_response(*response);
+  ASSERT_EQ(outcome.status, AuthStatus::kOk);
+  ASSERT_TRUE(outcome.confirm.has_value());
+
+  net::Message flipped = *outcome.confirm;
+  flipped.payload[0] ^= 0x01;
+  net::Message zeros = *outcome.confirm;
+  std::fill(zeros.payload.begin(), zeros.payload.end(), 0);
+  for (const net::Message& forged : {flipped, zeros}) {
+    EXPECT_EQ(s.device->handle_confirm(forged), AuthStatus::kBadMac);
+    EXPECT_TRUE(common::ct_equal(s.device->current_response(), before))
+        << "a forged confirm rotated the CRP";
+    EXPECT_EQ(s.device->completed_sessions(), 0u);
+  }
+
+  EXPECT_EQ(s.device->handle_confirm(*outcome.confirm), AuthStatus::kOk);
+  EXPECT_FALSE(common::ct_equal(s.device->current_response(), before));
+  EXPECT_EQ(s.device->completed_sessions(), 1u);
+}
+
 TEST(CrpSerialization, RoundTripAndValidation) {
   Harness s = make_harness();
   crypto::ChaChaDrbg rng(crypto::bytes_of("crp-ser"));

@@ -40,11 +40,12 @@ void PrintTo(const AesEntry& entry, std::ostream* os) { *os << entry.name; }
 // A key schedule driven through one bare kernel.
 class KernelAes {
  public:
-  KernelAes(detail::AesBlocks kernel, ByteView key)
-      : kernel_(kernel), rounds_(detail::aes_expand_key(key, schedule_)) {}
+  KernelAes(detail::AesBlocks kernel, ByteView key) : kernel_(kernel) {
+    detail::aes_expand_key(key, schedule_);
+  }
 
   void encrypt(std::uint8_t* blocks, std::size_t nblocks) const {
-    kernel_(schedule_.data(), rounds_, blocks, nblocks);
+    kernel_(schedule_.data(), blocks, nblocks);
   }
 
   // SP 800-38A CTR with the big-endian low-32 counter increment.
@@ -96,7 +97,6 @@ class KernelAes {
  private:
   detail::AesBlocks kernel_;
   std::array<std::uint8_t, detail::kAesScheduleBytes> schedule_{};
-  std::size_t rounds_;
 };
 
 class AesKernelTest : public ::testing::TestWithParam<AesEntry> {
@@ -114,10 +114,6 @@ TEST_P(AesKernelTest, Fips197) {
     const char* ciphertext;
   } vectors[] = {
       {"000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"},
-      {"000102030405060708090a0b0c0d0e0f1011121314151617",
-       "dda97ca4864cdfe06eaf70a0ec0d7191"},
-      {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-       "8ea2b7ca516745bfeafc49904b496089"},
   };
   for (const auto& v : vectors) {
     Bytes block = from_hex("00112233445566778899aabbccddeeff");
@@ -126,7 +122,7 @@ TEST_P(AesKernelTest, Fips197) {
   }
 }
 
-// NIST SP 800-38A F.5.1, F.5.3 and F.5.5: CTR-AES128/192/256 encrypt.
+// NIST SP 800-38A F.5.1: CTR-AES128 encrypt.
 TEST_P(AesKernelTest, Sp800_38aCtr) {
   const Bytes counter = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
   const Bytes plaintext = from_hex(
@@ -139,12 +135,6 @@ TEST_P(AesKernelTest, Sp800_38aCtr) {
       {"2b7e151628aed2a6abf7158809cf4f3c",
        "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
        "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee"},
-      {"8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
-       "1abc932417521ca24f2b0459fe7e6e0b090339ec0aa6faefd5ccc2c6f4ce8e94"
-       "1e36b26bd1ebc670d1bd1d665620abf74f78a7f6d29809585a97daec58c6b050"},
-      {"603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
-       "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
-       "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6"},
   };
   for (const auto& v : vectors) {
     const KernelAes cipher(kernel_, from_hex(v.key));
@@ -172,13 +162,13 @@ TEST_P(AesKernelTest, Rfc4493Cmac) {
   }
 }
 
-// 1-17 blocks under random 16/24/32-byte keys: this kernel, the portable
+// 1-17 blocks under random 16-byte keys: this kernel, the portable
 // reference, the dispatched Aes::encrypt_blocks and per-block
 // encrypt_block all agree.
 TEST_P(AesKernelTest, MatchesPortableOnRandomInputs) {
   rng::Xoshiro256 rng(197);
   for (int trial = 0; trial < 600; ++trial) {
-    Bytes key(16 + 8 * rng.uniform_int(3));
+    Bytes key(16);
     for (auto& byte : key) byte = static_cast<std::uint8_t>(rng.next());
     const std::size_t nblocks = 1 + rng.uniform_int(17);
     Bytes input(16 * nblocks);

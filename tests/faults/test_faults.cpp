@@ -271,7 +271,7 @@ TEST(CrpHealth, FailuresQuarantineAtThreshold) {
   EXPECT_EQ(db.quarantined(), 1u);
   // Quarantined CRPs are never served.
   EXPECT_FALSE(db.lookup(challenge).has_value());
-  EXPECT_FALSE(db.take().has_value());
+  EXPECT_FALSE(db.take(challenge).has_value());
 }
 
 TEST(CrpHealth, SuccessResetsConsecutiveRun) {
@@ -299,32 +299,35 @@ TEST(CrpHealth, TakeSkipsQuarantinedAndEvictionRemoves) {
   db.insert(synthetic_crp(3));
   db.record_failure(crypto::Bytes(8, 3));  // quarantine the back entry
 
-  const auto taken = db.take();
+  EXPECT_FALSE(db.take(crypto::Bytes(8, 3)).has_value());
+  const auto taken = db.take(crypto::Bytes(8, 1));
   ASSERT_TRUE(taken.has_value());
-  EXPECT_NE(taken->challenge, crypto::Bytes(8, 3));
+  EXPECT_EQ(taken->response, crypto::Bytes(16, 1));
   EXPECT_EQ(db.size(), 2u);
 
   EXPECT_EQ(db.evict_quarantined(), 1u);
   EXPECT_EQ(db.size(), 1u);
   EXPECT_EQ(db.quarantined(), 0u);
   // Index stays consistent after swap-removals.
-  const auto remaining = db.take();
+  const auto remaining = db.take(crypto::Bytes(8, 2));
   ASSERT_TRUE(remaining.has_value());
+  EXPECT_EQ(remaining->response, crypto::Bytes(16, 2));
   EXPECT_TRUE(db.empty());
 }
 
-// Regression: take() must erase the consumed challenge from the index
+// Regression: a take must erase the consumed challenge from the index
 // *before* moving the CRP out. Erasing afterwards probed the map with a
 // moved-from (empty) key, stranding a stale index entry that pointed at a
 // popped slot (out-of-bounds) or at whichever CRP got swap-compacted in
-// (misattributed lookups/health counters).
+// (misattributed lookups/health counters). Taking the front entry makes
+// the back one move into its slot.
 TEST(CrpHealth, TakeRemovesConsumedChallengeFromIndex) {
   puf::CrpDatabase db;
   db.insert(synthetic_crp(1));
   db.insert(synthetic_crp(2));
   db.insert(synthetic_crp(3));
 
-  const auto taken = db.take();
+  const auto taken = db.take(crypto::Bytes(8, 1));
   ASSERT_TRUE(taken.has_value());
   // The consumed pair is gone from every index-backed accessor...
   EXPECT_FALSE(db.lookup(taken->challenge).has_value());
@@ -335,11 +338,11 @@ TEST(CrpHealth, TakeRemovesConsumedChallengeFromIndex) {
   db.record_failure(taken->challenge);
   db.record_failure(taken->challenge);
   EXPECT_EQ(db.quarantined(), 0u);
-  EXPECT_EQ(db.health(crypto::Bytes(8, 1))->failures, 0u);
   EXPECT_EQ(db.health(crypto::Bytes(8, 2))->failures, 0u);
+  EXPECT_EQ(db.health(crypto::Bytes(8, 3))->failures, 0u);
   // Survivors still resolve to their own responses through the index.
-  EXPECT_EQ(db.lookup(crypto::Bytes(8, 1)), crypto::Bytes(16, 1));
   EXPECT_EQ(db.lookup(crypto::Bytes(8, 2)), crypto::Bytes(16, 2));
+  EXPECT_EQ(db.lookup(crypto::Bytes(8, 3)), crypto::Bytes(16, 3));
 }
 
 TEST(CrpHealth, TakePastQuarantineKeepsHealthCountersTargeted) {
@@ -349,9 +352,9 @@ TEST(CrpHealth, TakePastQuarantineKeepsHealthCountersTargeted) {
   db.insert(synthetic_crp(2));
   db.record_failure(crypto::Bytes(8, 2));  // quarantine the back entry
 
-  // take() skips the quarantined back entry, consumes entry 1, and
-  // swap-compacts the quarantined entry into the freed slot.
-  const auto taken = db.take();
+  // Consuming entry 1 swap-compacts the quarantined back entry into the
+  // freed slot.
+  const auto taken = db.take(crypto::Bytes(8, 1));
   ASSERT_TRUE(taken.has_value());
   EXPECT_EQ(taken->challenge, crypto::Bytes(8, 1));
   EXPECT_FALSE(db.health(taken->challenge).has_value());

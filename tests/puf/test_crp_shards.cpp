@@ -1,9 +1,8 @@
 // Sharded CrpDatabase (ctest label: concurrency): the lock-striped store
 // must lose no CRP, duplicate no CRP, and keep health/quarantine
-// bookkeeping exact under concurrent takers/inserters — and the default
-// single-shard configuration must reproduce the serial class's take()
-// order bit-for-bit. The concurrency tests here are the ones the
-// `scripts/check.sh reactor` flavor runs under ThreadSanitizer.
+// bookkeeping exact under concurrent keyed takers and inserters. The
+// concurrency tests here are the ones the `scripts/check.sh reactor`
+// flavor runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,21 +25,6 @@ Crp make_crp(std::uint32_t i) {
   return crp;
 }
 
-TEST(CrpShards, SingleShardPreservesSerialTakeOrder) {
-  CrpDatabase db;  // default: one shard, the serial-compatible mode
-  EXPECT_EQ(db.shard_count(), 1u);
-  for (std::uint32_t i = 0; i < 6; ++i) db.insert(make_crp(i));
-  // The serial class scanned its entries vector from the back, and
-  // compaction swaps the last entry into the freed slot; with six inserts
-  // and no quarantine that yields strict LIFO order.
-  for (std::uint32_t i = 6; i-- > 0;) {
-    const auto crp = db.take();
-    ASSERT_TRUE(crp.has_value());
-    EXPECT_EQ(crp->challenge, make_crp(i).challenge) << "position " << i;
-  }
-  EXPECT_FALSE(db.take().has_value());
-}
-
 TEST(CrpShards, ShardedStoreSpreadsAndDrainsCompletely) {
   CrpDatabase db(4);
   EXPECT_EQ(db.shard_count(), 4u);
@@ -61,8 +45,10 @@ TEST(CrpShards, ShardedStoreSpreadsAndDrainsCompletely) {
   EXPECT_EQ(across_shards, kCount);
   EXPECT_GT(populated, 1u);  // SipHash spreads 64 keys past one stripe
 
+  const std::vector<Challenge> keys(inserted.begin(), inserted.end());
   std::set<Challenge> taken;
-  while (const auto crp = db.take()) {
+  for (const auto& crp : db.take_batch(keys)) {
+    ASSERT_TRUE(crp.has_value());
     EXPECT_TRUE(taken.insert(crp->challenge).second) << "duplicate take";
   }
   EXPECT_EQ(taken, inserted);
@@ -86,11 +72,15 @@ TEST(CrpShards, LookupAndHealthAreShardLocal) {
   EXPECT_FALSE(db.health(probe.challenge).has_value());
 }
 
-// Concurrent takers against a shared store: every CRP is taken exactly
-// once (one-time-use is a security property, not just bookkeeping).
+// Concurrent keyed takers against a shared store: four threads run
+// take_batch over overlapping challenge sets, so every CRP is asked for
+// by two threads at once, and still every CRP is handed out exactly once
+// in total (one-time use is a security property, not just bookkeeping).
 TEST(CrpShardsConcurrency, ParallelTakeLosesAndDuplicatesNothing) {
   constexpr std::uint32_t kCount = 512;
   constexpr unsigned kThreads = 4;
+  constexpr std::uint32_t kWindow = kCount / 2;  // each CRP in two windows
+  constexpr std::uint32_t kBatch = 32;
   CrpDatabase db(8);
   std::set<Challenge> inserted;
   for (std::uint32_t i = 0; i < kCount; ++i) {
@@ -103,8 +93,20 @@ TEST(CrpShardsConcurrency, ParallelTakeLosesAndDuplicatesNothing) {
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&db, &taken, t] {
-      while (const auto crp = db.take()) {
-        taken[t].push_back(crp->challenge);
+      // Thread t asks for [t * kCount / kThreads, + kWindow) mod kCount,
+      // in batches of kBatch.
+      const std::uint32_t start = t * (kCount / kThreads);
+      for (std::uint32_t off = 0; off < kWindow; off += kBatch) {
+        std::vector<Challenge> batch;
+        for (std::uint32_t i = off; i < off + kBatch; ++i) {
+          batch.push_back(make_crp((start + i) % kCount).challenge);
+        }
+        const auto crps = db.take_batch(batch);
+        for (std::size_t i = 0; i < crps.size(); ++i) {
+          if (!crps[i].has_value()) continue;
+          EXPECT_EQ(crps[i]->challenge, batch[i]);
+          taken[t].push_back(crps[i]->challenge);
+        }
       }
     });
   }
@@ -122,6 +124,8 @@ TEST(CrpShardsConcurrency, ParallelTakeLosesAndDuplicatesNothing) {
   EXPECT_EQ(all, inserted);
   EXPECT_TRUE(db.empty());
   const auto stats = db.lock_stats();
+  EXPECT_EQ(stats.takes, kCount);
+  EXPECT_EQ(stats.take_steals, 0u);
   EXPECT_GT(stats.acquisitions, 0u);
   EXPECT_LE(stats.contended, stats.acquisitions);
 }
@@ -145,9 +149,11 @@ TEST(CrpShardsConcurrency, MixedInsertTakeRecordStaysConsistent) {
   }
   for (unsigned t = 0; t < 2; ++t) {
     threads.emplace_back([&db, &taken, t] {
-      // Bounded pulls, not drain-until-empty: inserters are still running.
+      // Both takers race for every preloaded challenge by key.
       for (std::uint32_t i = 0; i < kPreload; ++i) {
-        if (const auto crp = db.take()) taken[t].push_back(crp->challenge);
+        if (const auto crp = db.take(make_crp(i).challenge)) {
+          taken[t].push_back(crp->challenge);
+        }
       }
     });
   }
@@ -166,83 +172,13 @@ TEST(CrpShardsConcurrency, MixedInsertTakeRecordStaysConsistent) {
       EXPECT_TRUE(all.insert(challenge).second) << "duplicate take";
     }
   }
+  EXPECT_EQ(all.size(), kPreload) << "a preloaded CRP was lost";
   EXPECT_EQ(db.size() + all.size(), kPreload + 2 * kPerInserter);
   std::size_t across_shards = 0;
   for (std::size_t s = 0; s < db.shard_count(); ++s) {
     across_shards += db.shard_size(s);
   }
   EXPECT_EQ(across_shards, db.size());
-}
-
-// Round-robin fairness of take(): the cursor must spread successive
-// takers across stripes instead of draining shard 0 first. With every
-// shard populated, the first kShards takes must land on kShards distinct
-// shards without a single cross-shard steal.
-TEST(CrpShards, TakeCursorVisitsAllShardsRoundRobin) {
-  constexpr std::size_t kShards = 4;
-  CrpDatabase db(kShards);
-  for (std::uint32_t i = 0; i < 64; ++i) db.insert(make_crp(i));
-  for (std::size_t s = 0; s < kShards; ++s) {
-    ASSERT_GT(db.shard_size(s), 0u) << "fixture must populate every shard";
-  }
-  for (std::size_t s = 0; s < kShards; ++s) ASSERT_TRUE(db.take().has_value());
-  const auto first_round = db.lock_stats();
-  ASSERT_EQ(first_round.shard_takes.size(), kShards);
-  EXPECT_EQ(first_round.takes, kShards);
-  EXPECT_EQ(first_round.take_steals, 0u)
-      << "with all shards populated, no take should probe past its start";
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(first_round.shard_takes[s], 1u) << "shard " << s;
-  }
-  // Drain the rest: per-shard takes must account for exactly the CRPs
-  // each shard held, and once shards start emptying the cursor probes
-  // onward — those probes are the only source of take_steals.
-  while (db.take().has_value()) {
-  }
-  const auto drained = db.lock_stats();
-  EXPECT_EQ(drained.takes, 64u);
-  EXPECT_LE(drained.take_steals, drained.takes);
-}
-
-// Starvation regression under concurrent takers: when a striped store is
-// drained by racing threads, every populated shard must serve takes — no
-// shard may sit untouched while others empty — and the per-shard counts
-// must balance exactly against what each shard held.
-TEST(CrpShardsConcurrency, ConcurrentTakersStarveNoShard) {
-  constexpr std::uint32_t kCount = 512;
-  constexpr unsigned kThreads = 4;
-  CrpDatabase db(8);
-  for (std::uint32_t i = 0; i < kCount; ++i) db.insert(make_crp(i));
-  std::vector<std::size_t> initial(db.shard_count());
-  for (std::size_t s = 0; s < db.shard_count(); ++s) {
-    initial[s] = db.shard_size(s);
-  }
-
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&db] {
-      while (db.take().has_value()) {
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  ASSERT_TRUE(db.empty());
-
-  const auto stats = db.lock_stats();
-  ASSERT_EQ(stats.shard_takes.size(), db.shard_count());
-  EXPECT_EQ(stats.takes, kCount);
-  std::uint64_t across = 0;
-  for (std::size_t s = 0; s < db.shard_count(); ++s) {
-    // Exactness, not just non-starvation: a shard serves precisely the
-    // CRPs it held, so lost/double takes cannot hide in the aggregate.
-    EXPECT_EQ(stats.shard_takes[s], initial[s]) << "shard " << s;
-    if (initial[s] > 0) {
-      EXPECT_GT(stats.shard_takes[s], 0u) << "starved shard " << s;
-    }
-    across += stats.shard_takes[s];
-  }
-  EXPECT_EQ(across, stats.takes);
-  EXPECT_LE(stats.take_steals, stats.takes);
 }
 
 // Concurrent failure recording on one challenge: the counters are guarded

@@ -1,13 +1,15 @@
 // Durable CrpDatabase (ctest labels: io, concurrency, chaos): group-commit
 // WAL round trips, snapshot compaction, refusing a reopen at a different
-// shard count, deterministic post-recovery take() order, lock_stats
-// across restarts, fsync-per-op as insert + sync(), one CRP per live
-// challenge, and take_batch's records on disk before it returns. The
+// shard count or an old manifest layout, post-recovery contents equal to
+// a never-restarted store's, lock_stats across restarts, fsync-per-op as
+// insert + sync(), one CRP per live challenge, and take_batch's records
+// on disk before it returns. The
 // crash-point sweeps (truncation / corruption at every byte) live in
 // tests/chaos/test_crp_crash.cpp; this file covers the clean-shutdown
 // and happy-path recovery contracts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/io.hpp"
+#include "crypto/siphash.hpp"
 #include "puf/arbiter_puf.hpp"
 #include "puf/crp_db.hpp"
 #include "puf/crp_wal.hpp"
@@ -42,17 +45,31 @@ CrpDurabilityOptions durable_in(const std::string& dir) {
   return options;
 }
 
-/// Drains both stores serially and requires identical challenge order —
-/// the strongest form of "recovery reproduced the entry layout".
-void expect_same_take_order(CrpDatabase& recovered, CrpDatabase& reference) {
-  for (;;) {
-    const std::optional<Crp> a = recovered.take();
-    const std::optional<Crp> b = reference.take();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->challenge, b->challenge);
-    EXPECT_EQ(a->response, b->response);
+/// The challenges of make_crp(i) for i in [first, last).
+std::vector<Challenge> challenges_in(std::uint32_t first, std::uint32_t last) {
+  std::vector<Challenge> challenges;
+  for (std::uint32_t i = first; i < last; ++i) {
+    challenges.push_back(make_crp(i).challenge);
   }
+  return challenges;
+}
+
+/// Takes every challenge the test inserted from both stores, one keyed
+/// batch each, and requires the same outcome per challenge: the same
+/// CRPs served, the same ones refused (consumed, evicted or
+/// quarantined), and the same number left behind.
+void expect_same_takes(CrpDatabase& recovered, CrpDatabase& reference,
+                       const std::vector<Challenge>& inserted) {
+  const std::vector<std::optional<Crp>> a = recovered.take_batch(inserted);
+  const std::vector<std::optional<Crp>> b = reference.take_batch(inserted);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].has_value(), b[i].has_value()) << "challenge " << i;
+    if (a[i].has_value()) {
+      EXPECT_EQ(a[i]->response, b[i]->response);
+    }
+  }
+  EXPECT_EQ(recovered.size(), reference.size());
 }
 
 TEST(CrpStore, EmptyDirectoryOptionsStayInMemory) {
@@ -74,8 +91,7 @@ TEST(CrpStore, WalReplayRoundTripsStateAndHealth) {
     CrpDatabase db(4, durable_in(dir.path()));
     ASSERT_TRUE(db.durable());
     for (std::uint32_t i = 0; i < kCount; ++i) db.insert(make_crp(i));
-    for (int i = 0; i < 5; ++i) {
-      const auto crp = db.take();
+    for (const auto& crp : db.take_batch(challenges_in(0, 5))) {
       ASSERT_TRUE(crp.has_value());
       taken.insert(crp->challenge);
     }
@@ -96,7 +112,6 @@ TEST(CrpStore, WalReplayRoundTripsStateAndHealth) {
   const CrpRecoveryStats stats = db.recovery_stats();
   EXPECT_EQ(stats.torn_bytes, 0u) << "clean shutdown must leave no torn tail";
   EXPECT_EQ(stats.wal_records, kCount + 5 + 3);
-  EXPECT_EQ(stats.replayed_takes, 5u);
   for (const Challenge& challenge : taken) {
     EXPECT_FALSE(db.lookup(challenge).has_value())
         << "consumed CRP resurrected by replay";
@@ -133,7 +148,7 @@ TEST(CrpStore, SnapshotCompactsWalAndPreservesState) {
   {
     CrpDatabase db(2, durable_in(dir.path()));
     for (std::uint32_t i = 0; i < kCount; ++i) db.insert(make_crp(i));
-    ASSERT_TRUE(db.take().has_value());
+    ASSERT_TRUE(db.take(make_crp(0).challenge).has_value());
     db.snapshot();
     // Post-snapshot mutations land in the new generation's WAL.
     db.insert(make_crp(100));
@@ -152,7 +167,7 @@ TEST(CrpStore, RecoveryRejectsDifferentShardCount) {
   {
     CrpDatabase db(4, durable_in(dir.path()));
     for (std::uint32_t i = 0; i < kCount; ++i) db.insert(make_crp(i));
-    ASSERT_TRUE(db.take().has_value());
+    ASSERT_TRUE(db.take(make_crp(0).challenge).has_value());
   }
   const std::vector<std::string> files_before = io::list_files(dir.path());
   const crypto::Bytes manifest_before =
@@ -179,10 +194,9 @@ TEST(CrpStore, RecoveryRejectsDifferentShardCount) {
   EXPECT_EQ(found, kCount - 1);
 }
 
-// The satellite regression: with one shard, a store that went through
-// quarantine-driven compaction, eviction, restart, and replay must
-// serve the exact take() sequence of a never-restarted store fed the
-// same operations.
+// With one shard, a store that went through quarantine-driven
+// compaction, eviction, restart, and replay must hold exactly the CRPs
+// of a never-restarted store fed the same operations.
 TEST(CrpStore, SingleShardPostRecoveryTakeOrderMatchesNeverRestarted) {
   const io::TempDir dir("np-crp-store");
   CrpDatabase reference(1);  // in-memory twin, never restarted
@@ -198,18 +212,21 @@ TEST(CrpStore, SingleShardPostRecoveryTakeOrderMatchesNeverRestarted) {
         store->record_failure(make_crp(6).challenge);
       }
       EXPECT_EQ(store->evict_quarantined(), 2u);
-      EXPECT_TRUE(store->take().has_value());
-      EXPECT_TRUE(store->take().has_value());
+      EXPECT_TRUE(store->take(make_crp(0).challenge).has_value());
+      EXPECT_TRUE(store->take(make_crp(9).challenge).has_value());
       for (std::uint32_t i = 20; i < 24; ++i) store->insert(make_crp(i));
     }
   }
   CrpDatabase recovered(1, durable_in(dir.path()));
   EXPECT_EQ(recovered.size(), reference.size());
-  expect_same_take_order(recovered, reference);
+  std::vector<Challenge> inserted = challenges_in(0, 10);
+  for (Challenge& late : challenges_in(20, 24)) {
+    inserted.push_back(std::move(late));
+  }
+  expect_same_takes(recovered, reference, inserted);
 }
 
-// Same regression through a snapshot+WAL boundary: the snapshot stores
-// entries in storage order, so the order survives compaction too.
+// Same regression through a snapshot+WAL boundary.
 TEST(CrpStore, TakeOrderSurvivesSnapshotBoundary) {
   const io::TempDir dir("np-crp-store");
   CrpDatabase reference(1);
@@ -217,34 +234,20 @@ TEST(CrpStore, TakeOrderSurvivesSnapshotBoundary) {
     CrpDatabase db(1, durable_in(dir.path()));
     for (CrpDatabase* store : {&db, &reference}) {
       for (std::uint32_t i = 0; i < 12; ++i) store->insert(make_crp(i));
-      EXPECT_TRUE(store->take().has_value());
+      EXPECT_TRUE(store->take(make_crp(4).challenge).has_value());
     }
     db.snapshot();
     for (CrpDatabase* store : {&db, &reference}) {
-      EXPECT_TRUE(store->take().has_value());
+      EXPECT_TRUE(store->take(make_crp(11).challenge).has_value());
       for (std::uint32_t i = 30; i < 33; ++i) store->insert(make_crp(i));
     }
   }
   CrpDatabase recovered(1, durable_in(dir.path()));
-  expect_same_take_order(recovered, reference);
-}
-
-// Deterministic cursor restore across shards: after a quiescent
-// snapshot+restart, the round-robin take() rotation continues exactly
-// where the reference store's does.
-TEST(CrpStore, TakeCursorRestoredDeterministically) {
-  const io::TempDir dir("np-crp-store");
-  CrpDatabase reference(2);
-  {
-    CrpDatabase db(2, durable_in(dir.path()));
-    for (CrpDatabase* store : {&db, &reference}) {
-      for (std::uint32_t i = 0; i < 16; ++i) store->insert(make_crp(i));
-      for (int t = 0; t < 3; ++t) EXPECT_TRUE(store->take().has_value());
-    }
-    db.snapshot();  // manifest records the cursor at a quiescent point
+  std::vector<Challenge> inserted = challenges_in(0, 12);
+  for (Challenge& late : challenges_in(30, 33)) {
+    inserted.push_back(std::move(late));
   }
-  CrpDatabase recovered(2, durable_in(dir.path()));
-  expect_same_take_order(recovered, reference);
+  expect_same_takes(recovered, reference, inserted);
 }
 
 // lock_stats are process-local diagnostics: a restart resets them.
@@ -253,16 +256,17 @@ TEST(CrpStore, LockStatsResetAcrossRecovery) {
   {
     CrpDatabase db(4, durable_in(dir.path()));
     for (std::uint32_t i = 0; i < 16; ++i) db.insert(make_crp(i));
-    for (int t = 0; t < 8; ++t) ASSERT_TRUE(db.take().has_value());
+    for (const auto& crp : db.take_batch(challenges_in(0, 8))) {
+      ASSERT_TRUE(crp.has_value());
+    }
     EXPECT_EQ(db.lock_stats().takes, 8u);
-    EXPECT_EQ(db.lock_stats().shard_takes.size(), 4u);
+    EXPECT_EQ(db.lock_stats().take_steals, 0u);
   }
   CrpDatabase db(4, durable_in(dir.path()));
   const CrpStoreStats stats = db.lock_stats();
   EXPECT_EQ(stats.takes, 0u) << "takes counter must not replay";
   EXPECT_EQ(stats.take_steals, 0u);
-  EXPECT_EQ(stats.shard_takes.size(), 4u);
-  ASSERT_TRUE(db.take().has_value());
+  ASSERT_TRUE(db.take(make_crp(8).challenge).has_value());
   EXPECT_EQ(db.lock_stats().takes, 1u);
 }
 
@@ -276,7 +280,7 @@ TEST(CrpStore, FsyncPerOpModeIsDurableWithoutSync) {
       db.insert(make_crp(i));
       db.sync();
     }
-    ASSERT_TRUE(db.take().has_value());
+    ASSERT_TRUE(db.take(make_crp(6).challenge).has_value());
     db.sync();
   }
   CrpDatabase db(2, durable_in(dir.path()));
@@ -305,21 +309,29 @@ TEST(CrpStore, LiveChallengeIsStoredAndTakenOnce) {
     EXPECT_EQ(db.size(), 2u);
     ASSERT_TRUE(db.take(first.challenge).has_value());
     EXPECT_FALSE(db.take(first.challenge).has_value());
-    ASSERT_TRUE(db.take().has_value());
-    EXPECT_FALSE(db.take().has_value());
+    ASSERT_TRUE(db.take(make_crp(4).challenge).has_value());
+    EXPECT_FALSE(db.take(make_crp(4).challenge).has_value());
   }
   CrpDatabase reopened(1, durable_in(dir.path()));
   EXPECT_TRUE(reopened.empty());
 
   // enroll() redraws taken challenges and refuses a request larger than
-  // what is left of an 8-bit challenge space instead of looping.
+  // what is left of an 8-bit challenge space instead of looping. The
+  // challenges it returns are the keys of exactly the CRPs it stored.
   ArbiterPuf puf(ArbiterPufConfig{8}, 5);
   crypto::ChaChaDrbg rng(crypto::bytes_of("dup"));
   CrpDatabase db;
-  db.enroll(puf, 200, rng);
-  db.enroll(puf, 56, rng);
+  std::vector<Challenge> enrolled = db.enroll(puf, 200, rng);
+  for (Challenge& more : db.enroll(puf, 56, rng)) {
+    enrolled.push_back(std::move(more));
+  }
   EXPECT_EQ(db.size(), 256u);
+  EXPECT_EQ(std::set<Challenge>(enrolled.begin(), enrolled.end()).size(), 256u);
   EXPECT_THROW(db.enroll(puf, 1, rng), std::invalid_argument);
+  for (const auto& crp : db.take_batch(enrolled)) {
+    EXPECT_TRUE(crp.has_value());
+  }
+  EXPECT_TRUE(db.empty());
 }
 
 TEST(CrpStore, SyncIsADurabilityBarrier) {
@@ -346,16 +358,18 @@ TEST(CrpStore, KeyedTakeConsumesExactlyOnce) {
   EXPECT_EQ(taken->challenge, target);
   EXPECT_EQ(taken->response, make_crp(7).response);
   EXPECT_EQ(db.size(), 11u);
-  // One-time use: the same key never serves twice, and the blind
-  // round-robin take() never resurrects it either.
+  // One-time use: the same key never serves twice, alone or in a batch
+  // with every other stored challenge.
   EXPECT_FALSE(db.take(target).has_value());
   EXPECT_FALSE(db.lookup(target).has_value());
   std::size_t drained = 0;
-  while (const auto crp = db.take()) {
+  for (const auto& crp : db.take_batch(challenges_in(0, 12))) {
+    if (!crp.has_value()) continue;
     EXPECT_NE(crp->challenge, target);
     ++drained;
   }
   EXPECT_EQ(drained, 11u);
+  EXPECT_TRUE(db.empty());
   // Unknown keys are a clean miss.
   EXPECT_FALSE(db.take(make_crp(99).challenge).has_value());
 }
@@ -444,8 +458,8 @@ TEST(CrpStore, TakeBatchRecordsAreOnDiskWhenItReturns) {
 }
 
 TEST(CrpStore, InsertBatchMatchesSerialInsertsAndIsDurable) {
-  // Batch inserts across shards land exactly like serial inserts —
-  // same entries, same take order — and replay after a restart.
+  // Batch inserts across shards land exactly like serial inserts and
+  // replay after a restart.
   const io::TempDir batch_dir("np-crp-store-batch");
   std::vector<Crp> batch;
   for (std::uint32_t i = 0; i < 20; ++i) batch.push_back(make_crp(i));
@@ -459,7 +473,7 @@ TEST(CrpStore, InsertBatchMatchesSerialInsertsAndIsDurable) {
 
   CrpDatabase reference(4);
   for (std::uint32_t i = 0; i < 20; ++i) reference.insert(make_crp(i));
-  expect_same_take_order(recovered, reference);
+  expect_same_takes(recovered, reference, challenges_in(0, 20));
 }
 
 TEST(CrpStore, InsertBatchEmptyIsANoOp) {
@@ -482,6 +496,37 @@ TEST(CrpStore, CorruptManifestFailsCleanly) {
   manifest[manifest.size() / 2] ^= 0xFF;
   io::atomic_write_file(wal::manifest_path(dir.path()), manifest);
   EXPECT_THROW(CrpDatabase(1, durable_in(dir.path())), wal::CrpStoreError);
+}
+
+// A manifest in the old layout (version 1, which carried an 8-byte take
+// cursor after the shard count) with a valid checksum: the store must
+// refuse it cleanly and write nothing, not misread the layout.
+TEST(CrpStore, OldLayoutManifestFailsCleanly) {
+  const io::TempDir dir("np-crp-store");
+  { CrpDatabase db(1, durable_in(dir.path())); db.insert(make_crp(1)); }
+  const std::string path = wal::manifest_path(dir.path());
+  const crypto::Bytes current = io::read_file(path);
+  static constexpr std::array<std::uint8_t, 16> kWalKey = {
+      'n', 'p', '-', 'c', 'r', 'p', '-', 'w',
+      'a', 'l', '-', 'c', 'k', 's', 'u', 'm'};
+  // The checksum recipe, pinned on the current manifest first.
+  const crypto::ByteView current_body =
+      crypto::ByteView(current).first(current.size() - 8);
+  ASSERT_EQ(crypto::siphash24(kWalKey, current_body),
+            crypto::get_u64_be(crypto::ByteView(current).last(8)));
+
+  crypto::Bytes old(current.begin(), current.begin() + 8);  // magic
+  crypto::append_u32_be(old, 1);   // version 1
+  crypto::append_u64_be(old, 0);   // generation
+  crypto::append_u32_be(old, 1);   // shard count
+  crypto::append_u64_be(old, 7);   // take cursor
+  crypto::append_u64_be(old, crypto::siphash24(kWalKey, old));
+  io::atomic_write_file(path, old);
+
+  const std::vector<std::string> files_before = io::list_files(dir.path());
+  EXPECT_THROW(CrpDatabase(1, durable_in(dir.path())), wal::CrpStoreError);
+  EXPECT_EQ(io::list_files(dir.path()), files_before);
+  EXPECT_EQ(io::read_file(path), old);
 }
 
 }  // namespace

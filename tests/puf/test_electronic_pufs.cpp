@@ -258,16 +258,17 @@ TEST(CrpDatabase, EnrollTakeExhaust) {
   ArbiterPuf puf(ArbiterPufConfig{}, 77);
   CrpDatabase db;
   crypto::ChaChaDrbg rng(crypto::bytes_of("db"));
-  db.enroll(puf, 10, rng);
+  const std::vector<Challenge> challenges = db.enroll(puf, 10, rng);
+  ASSERT_EQ(challenges.size(), 10u);
   EXPECT_EQ(db.size(), 10u);
   EXPECT_GT(db.storage_bytes(), 0u);
-  for (int i = 0; i < 10; ++i) {
-    const auto crp = db.take();
+  for (const Challenge& challenge : challenges) {
+    const auto crp = db.take(challenge);
     ASSERT_TRUE(crp.has_value());
     // The enrolled response matches the device's stable behaviour.
-    EXPECT_EQ(crp->response, puf.evaluate_noiseless(crp->challenge));
+    EXPECT_EQ(crp->response, puf.evaluate_noiseless(challenge));
+    EXPECT_FALSE(db.take(challenge).has_value()) << "one-time use";
   }
-  EXPECT_FALSE(db.take().has_value());
   EXPECT_TRUE(db.empty());
 }
 
