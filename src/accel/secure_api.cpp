@@ -15,17 +15,23 @@ crypto::Bytes nonce16(std::uint64_t counter) {
   return nonce;
 }
 
+// The key before it is expanded: an empty one is refused here, before
+// any derivation.
+crypto::ByteView checked_device_key(const common::SecretBytes& key) {
+  if (key.empty()) {
+    throw std::invalid_argument("SecureAccelerator: empty device key");
+  }
+  return key.reveal();
+}
+
 }  // namespace
 
 SecureAccelerator::SecureAccelerator(std::unique_ptr<MvmEngine> engine,
                                      common::SecretBytes device_key,
                                      HealthPolicy health_policy)
     : accelerator_(std::move(engine)),
-      device_key_(std::move(device_key)),
+      device_keys_(checked_device_key(device_key)),
       health_policy_(health_policy) {
-  if (device_key_.empty()) {
-    throw std::invalid_argument("SecureAccelerator: empty device key");
-  }
   if (health_policy_.degrade_after == 0 ||
       health_policy_.lockout_after < health_policy_.degrade_after) {
     throw std::invalid_argument("SecureAccelerator: bad health policy");
@@ -64,7 +70,7 @@ crypto::Bytes SecureAccelerator::encrypt_network(const MlpNetwork& network,
   // plaintext in the memory after execution").
   crypto::Bytes plaintext = serialize_network(network);  // ctlint:secret
   crypto::Bytes sealed =
-      crypto::aes_ctr_then_mac_seal(key, nonce16(nonce), plaintext);
+      crypto::CtrThenMac(key).seal(nonce16(nonce), plaintext);
   crypto::secure_wipe(plaintext);
   return sealed;
 }
@@ -74,7 +80,7 @@ crypto::Bytes SecureAccelerator::encrypt_input(
     std::uint64_t nonce) {
   crypto::Bytes plaintext = serialize_vector(input);  // ctlint:secret
   crypto::Bytes sealed =
-      crypto::aes_ctr_then_mac_seal(key, nonce16(nonce), plaintext);
+      crypto::CtrThenMac(key).seal(nonce16(nonce), plaintext);
   crypto::secure_wipe(plaintext);
   return sealed;
 }
@@ -82,7 +88,7 @@ crypto::Bytes SecureAccelerator::encrypt_input(
 std::vector<double> SecureAccelerator::decrypt_output(
     crypto::ByteView ciphered_output, crypto::ByteView key) {
   // ctlint:secret(plaintext)
-  crypto::Bytes plaintext = crypto::aes_ctr_then_mac_open(key, ciphered_output);
+  crypto::Bytes plaintext = crypto::CtrThenMac(key).open(ciphered_output);
   std::vector<double> output;
   try {
     output = deserialize_vector(plaintext);
@@ -100,8 +106,7 @@ void SecureAccelerator::load_network(crypto::ByteView ciphered_network) {
   crypto::Bytes plaintext;  // ctlint:secret
   try {
     // Decrypt-and-verify happens "in hardware" — inside this boundary.
-    plaintext =
-        crypto::aes_ctr_then_mac_open(device_key_.reveal(), ciphered_network);
+    plaintext = device_keys_.open(ciphered_network);
   } catch (const std::runtime_error&) {
     // Authentication failure: tampered blob or wrong/degraded key. Count
     // it toward degradation, then surface the original error.
@@ -126,8 +131,7 @@ void SecureAccelerator::load_network(crypto::ByteView ciphered_network) {
 }
 
 crypto::Bytes SecureAccelerator::seal(crypto::ByteView plaintext) {
-  return crypto::aes_ctr_then_mac_seal(device_key_.reveal(),
-                                       nonce16(++nonce_counter_), plaintext);
+  return device_keys_.seal(nonce16(++nonce_counter_), plaintext);
 }
 
 crypto::Bytes SecureAccelerator::execute_network(
@@ -141,8 +145,7 @@ crypto::Bytes SecureAccelerator::execute_network(
   }
   crypto::Bytes plaintext;  // ctlint:secret
   try {
-    plaintext =
-        crypto::aes_ctr_then_mac_open(device_key_.reveal(), ciphered_input);
+    plaintext = device_keys_.open(ciphered_input);
   } catch (const std::runtime_error&) {
     note_failure();
     throw;

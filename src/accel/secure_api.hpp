@@ -22,6 +22,7 @@
 #include "common/mutex.hpp"
 #include "common/secret.hpp"
 #include "common/thread_annotations.hpp"
+#include "crypto/aes.hpp"
 #include "crypto/bytes.hpp"
 
 namespace neuropuls::accel {
@@ -61,7 +62,10 @@ class SecureAccelerator {
  public:
   /// `device_key` is the PUF-derived encryption key (from
   /// core::KeyManager); the taint type means callers hand over ownership
-  /// and the key is never exposed again once installed.
+  /// and the key is never exposed again once installed. The constructor
+  /// derives the CTR and CMAC keys from it once and wipes the raw bytes
+  /// with `device_key`, so the accelerator holds the key only as those
+  /// schedules. Throws std::invalid_argument on an empty key.
   SecureAccelerator(std::unique_ptr<MvmEngine> engine,
                     common::SecretBytes device_key,
                     HealthPolicy health_policy = {});
@@ -107,7 +111,8 @@ class SecureAccelerator {
   }
 
   /// Client-side helpers (run on the party that owns the same key):
-  /// produce the ciphertext blobs the two entry points accept.
+  /// produce the ciphertext blobs the two entry points accept. Each call
+  /// derives its own CtrThenMac from `key`.
   static crypto::Bytes encrypt_network(const MlpNetwork& network,
                                        crypto::ByteView key,
                                        std::uint64_t nonce);
@@ -126,7 +131,9 @@ class SecureAccelerator {
   /// Serializes the ciphered entry points and guards the engine + nonce.
   mutable common::Mutex mutex_;
   Accelerator accelerator_ NP_GUARDED_BY(mutex_);
-  common::SecretBytes device_key_;  // immutable after construction
+  /// The device key, held only as its derived CTR schedule and CMAC
+  /// context; immutable after construction.
+  const crypto::CtrThenMac device_keys_;
   std::uint64_t nonce_counter_ NP_GUARDED_BY(mutex_) =
       0x80000000ULL;  // device-side nonce space
   HealthPolicy health_policy_;  // immutable after construction

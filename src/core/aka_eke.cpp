@@ -1,6 +1,7 @@
 #include "core/aka_eke.hpp"
 
 #include <stdexcept>
+#include <string_view>
 
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
@@ -10,6 +11,16 @@ namespace neuropuls::core {
 namespace {
 constexpr std::size_t kNonceLen = 16;
 constexpr std::size_t kMacLen = 32;
+
+// Key confirmation: HMAC(session key, label || transcript).
+crypto::Bytes confirm_mac(crypto::ByteView session_key, std::string_view label,
+                          crypto::ByteView transcript) {
+  return crypto::hmac_sha256_parts(
+      session_key,
+      {crypto::ByteView(reinterpret_cast<const std::uint8_t*>(label.data()),
+                        label.size()),
+       transcript});
+}
 }  // namespace
 
 EkeParty::EkeParty(crypto::Bytes secret, const crypto::DhGroup& group,
@@ -99,9 +110,8 @@ std::optional<net::Message> EkeParty::respond(
   crypto::secure_wipe(shared);
 
   // Responder key confirmation.
-  const crypto::Bytes mac = crypto::hmac_sha256(
-      session_key_.reveal(),
-      crypto::concat({crypto::bytes_of("np-eke-server"), transcript_}));
+  const crypto::Bytes mac =
+      confirm_mac(session_key_.reveal(), "np-eke-server", transcript_);
   payload_out.insert(payload_out.end(), mac.begin(), mac.end());
 
   return net::Message{net::MessageType::kEkeServerHello, session_id_,
@@ -141,17 +151,15 @@ std::optional<net::Message> EkeParty::confirm(
   derive_session_key(shared);
   crypto::secure_wipe(shared);
 
-  const crypto::Bytes expected = crypto::hmac_sha256(
-      session_key_.reveal(),
-      crypto::concat({crypto::bytes_of("np-eke-server"), transcript_}));
+  const crypto::Bytes expected =
+      confirm_mac(session_key_.reveal(), "np-eke-server", transcript_);
   if (!crypto::ct_equal(mac, expected)) {
     session_key_.wipe();
     return std::nullopt;
   }
 
-  const crypto::Bytes client_mac = crypto::hmac_sha256(
-      session_key_.reveal(),
-      crypto::concat({crypto::bytes_of("np-eke-client"), transcript_}));
+  const crypto::Bytes client_mac =
+      confirm_mac(session_key_.reveal(), "np-eke-client", transcript_);
   return net::Message{net::MessageType::kEkeClientConfirm, session_id_,
                       client_mac};
 }
@@ -164,9 +172,8 @@ bool EkeParty::finalize(const net::Message& client_confirm) {
       client_confirm.payload.size() != kMacLen) {
     return false;
   }
-  const crypto::Bytes expected = crypto::hmac_sha256(
-      session_key_.reveal(),
-      crypto::concat({crypto::bytes_of("np-eke-client"), transcript_}));
+  const crypto::Bytes expected =
+      confirm_mac(session_key_.reveal(), "np-eke-client", transcript_);
   if (!crypto::ct_equal(client_confirm.payload, expected)) {
     session_key_.wipe();
     return false;

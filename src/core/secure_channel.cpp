@@ -1,5 +1,6 @@
 #include "core/secure_channel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/chacha20.hpp"
@@ -9,7 +10,7 @@ namespace neuropuls::core {
 
 namespace {
 constexpr std::size_t kSeqLen = 8;
-constexpr std::size_t kTagLen = 16;
+constexpr std::size_t kTagLen = crypto::Cmac::kTagSize;
 
 // 12-byte ChaCha20 nonce: the direction-bound sequence number big-endian,
 // zero-padded. Sequence uniqueness per direction key is the rekey
@@ -36,7 +37,7 @@ SecureChannel::DirectionKeys SecureChannel::make_direction_keys(
                      common::SecretBytes(crypto::hkdf(
                          crypto::ByteView{}, root.reveal(),
                          crypto::bytes_of("enc"), 32)),
-                     crypto::hkdf_aes128(root.reveal(), "mac")};
+                     crypto::Cmac(crypto::hkdf_aes128(root.reveal(), "mac"))};
   keys.root = std::move(root);
   return keys;
 }
@@ -73,18 +74,19 @@ crypto::Bytes SecureChannel::seal(crypto::ByteView plaintext) {
   maybe_ratchet(send_, send_seq_);
   const std::uint64_t seq = send_seq_++;
 
-  crypto::Bytes record(kSeqLen);
+  // One buffer for the whole record: seq, then the body encrypted in
+  // place, then the tag over both.
+  const std::size_t signed_len = kSeqLen + plaintext.size();
+  crypto::Bytes record(signed_len + kTagLen);
   crypto::put_u64_be(record, seq);
-
-  record.insert(record.end(), plaintext.begin(), plaintext.end());
+  std::copy(plaintext.begin(), plaintext.end(), record.begin() + kSeqLen);
   const auto nonce = nonce_for(seq);
   crypto::chacha20_xor_inplace(
       send_.enc.reveal(), nonce, 0,
-      std::span<std::uint8_t>(record.data() + kSeqLen,
-                              record.size() - kSeqLen));
-
-  const crypto::Bytes tag = crypto::aes_cmac(send_.mac, record);
-  record.insert(record.end(), tag.begin(), tag.begin() + kTagLen);
+      std::span<std::uint8_t>(record.data() + kSeqLen, plaintext.size()));
+  send_.mac.tag(crypto::ByteView(record).first(signed_len),
+                std::span<std::uint8_t, kTagLen>(record.data() + signed_len,
+                                                 kTagLen));
   return record;
 }
 
@@ -104,9 +106,9 @@ std::optional<crypto::Bytes> SecureChannel::open(crypto::ByteView record) {
 
   const crypto::ByteView signed_part = record.first(record.size() - kTagLen);
   const crypto::ByteView tag = record.subspan(record.size() - kTagLen);
-  const crypto::Bytes expected = crypto::aes_cmac(recv_.mac, signed_part);
-  if (!crypto::ct_equal(tag,
-                        crypto::ByteView(expected).first(kTagLen))) {
+  std::array<std::uint8_t, kTagLen> expected{};
+  recv_.mac.tag(signed_part, expected);
+  if (!crypto::ct_equal(tag, expected)) {
     poisoned_ = true;
     return std::nullopt;
   }

@@ -55,12 +55,13 @@ class SecureChannel {
  private:
   /// Cached per-direction record keys. The enc/mac subkeys are a pure
   /// function of the direction key, so they are derived once here (and
-  /// again on each ratchet) instead of re-running HKDF on every record —
-  /// the seal/open hot path then runs only ChaCha20 + CMAC.
+  /// again on each ratchet) instead of re-running HKDF on every record,
+  /// and the CMAC subkeys with them — the seal/open hot path then runs
+  /// only ChaCha20 + CMAC.
   struct DirectionKeys {
     common::SecretBytes root;  // the ratcheting direction key
     common::SecretBytes enc;
-    crypto::Aes mac;  // the CMAC key, held only as its schedule
+    crypto::Cmac mac;  // the CMAC key, held as its schedule and subkeys
   };
 
   void maybe_ratchet(DirectionKeys& keys, std::uint64_t seq);

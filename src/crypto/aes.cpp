@@ -1,5 +1,6 @@
 #include "crypto/aes.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/block_kernels.hpp"
@@ -151,21 +152,48 @@ __attribute__((target("aes,sse4.1"))) void aes_blocks_aesni_body(
   }
 }
 
+// One schedule step: the next round key from the previous one. The
+// assist's top word is SubWord(RotWord(w3)) ^ Rcon, and the three
+// shifted XORs fold in the running prefix w0 ^ w1 ^ ... of the round key.
+template <int Rcon>
+__attribute__((target("aes,sse4.1"))) inline __m128i aesni_next_round_key(
+    __m128i key) noexcept {
+  const __m128i assist =
+      _mm_shuffle_epi32(_mm_aeskeygenassist_si128(key, Rcon), 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+__attribute__((target("aes,sse4.1"))) void aes_expand_key_aesni_body(
+    const std::uint8_t* key, std::uint8_t* round_keys) noexcept {
+  auto* rk = reinterpret_cast<__m128i*>(round_keys);
+  __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  _mm_storeu_si128(rk, k);
+  _mm_storeu_si128(rk + 1, k = aesni_next_round_key<0x01>(k));
+  _mm_storeu_si128(rk + 2, k = aesni_next_round_key<0x02>(k));
+  _mm_storeu_si128(rk + 3, k = aesni_next_round_key<0x04>(k));
+  _mm_storeu_si128(rk + 4, k = aesni_next_round_key<0x08>(k));
+  _mm_storeu_si128(rk + 5, k = aesni_next_round_key<0x10>(k));
+  _mm_storeu_si128(rk + 6, k = aesni_next_round_key<0x20>(k));
+  _mm_storeu_si128(rk + 7, k = aesni_next_round_key<0x40>(k));
+  _mm_storeu_si128(rk + 8, k = aesni_next_round_key<0x80>(k));
+  _mm_storeu_si128(rk + 9, k = aesni_next_round_key<0x1B>(k));
+  _mm_storeu_si128(rk + 10, aesni_next_round_key<0x36>(k));
+}
+
 #endif  // __x86_64__
 
 }  // namespace
 
 namespace detail {
 
-void aes_expand_key(ByteView key,
-                    std::span<std::uint8_t, kAesScheduleBytes> round_keys) {
+void aes_expand_key_portable(const std::uint8_t* key,
+                             std::uint8_t* round_keys) noexcept {
   constexpr std::size_t kNk = 4;  // key length in 32-bit words
-  // ctlint:allow(secret-compare) the key length is public
-  if (key.size() != 4 * kNk) {
-    throw std::invalid_argument("Aes: key must be 16 bytes");
-  }
-  std::uint8_t* w = round_keys.data();
-  std::memcpy(w, key.data(), key.size());
+  std::uint8_t* w = round_keys;
+  std::memcpy(w, key, 4 * kNk);
 
   for (std::size_t i = kNk; i < 4 * (kRounds + 1); ++i) {
     std::uint8_t temp[4];
@@ -182,6 +210,24 @@ void aes_expand_key(ByteView key,
       w[4 * i + j] = static_cast<std::uint8_t>(w[4 * (i - kNk) + j] ^ temp[j]);
     }
   }
+}
+
+AesExpandKey aes_expand_key_aesni() noexcept {
+#if defined(__x86_64__)
+  if (cpu_features().aes_ni) return &aes_expand_key_aesni_body;
+#endif
+  return nullptr;
+}
+
+void aes_expand_key(ByteView key,
+                    std::span<std::uint8_t, kAesScheduleBytes> round_keys) {
+  // ctlint:allow(secret-compare) the key length is public
+  if (key.size() != 16) {
+    throw std::invalid_argument("Aes: key must be 16 bytes");
+  }
+  const AesExpandKey hardware = aes_expand_key_aesni();
+  (hardware != nullptr ? hardware : &aes_expand_key_portable)(
+      key.data(), round_keys.data());
 }
 
 void aes_blocks_portable(const std::uint8_t* round_keys, std::uint8_t* blocks,
@@ -251,19 +297,34 @@ namespace {
 // two batches without oversizing the stack buffer.
 constexpr std::size_t kCtrPipeline = 8;
 
-// dst ^= src over n bytes, a 64-bit word at a time: with AES-NI the
-// keystream costs less than a byte-wise XOR of it would.
-void xor_keystream(std::uint8_t* dst, const std::uint8_t* src,
-                   std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t d, s;
-    std::memcpy(&d, dst + i, 8);
-    std::memcpy(&s, src + i, 8);
-    d ^= s;
-    std::memcpy(dst + i, &d, 8);
+// XORs the CTR keystream from the 16-byte initial counter block `nonce16`
+// into `n` bytes at `data`, in place. The low 32 bits count big-endian
+// and wrap; the other 12 bytes stay.
+void ctr_xor(const Aes& cipher, const std::uint8_t* nonce16,
+             std::uint8_t* data, std::size_t n) noexcept {
+  std::uint32_t low = (std::uint32_t{nonce16[12]} << 24) |
+                      (std::uint32_t{nonce16[13]} << 16) |
+                      (std::uint32_t{nonce16[14]} << 8) | nonce16[15];
+  std::array<std::uint8_t, Aes::kBlockSize * kCtrPipeline> keystream{};
+  for (std::size_t offset = 0; offset < n; offset += keystream.size()) {
+    const std::size_t chunk =
+        std::min<std::size_t>(keystream.size(), n - offset);
+    const std::size_t blocks =
+        (chunk + Aes::kBlockSize - 1) / Aes::kBlockSize;
+    // Materialise the counter blocks, then pipeline them through the
+    // cipher in one pass. The tail block may be generated in full and
+    // used partially — CTR keystream is positional.
+    for (std::size_t b = 0; b < blocks; ++b, ++low) {
+      std::uint8_t* block = keystream.data() + Aes::kBlockSize * b;
+      std::memcpy(block, nonce16, 12);
+      block[12] = static_cast<std::uint8_t>(low >> 24);
+      block[13] = static_cast<std::uint8_t>(low >> 16);
+      block[14] = static_cast<std::uint8_t>(low >> 8);
+      block[15] = static_cast<std::uint8_t>(low);
+    }
+    cipher.encrypt_blocks(keystream.data(), blocks);
+    detail::xor_keystream(data + offset, keystream.data(), chunk);
   }
-  for (; i < n; ++i) dst[i] ^= src[i];
 }
 
 }  // namespace
@@ -272,59 +333,45 @@ Bytes aes_ctr(const Aes& cipher, ByteView nonce16, ByteView data) {
   if (nonce16.size() != Aes::kBlockSize) {
     throw std::invalid_argument("aes_ctr: nonce must be 16 bytes");
   }
-  // The low 32 bits count big-endian and wrap; the other 12 bytes stay.
-  std::uint32_t low = (std::uint32_t{nonce16[12]} << 24) |
-                      (std::uint32_t{nonce16[13]} << 16) |
-                      (std::uint32_t{nonce16[14]} << 8) | nonce16[15];
-
   Bytes out(data.begin(), data.end());
-  std::array<std::uint8_t, Aes::kBlockSize * kCtrPipeline> keystream{};
-  for (std::size_t offset = 0; offset < out.size();
-       offset += keystream.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(keystream.size(), out.size() - offset);
-    const std::size_t blocks = (n + Aes::kBlockSize - 1) / Aes::kBlockSize;
-    // Materialise the counter blocks, then pipeline them through the
-    // cipher in one pass. The tail block may be generated in full and
-    // used partially — CTR keystream is positional.
-    for (std::size_t b = 0; b < blocks; ++b, ++low) {
-      std::uint8_t* block = keystream.data() + Aes::kBlockSize * b;
-      std::memcpy(block, nonce16.data(), 12);
-      block[12] = static_cast<std::uint8_t>(low >> 24);
-      block[13] = static_cast<std::uint8_t>(low >> 16);
-      block[14] = static_cast<std::uint8_t>(low >> 8);
-      block[15] = static_cast<std::uint8_t>(low);
-    }
-    cipher.encrypt_blocks(keystream.data(), blocks);
-    xor_keystream(out.data() + offset, keystream.data(), n);
-  }
+  ctr_xor(cipher, nonce16.data(), out.data(), out.size());
   return out;
 }
 
 namespace {
 
-// Doubles a 128-bit value in GF(2^128) for CMAC subkey derivation.
+// Doubles a 128-bit value in GF(2^128) for CMAC subkey derivation. The
+// reduction is a multiply by the carried-out bit, not a branch on it:
+// the value is E_K(0), a function of the key.
 void cmac_double(std::array<std::uint8_t, 16>& block) noexcept {
-  const bool msb = (block[0] & 0x80) != 0;
+  const std::uint8_t carry = static_cast<std::uint8_t>(block[0] >> 7);
   for (int i = 0; i < 15; ++i) {
     block[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
         (block[static_cast<std::size_t>(i)] << 1) |
         (block[static_cast<std::size_t>(i) + 1] >> 7));
   }
-  block[15] = static_cast<std::uint8_t>(block[15] << 1);
-  if (msb) block[15] ^= 0x87;
+  block[15] = static_cast<std::uint8_t>((block[15] << 1) ^ (carry * 0x87));
 }
 
 }  // namespace
 
-Bytes aes_cmac(const Aes& cipher, ByteView data) {
-  std::array<std::uint8_t, 16> l{};  // ctlint:secret
-  cipher.encrypt_block(l);
-  std::array<std::uint8_t, 16> k1 = l;  // ctlint:secret
-  cmac_double(k1);
-  std::array<std::uint8_t, 16> k2 = k1;  // ctlint:secret
-  cmac_double(k2);
+Cmac::Cmac(const Aes& cipher) : cipher_(cipher) {
+  std::array<std::uint8_t, 16> l{};  // ctlint:secret E_K(0)
+  cipher_.encrypt_block(l);
+  k1_ = l;
+  cmac_double(k1_);
+  k2_ = k1_;
+  cmac_double(k2_);
+  secure_wipe(l.data(), l.size());
+}
 
+Cmac::~Cmac() {
+  secure_wipe(k1_.data(), k1_.size());
+  secure_wipe(k2_.data(), k2_.size());
+}
+
+void Cmac::tag(ByteView data,
+               std::span<std::uint8_t, kTagSize> out) const noexcept {
   const std::size_t n_blocks =
       data.empty() ? 1 : (data.size() + 15) / 16;
   const bool last_complete = !data.empty() && data.size() % 16 == 0;
@@ -332,68 +379,109 @@ Bytes aes_cmac(const Aes& cipher, ByteView data) {
   std::array<std::uint8_t, 16> x{};
   for (std::size_t b = 0; b + 1 < n_blocks; ++b) {
     for (std::size_t i = 0; i < 16; ++i) x[i] ^= data[16 * b + i];
-    cipher.encrypt_block(x);
+    cipher_.encrypt_block(x);
   }
 
   std::array<std::uint8_t, 16> last{};  // ctlint:secret data XOR k1/k2
   const std::size_t tail_offset = 16 * (n_blocks - 1);
   if (last_complete) {
     for (std::size_t i = 0; i < 16; ++i) {
-      last[i] = static_cast<std::uint8_t>(data[tail_offset + i] ^ k1[i]);
+      last[i] = static_cast<std::uint8_t>(data[tail_offset + i] ^ k1_[i]);
     }
   } else {
     const std::size_t tail_len = data.size() - tail_offset;
     for (std::size_t i = 0; i < tail_len; ++i) last[i] = data[tail_offset + i];
     last[tail_len] = 0x80;
-    for (std::size_t i = 0; i < 16; ++i) last[i] ^= k2[i];
+    for (std::size_t i = 0; i < 16; ++i) last[i] ^= k2_[i];
   }
   for (std::size_t i = 0; i < 16; ++i) x[i] ^= last[i];
-  cipher.encrypt_block(x);
-  secure_wipe(l.data(), l.size());
-  secure_wipe(k1.data(), k1.size());
-  secure_wipe(k2.data(), k2.size());
+  cipher_.encrypt_block(x);
   secure_wipe(last.data(), last.size());
-
-  return Bytes(x.begin(), x.end());
+  std::memcpy(out.data(), x.data(), x.size());
 }
 
-Aes hkdf_aes128(ByteView ikm, std::string_view info) {
-  Bytes key = hkdf(ByteView{}, ikm, bytes_of(info), 16);  // ctlint:secret
-  Aes cipher(key);
-  secure_wipe(key);
+Bytes aes_cmac(const Aes& cipher, ByteView data) {
+  Bytes tag(Cmac::kTagSize);
+  Cmac(cipher).tag(data, std::span<std::uint8_t, Cmac::kTagSize>(tag));
+  return tag;
+}
+
+namespace {
+
+// HMAC keyed on PRK = HKDF-Extract(zero salt, ikm) (RFC 5869); the
+// context is the PRK's only holder.
+HmacSha256 hkdf_prk_mac(ByteView ikm) {
+  Bytes prk = hkdf_extract(ByteView{}, ikm);  // ctlint:secret
+  HmacSha256 mac(prk);
+  secure_wipe(prk);
+  return mac;
+}
+
+// The AES-128 schedule for HKDF-Expand(PRK, info, 16): the first half of
+// T(1) = HMAC(PRK, info || 0x01), with the PRK given as its HMAC context.
+Aes hkdf_expand_aes128(const HmacSha256& prk_mac, std::string_view info) {
+  static constexpr std::uint8_t kFirstBlock = 0x01;
+  HmacSha256 mac = prk_mac;
+  mac.update(ByteView(reinterpret_cast<const std::uint8_t*>(info.data()),
+                      info.size()));
+  mac.update(ByteView(&kFirstBlock, 1));
+  Bytes t1 = mac.finalize();  // ctlint:secret
+  Aes cipher(ByteView(t1).first(16));
+  secure_wipe(t1);
   return cipher;
+}
+
+}  // namespace
+
+Aes hkdf_aes128(ByteView ikm, std::string_view info) {
+  return hkdf_expand_aes128(hkdf_prk_mac(ikm), info);
+}
+
+// Independent sub-keys so the MAC key never touches the CTR keystream;
+// one extract serves both labels.
+CtrThenMac::CtrThenMac(ByteView key) : CtrThenMac(hkdf_prk_mac(key)) {}
+
+CtrThenMac::CtrThenMac(const HmacSha256& prk_mac)
+    : enc_(hkdf_expand_aes128(prk_mac, "np-enc")),
+      mac_(hkdf_expand_aes128(prk_mac, "np-mac")) {}
+
+Bytes CtrThenMac::seal(ByteView nonce16, ByteView plaintext) const {
+  if (nonce16.size() != kNonceSize) {
+    throw std::invalid_argument("CtrThenMac: nonce must be 16 bytes");
+  }
+  Bytes frame(kNonceSize + plaintext.size() + Cmac::kTagSize);
+  std::copy(nonce16.begin(), nonce16.end(), frame.begin());
+  std::copy(plaintext.begin(), plaintext.end(), frame.begin() + kNonceSize);
+  ctr_xor(enc_, frame.data(), frame.data() + kNonceSize, plaintext.size());
+  const std::size_t body = kNonceSize + plaintext.size();
+  mac_.tag(ByteView(frame).first(body),
+           std::span<std::uint8_t, Cmac::kTagSize>(frame.data() + body,
+                                                   Cmac::kTagSize));
+  return frame;
+}
+
+Bytes CtrThenMac::open(ByteView frame) const {
+  if (frame.size() < kNonceSize + Cmac::kTagSize) {
+    throw std::runtime_error("CtrThenMac: frame too short");
+  }
+  const ByteView body = frame.first(frame.size() - Cmac::kTagSize);
+  std::array<std::uint8_t, Cmac::kTagSize> expected{};
+  mac_.tag(body, expected);
+  if (!ct_equal(frame.subspan(body.size()), expected)) {
+    throw std::runtime_error("CtrThenMac: authentication failure");
+  }
+  Bytes plaintext(body.begin() + kNonceSize, body.end());
+  ctr_xor(enc_, body.data(), plaintext.data(), plaintext.size());
+  return plaintext;
 }
 
 Bytes aes_ctr_then_mac_seal(ByteView key, ByteView nonce16,
                             ByteView plaintext) {
-  // Independent sub-keys so the MAC key never touches the CTR keystream.
-  const Aes enc = hkdf_aes128(key, "np-enc");
-  const Aes mac = hkdf_aes128(key, "np-mac");
-
-  Bytes frame(nonce16.begin(), nonce16.end());
-  const Bytes ct = aes_ctr(enc, nonce16, plaintext);
-  frame.insert(frame.end(), ct.begin(), ct.end());
-  const Bytes tag = aes_cmac(mac, frame);
-  frame.insert(frame.end(), tag.begin(), tag.end());
-  return frame;
+  return CtrThenMac(key).seal(nonce16, plaintext);
 }
 
 Bytes aes_ctr_then_mac_open(ByteView key, ByteView frame) {
-  if (frame.size() < 32) {
-    throw std::runtime_error("aes_ctr_then_mac_open: frame too short");
-  }
-  const Aes enc = hkdf_aes128(key, "np-enc");
-  const Aes mac = hkdf_aes128(key, "np-mac");
-
-  const ByteView body = frame.first(frame.size() - 16);
-  const ByteView tag = frame.subspan(frame.size() - 16);
-  const Bytes expected = aes_cmac(mac, body);
-  if (!ct_equal(tag, expected)) {
-    throw std::runtime_error("aes_ctr_then_mac_open: authentication failure");
-  }
-  const ByteView nonce = body.first(16);
-  const ByteView ct = body.subspan(16);
-  return aes_ctr(enc, nonce, ct);
+  return CtrThenMac(key).open(frame);
 }
 
 }  // namespace neuropuls::crypto

@@ -5,26 +5,30 @@
 //
 // Table I of the paper specifies that the neural-network configuration,
 // inputs, and outputs cross the hardware boundary only in encrypted form.
-// The accelerator model (`src/accel`) uses AES-CTR for that bulk
-// encryption and CMAC as an authentication option.
+// The accelerator model (`src/accel`) seals them with `CtrThenMac`:
+// AES-CTR for the bulk encryption, then CMAC over nonce and ciphertext.
 //
 // Encrypt-only: CTR, CMAC and the EKE password cipher never run the
-// inverse cipher, so there is none. An `Aes` is the only holder of its
-// key material — the raw key is expanded into the schedule at
-// construction and the destructor wipes the schedule, so callers keep an
-// `Aes` rather than key bytes.
+// inverse cipher, so there is none. Keys live only inside keyed
+// contexts, each built once per key and wiped by its destructor: an
+// `Aes` holds its schedule (the raw key is expanded at construction), a
+// `Cmac` an `Aes` plus its two subkeys, and a `CtrThenMac` both derived
+// keys. Callers keep a context rather than key bytes, and a caller that
+// uses one key for many messages keeps one context for all of them.
 //
-// Two kernels do the block encryption, picked once per process by the
-// CPUID probe in crypto/block_kernels.hpp (no build option, no switch):
-//  - AES-NI on x86-64 CPUs that have it, up to 8 blocks interleaved per
-//    round. Each round is one instruction with no data-dependent memory
-//    access, so this path is constant-time.
-//  - Elsewhere, the portable reference: SubBytes reads a compile-time
-//    generated 256-entry S-box indexed by secret state, so it is NOT
-//    constant-time (a cache-timing channel), and MixColumns works on
-//    bytes. Making it constant-time with a bitsliced S-box is ROADMAP
-//    item 1 step 2, still open.
-// Both read the same FIPS 197 schedule and give identical bytes.
+// Two kernels do the key schedule and the block encryption, picked once
+// per process by the CPUID probe in crypto/block_kernels.hpp (no build
+// option, no switch):
+//  - AES-NI on x86-64 CPUs that have it: AESKEYGENASSIST for the
+//    schedule, and up to 8 blocks interleaved per round. Each step is
+//    one instruction with no data-dependent memory access, so this path
+//    is constant-time, the schedule included.
+//  - Elsewhere, the portable reference: SubBytes and the schedule's
+//    SubWord read a compile-time generated 256-entry S-box indexed by
+//    secret state, so it is NOT constant-time (a cache-timing channel),
+//    and MixColumns works on bytes. Making it constant-time with a
+//    bitsliced S-box is ROADMAP item 1 step 2, still open.
+// Both give the same FIPS 197 schedule and identical bytes.
 #pragma once
 
 #include <array>
@@ -67,7 +71,31 @@ class Aes {
 /// are incremented big-endian per block (NIST SP 800-38A style).
 Bytes aes_ctr(const Aes& cipher, ByteView nonce16, ByteView data);
 
-/// CMAC (OMAC1) over `data` under `cipher`'s key. Returns a 16-byte tag.
+/// CMAC (RFC 4493, NIST SP 800-38B) under one AES-128 key, with the
+/// subkeys k1 and k2 computed once at construction. Like `Aes`, every
+/// copy owns its key material; the destructor wipes the subkeys and the
+/// member `Aes` its schedule.
+class Cmac {
+ public:
+  static constexpr std::size_t kTagSize = 16;
+
+  explicit Cmac(const Aes& cipher);
+  Cmac(const Cmac&) = default;
+  Cmac& operator=(const Cmac&) = default;
+  ~Cmac();
+
+  /// Writes the 16-byte tag over `data` to `out`.
+  void tag(ByteView data, std::span<std::uint8_t, kTagSize> out) const noexcept;
+
+ private:
+  Aes cipher_;
+  std::array<std::uint8_t, 16> k1_{};
+  std::array<std::uint8_t, 16> k2_{};
+};
+
+/// CMAC over `data` under `cipher`'s key, through a one-use Cmac. Returns
+/// a 16-byte tag. A caller that MACs many messages under one key keeps a
+/// Cmac instead.
 Bytes aes_cmac(const Aes& cipher, ByteView data);
 
 /// The AES-128 schedule for HKDF-SHA256(empty salt, `ikm`, `info`) — how
@@ -79,13 +107,44 @@ Aes hkdf_aes128(ByteView ikm, std::string_view info);
 /// model first-round S-box leakage).
 std::uint8_t aes_sbox(std::uint8_t x) noexcept;
 
+class HmacSha256;
+
 /// Authenticated encryption used at the accelerator hardware boundary:
-/// Encrypt-then-MAC with independent keys derived from `key` via HKDF.
-/// Frame layout: nonce(16) || ciphertext || tag(16).
+/// Encrypt-then-MAC with independent keys derived from one key via HKDF,
+/// hkdf_aes128(key, "np-enc") for AES-CTR and hkdf_aes128(key, "np-mac")
+/// for CMAC. Frame layout: nonce(16) || ciphertext || tag(16).
+///
+/// The context derives both keys once, at construction: one HKDF extract
+/// keys an HMAC on the PRK, which expands each label (11 SHA-256
+/// compressions where two hkdf_aes128 calls run 16). It holds the key
+/// only as the CTR schedule and the Cmac; the PRK and each expanded
+/// block are wiped before the constructor returns.
+class CtrThenMac {
+ public:
+  static constexpr std::size_t kNonceSize = 16;
+
+  explicit CtrThenMac(ByteView key);
+
+  /// Seals `plaintext` under the 16-byte initial counter block `nonce16`.
+  /// Throws std::invalid_argument on any other nonce length.
+  Bytes seal(ByteView nonce16, ByteView plaintext) const;
+
+  /// Opens a sealed frame. Throws std::runtime_error on authentication
+  /// failure or a frame shorter than nonce and tag; nothing is decrypted
+  /// before the tag verifies.
+  Bytes open(ByteView frame) const;
+
+ private:
+  explicit CtrThenMac(const HmacSha256& prk_mac);
+
+  Aes enc_;
+  Cmac mac_;
+};
+
+/// One-shot CtrThenMac(key).seal(nonce16, plaintext).
 Bytes aes_ctr_then_mac_seal(ByteView key, ByteView nonce16, ByteView plaintext);
 
-/// Opens a frame produced by aes_ctr_then_mac_seal. Throws
-/// std::runtime_error on authentication failure or malformed frame.
+/// One-shot CtrThenMac(key).open(frame).
 Bytes aes_ctr_then_mac_open(ByteView key, ByteView frame);
 
 }  // namespace neuropuls::crypto

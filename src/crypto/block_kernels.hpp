@@ -1,11 +1,13 @@
-// AES and SHA-256 block kernels behind `Aes` and `Sha256`, exposed so
-// tests can pin the x86-64 AES-NI and SHA-NI bodies against the portable
-// reference on the same inputs. This is not a runtime switch: `Aes` and
-// `Sha256` pick their kernel themselves, from the one CPUID probe below.
+// AES and SHA-256 block kernels behind `Aes` and `Sha256`, and the AES
+// key schedule, exposed so tests can pin the x86-64 AES-NI and SHA-NI
+// bodies against the portable reference on the same inputs. This is not
+// a runtime switch: `Aes` and `Sha256` pick their kernels themselves,
+// from the one CPUID probe below.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "crypto/bytes.hpp"
 
@@ -26,10 +28,25 @@ const CpuFeatures& cpu_features() noexcept;
 /// Bytes of an expanded AES-128 schedule: 11 round keys.
 inline constexpr std::size_t kAesScheduleBytes = 16 * 11;
 
-/// Expands a 16-byte key into the FIPS 197 AES-128 schedule. Throws
-/// std::invalid_argument for any other key length.
+/// Expands a 16-byte key into the FIPS 197 AES-128 schedule on the
+/// schedule kernel this process picked. Throws std::invalid_argument for
+/// any other key length.
 void aes_expand_key(ByteView key,
                     std::span<std::uint8_t, kAesScheduleBytes> round_keys);
+
+/// Expands the 16 bytes at `key` into the kAesScheduleBytes at
+/// `round_keys`.
+using AesExpandKey = void (*)(const std::uint8_t* key,
+                              std::uint8_t* round_keys) noexcept;
+
+/// Portable FIPS 197 schedule: SubWord reads the S-box table indexed by
+/// key bytes, so it is not constant-time.
+void aes_expand_key_portable(const std::uint8_t* key,
+                             std::uint8_t* round_keys) noexcept;
+
+/// The AESKEYGENASSIST schedule (no key-indexed memory access), or
+/// nullptr when the target is not x86-64 or CPUID reports no AES-NI.
+AesExpandKey aes_expand_key_aesni() noexcept;
 
 /// Encrypts `nblocks` contiguous 16-byte blocks in place under an
 /// expanded AES-128 schedule (10 rounds).
@@ -43,6 +60,22 @@ void aes_blocks_portable(const std::uint8_t* round_keys, std::uint8_t* blocks,
 /// The AES-NI kernel (up to 8 blocks interleaved per round), or nullptr
 /// when the target is not x86-64 or CPUID reports no AES-NI.
 AesBlocks aes_blocks_aesni() noexcept;
+
+/// dst ^= src over n bytes, a 64-bit word at a time: with AES-NI the CTR
+/// keystream, and with batched blocks the ChaCha20 one, cost less than a
+/// byte-wise XOR of it would. Shared by both stream ciphers.
+inline void xor_keystream(std::uint8_t* dst, const std::uint8_t* src,
+                          std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t d, s;
+    std::memcpy(&d, dst + i, 8);
+    std::memcpy(&s, src + i, 8);
+    d ^= s;
+    std::memcpy(dst + i, &d, 8);
+  }
+  for (; i < n; ++i) dst[i] ^= src[i];
+}
 
 /// Runs `nblocks` consecutive 64-byte blocks through the SHA-256
 /// compression function, updating the chaining value `state` (a..h).

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 
+#include "crypto/block_kernels.hpp"
 #include "crypto/sha256.hpp"
 
 namespace neuropuls::crypto {
@@ -159,7 +160,7 @@ void chacha20_xor_inplace(ByteView key32, ByteView nonce12,
     const std::size_t blocks = (n + 63) / 64;
     chacha20_blocks(key, counter, nonce, keystream.data(), blocks);
     counter += static_cast<std::uint32_t>(blocks);
-    for (std::size_t i = 0; i < n; ++i) data[offset + i] ^= keystream[i];
+    detail::xor_keystream(data.data() + offset, keystream.data(), n);
   }
 }
 

@@ -43,8 +43,12 @@ Bytes HmacSha256::finalize() {
 }
 
 Bytes hmac_sha256(ByteView key, ByteView data) {
+  return hmac_sha256_parts(key, {data});
+}
+
+Bytes hmac_sha256_parts(ByteView key, std::initializer_list<ByteView> parts) {
   HmacSha256 mac(key);
-  mac.update(data);
+  for (const ByteView part : parts) mac.update(part);
   return mac.finalize();
 }
 

@@ -15,6 +15,10 @@ namespace neuropuls::crypto {
 /// than the block size are hashed first per the RFC.
 Bytes hmac_sha256(ByteView key, ByteView data);
 
+/// HMAC-SHA256 over scattered parts, equal to hmac_sha256 of their
+/// concatenation without splicing a buffer (a label and a transcript).
+Bytes hmac_sha256_parts(ByteView key, std::initializer_list<ByteView> parts);
+
 /// Incremental HMAC for multi-part messages (mirrors Sha256's interface).
 /// It holds the key as the ipad midstate and the opad block (for auth,
 /// that key is the PUF response r_i); the destructor wipes both.

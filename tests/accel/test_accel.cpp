@@ -240,6 +240,26 @@ TEST(SecureApi, EncryptInputKnownAnswer) {
             "aa3116e2");
 }
 
+// The device-side frame: the first execute after construction seals under
+// nonce 0x80000001, so the output bytes are a pure function of the key,
+// the network and the input.
+TEST(SecureApi, ExecuteNetworkKnownAnswer) {
+  const crypto::Bytes key = crypto::bytes_of("device key from weak PUF");
+  SecureAccelerator device(std::make_unique<DigitalMvm>(),
+                           common::SecretBytes::copy_of(key));
+  device.load_network(
+      SecureAccelerator::encrypt_network(tiny_network(), key, 1));
+  const auto ciphered_output = device.execute_network(
+      SecureAccelerator::encrypt_input({2.0, -3.5}, key, 7));
+  EXPECT_EQ(crypto::to_hex(ciphered_output),
+            "00000000000000000000000080000001"
+            "0b44d4943717d91139b5f77c7fe42a60"
+            "e4f4ca2c"
+            "91fdf63e52d8e9f09ff3c75d3dad1a87");
+  EXPECT_EQ(SecureAccelerator::decrypt_output(ciphered_output, key),
+            (std::vector<double>{2.5, -4.0}));
+}
+
 TEST(SecureApi, EmptyKeyRejected) {
   EXPECT_THROW(SecureAccelerator(std::make_unique<DigitalMvm>(), {}),
                std::invalid_argument);

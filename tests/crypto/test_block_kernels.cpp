@@ -1,9 +1,10 @@
-// The AES and SHA-256 block kernels, each entry point on its own: the
-// portable reference and the x86-64 AES-NI / SHA-NI bodies run the
-// published vectors (FIPS 197, SP 800-38A CTR, RFC 4493 CMAC, FIPS 180-4,
-// RFC 4231 HMAC) through modes built here on the bare kernel, then a
-// seeded random differential pins every kernel, and the dispatched `Aes`
-// and `Sha256`, to the portable one. A hardware case skips on a CPU
+// The AES and SHA-256 block kernels and the AES key schedules, each entry
+// point on its own: the portable reference and the x86-64 AES-NI / SHA-NI
+// bodies run the published vectors (FIPS 197, SP 800-38A CTR, RFC 4493
+// CMAC, FIPS 180-4, RFC 4231 HMAC; the FIPS 197 A.1 expansion for the
+// schedules) through modes built here on the bare kernel, then a seeded
+// random differential pins every kernel, and the dispatched `Aes`,
+// schedule and `Sha256`, to the portable one. A hardware case skips on a CPU
 // without the feature.
 #include <gtest/gtest.h>
 
@@ -200,6 +201,80 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// ---- AES key schedule -----------------------------------------------------
+
+struct ScheduleEntry {
+  const char* name;
+  detail::AesExpandKey (*get)();  // nullptr result: not on this CPU
+};
+
+detail::AesExpandKey portable_schedule() {
+  return &detail::aes_expand_key_portable;
+}
+
+const ScheduleEntry kScheduleEntries[] = {
+    {"portable", &portable_schedule}, {"aesni", &detail::aes_expand_key_aesni}};
+
+void PrintTo(const ScheduleEntry& entry, std::ostream* os) {
+  *os << entry.name;
+}
+
+using Schedule = std::array<std::uint8_t, detail::kAesScheduleBytes>;
+
+class AesScheduleTest : public ::testing::TestWithParam<ScheduleEntry> {
+ protected:
+  void SetUp() override {
+    expand_ = GetParam().get();
+    if (expand_ == nullptr) GTEST_SKIP() << "CPU lacks AES-NI";
+  }
+  Schedule expand(ByteView key) const {
+    Schedule schedule{};
+    expand_(key.data(), schedule.data());
+    return schedule;
+  }
+  detail::AesExpandKey expand_ = nullptr;
+};
+
+// FIPS 197 appendix A.1: every word w[0..43] of the AES-128 expansion.
+TEST_P(AesScheduleTest, Fips197A1Expansion) {
+  const Schedule schedule =
+      expand(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
+  EXPECT_EQ(to_hex(schedule),
+            "2b7e151628aed2a6abf7158809cf4f3c"
+            "a0fafe1788542cb123a339392a6c7605"
+            "f2c295f27a96b9435935807a7359f67f"
+            "3d80477d4716fe3e1e237e446d7a883b"
+            "ef44a541a8525b7fb671253bdb0bad00"
+            "d4d1c6f87c839d87caf2b8bc11f915bc"
+            "6d88a37a110b3efddbf98641ca0093fd"
+            "4e54f70e5f5fc9f384a64fb24ea6dc4f"
+            "ead27321b58dbad2312bf5607f8d292f"
+            "ac7766f319fadc2128d12941575c006e"
+            "d014f9a8c9ee2589e13f0cc8b6630ca6");
+}
+
+// 1,000 random keys: this schedule, the portable reference and the
+// dispatched detail::aes_expand_key agree byte for byte.
+TEST_P(AesScheduleTest, MatchesPortableOnRandomKeys) {
+  rng::Xoshiro256 rng(1197);
+  for (int trial = 0; trial < 1000; ++trial) {
+    Bytes key(16);
+    for (auto& byte : key) byte = static_cast<std::uint8_t>(rng.next());
+    Schedule reference{};
+    detail::aes_expand_key_portable(key.data(), reference.data());
+    ASSERT_EQ(expand(key), reference) << "trial " << trial;
+    Schedule dispatched{};
+    detail::aes_expand_key(key, dispatched);
+    ASSERT_EQ(dispatched, reference) << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, AesScheduleTest, ::testing::ValuesIn(kScheduleEntries),
+    [](const ::testing::TestParamInfo<ScheduleEntry>& info) {
+      return std::string(info.param.name);
+    });
+
 // ---- SHA-256 --------------------------------------------------------------
 
 struct ShaEntry {
@@ -330,6 +405,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CpuFeatures, HardwareEntriesFollowTheProbe) {
   const detail::CpuFeatures& features = detail::cpu_features();
   EXPECT_EQ(detail::aes_blocks_aesni() != nullptr, features.aes_ni);
+  EXPECT_EQ(detail::aes_expand_key_aesni() != nullptr, features.aes_ni);
   EXPECT_EQ(detail::sha256_blocks_shani() != nullptr, features.sha_ni);
 }
 

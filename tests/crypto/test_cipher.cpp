@@ -1,6 +1,7 @@
 // AES (FIPS 197 / SP 800-38A / SP 800-38B) and ChaCha20 (RFC 8439) tests
-// against published vectors, plus the sealed-frame helpers used at the
-// accelerator hardware boundary.
+// against published vectors, plus the keyed CMAC and Encrypt-then-MAC
+// contexts and the sealed-frame helpers used at the accelerator hardware
+// boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,8 @@
 
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/hmac.hpp"
+#include "crypto/prng.hpp"
 
 namespace neuropuls::crypto {
 namespace {
@@ -113,6 +116,77 @@ TEST(AesCmac, Example4FullBlocks) {
       "30c81c46a35ce411e5fbc1191a0a52ef"
       "f69f2445df4f9b17ad2b417be66c3710");
   EXPECT_EQ(to_hex(aes_cmac(cipher, msg)), "51f0bebf7e3b9d92fc49741779363cfe");
+}
+
+// A Cmac caches its subkeys k1 and k2 next to the cipher's schedule; the
+// destructor must wipe them from the context's storage. RFC 4493 section
+// 4 gives both subkeys for this key.
+TEST(Cmac, DestructorWipesSubkeys) {
+  const Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  const Bytes k1 = from_hex("fbeed618357133667c85e08f7236a8de");
+  const Bytes k2 = from_hex("f7ddac306ae266ccf90bc11ee46d513b");
+  alignas(Cmac) std::uint8_t storage[sizeof(Cmac)];
+  const auto holds = [&](const Bytes& secret) {
+    return std::search(storage, storage + sizeof(storage), secret.begin(),
+                       secret.end()) != storage + sizeof(storage);
+  };
+  Cmac* mac = new (storage) Cmac(Aes(key));
+  ASSERT_TRUE(holds(key));
+  ASSERT_TRUE(holds(k1));
+  ASSERT_TRUE(holds(k2));
+  mac->~Cmac();
+  EXPECT_FALSE(holds(key));
+  EXPECT_FALSE(holds(k1));
+  EXPECT_FALSE(holds(k2));
+}
+
+// CtrThenMac derives both keys from one HKDF extract; the frame must be
+// byte-identical to Encrypt-then-MAC under two separate RFC 5869
+// derivations, for keys short and long (above 64 bytes HMAC hashes the
+// key first) and plaintexts of 0-300 bytes.
+TEST(CtrThenMac, MatchesTwoHkdfDerivations) {
+  rng::Xoshiro256 rng(5869);
+  for (std::size_t key_len = 0; key_len <= 100; ++key_len) {
+    Bytes key(key_len);
+    for (auto& byte : key) byte = static_cast<std::uint8_t>(rng.next());
+    Bytes nonce(16);
+    for (auto& byte : nonce) byte = static_cast<std::uint8_t>(rng.next());
+    Bytes plaintext(rng.uniform_int(301));
+    for (auto& byte : plaintext) byte = static_cast<std::uint8_t>(rng.next());
+
+    const Aes enc(hkdf(ByteView{}, key, bytes_of("np-enc"), 16));
+    const Aes mac(hkdf(ByteView{}, key, bytes_of("np-mac"), 16));
+    Bytes expected = nonce;
+    const Bytes ct = aes_ctr(enc, nonce, plaintext);
+    expected.insert(expected.end(), ct.begin(), ct.end());
+    const Bytes tag = aes_cmac(mac, expected);
+    expected.insert(expected.end(), tag.begin(), tag.end());
+
+    const CtrThenMac context(key);
+    const Bytes frame = context.seal(nonce, plaintext);
+    ASSERT_EQ(to_hex(frame), to_hex(expected)) << "key length " << key_len;
+    ASSERT_EQ(aes_ctr_then_mac_seal(key, nonce, plaintext), frame);
+    ASSERT_EQ(context.open(frame), plaintext) << "key length " << key_len;
+  }
+}
+
+// The context holds both derived keys as the first round keys of its two
+// schedules; the destructor must wipe both from the context's storage.
+TEST(CtrThenMac, DestructorWipesKeys) {
+  const Bytes key = bytes_of("device binding key");
+  const Bytes enc_key = hkdf(ByteView{}, key, bytes_of("np-enc"), 16);
+  const Bytes mac_key = hkdf(ByteView{}, key, bytes_of("np-mac"), 16);
+  alignas(CtrThenMac) std::uint8_t storage[sizeof(CtrThenMac)];
+  const auto holds = [&](const Bytes& secret) {
+    return std::search(storage, storage + sizeof(storage), secret.begin(),
+                       secret.end()) != storage + sizeof(storage);
+  };
+  CtrThenMac* context = new (storage) CtrThenMac(key);
+  ASSERT_TRUE(holds(enc_key));
+  ASSERT_TRUE(holds(mac_key));
+  context->~CtrThenMac();
+  EXPECT_FALSE(holds(enc_key));
+  EXPECT_FALSE(holds(mac_key));
 }
 
 TEST(SealedFrame, RoundTrip) {

@@ -128,6 +128,15 @@ TEST(HmacSha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(mac.finalize(), hmac_sha256(key, data));
 }
 
+TEST(HmacSha256, PartsMatchConcatenation) {
+  const Bytes key = bytes_of("session key");
+  const Bytes label = bytes_of("np-eke-server");
+  const Bytes transcript(150, 0x3c);
+  EXPECT_EQ(hmac_sha256_parts(key, {label, transcript}),
+            hmac_sha256(key, concat({label, transcript})));
+  EXPECT_EQ(hmac_sha256_parts(key, {}), hmac_sha256(key, Bytes{}));
+}
+
 // An HMAC context holds its key twice: as the opad block and as the SHA-256
 // midstate after the ipad block. Placement-new into a caller-owned buffer
 // lets the test read that storage after destruction, in the style of
