@@ -41,7 +41,8 @@ void print_leak_table() {
   const crypto::Aes cipher(crypto::Bytes(16, 0x0F));
   const crypto::Bytes key32(32, 0x77);
   const crypto::Bytes message(256, 0x33);
-  const crypto::Bytes good_tag = crypto::aes_cmac(cipher, message);
+  std::array<std::uint8_t, crypto::Cmac::kTagSize> good_tag{};
+  crypto::Cmac(cipher).tag(message, good_tag);
   const crypto::Bytes good_mac = crypto::hmac_sha256(key32, message);
 
   std::printf("Timing-leak audit (dudect-style Welch t-test, |t| > %.1f "
@@ -60,7 +61,8 @@ void print_leak_table() {
   print_row("CMAC tag verify (256 B)",
             measure_timing_leak(
                 [&](crypto::ByteView input) {
-                  const crypto::Bytes tag = crypto::aes_cmac(cipher, input);
+                  std::array<std::uint8_t, crypto::Cmac::kTagSize> tag{};
+                  crypto::Cmac(cipher).tag(input, tag);
                   volatile bool sink = crypto::ct_equal(tag, good_tag);
                   (void)sink;
                 },

@@ -21,18 +21,24 @@ crypto::Bytes confirm_mac(crypto::ByteView session_key, std::string_view label,
                         label.size()),
        transcript});
 }
+
+// The password cipher, keyed before the password is wiped on return; an
+// empty password is refused before anything is derived from it.
+crypto::Aes password_cipher(crypto::Bytes secret) {
+  const common::SecretBytes password(std::move(secret));
+  if (password.empty()) {
+    throw std::invalid_argument("EkeParty: empty shared secret");
+  }
+  return crypto::hkdf_aes128(
+      crypto::Hkdf(crypto::ByteView{}, password.reveal()), "np-eke-pw");
+}
 }  // namespace
 
 EkeParty::EkeParty(crypto::Bytes secret, const crypto::DhGroup& group,
                    crypto::ChaChaDrbg rng)
-    : secret_(std::move(secret)),
-      pw_cipher_(crypto::hkdf_aes128(secret_.reveal(), "np-eke-pw")),
+    : pw_cipher_(password_cipher(std::move(secret))),
       group_(group),
-      rng_(std::move(rng)) {
-  if (secret_.empty()) {
-    throw std::invalid_argument("EkeParty: empty shared secret");
-  }
-}
+      rng_(std::move(rng)) {}
 
 crypto::Bytes EkeParty::encrypt_public(const crypto::BigUint& value,
                                        crypto::ByteView nonce) const {
@@ -47,8 +53,9 @@ crypto::BigUint EkeParty::decrypt_public(crypto::ByteView nonce,
 }
 
 void EkeParty::derive_session_key(const crypto::Bytes& shared) {
-  session_key_ = common::SecretBytes(crypto::hkdf(
-      transcript_, shared, crypto::bytes_of("np-eke-session"), 32));
+  session_key_ = common::SecretBytes(
+      crypto::Hkdf(transcript_, shared)
+          .expand(crypto::bytes_of("np-eke-session"), 32));
 }
 
 net::Message EkeParty::initiate(std::uint64_t session_id) {

@@ -35,7 +35,8 @@ namespace neuropuls::core {
 class EkeParty {
  public:
   /// `secret` is the shared low-entropy password (the CRP response);
-  /// `rng` supplies ephemeral randomness.
+  /// `rng` supplies ephemeral randomness. Throws std::invalid_argument on
+  /// an empty secret.
   EkeParty(crypto::Bytes secret, const crypto::DhGroup& group,
            crypto::ChaChaDrbg rng);
 
@@ -67,11 +68,9 @@ class EkeParty {
                                  crypto::ByteView ciphertext) const;
   void derive_session_key(const crypto::Bytes& shared);
 
-  common::SecretBytes secret_;  // the low-entropy password (CRP response)
   /// AES keyed with HKDF(secret, "np-eke-pw"), expanded once at
-  /// construction: the password key is fixed for the party's lifetime,
-  /// so re-running HKDF plus the AES key schedule on every
-  /// encrypt/decrypt was pure per-frame waste.
+  /// construction: the party's only copy of the password (CRP response),
+  /// whose by-value argument is wiped once this schedule exists.
   crypto::Aes pw_cipher_;
   const crypto::DhGroup& group_;
   crypto::ChaChaDrbg rng_;

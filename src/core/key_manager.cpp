@@ -73,14 +73,11 @@ common::SecretBytes KeyManager::enrolled_root() const {
 }
 
 DeviceKeys KeyManager::split(const crypto::Bytes& root) {
-  DeviceKeys keys;
-  keys.encryption_key = common::SecretBytes(crypto::hkdf(
-      crypto::ByteView{}, root, crypto::bytes_of("np-key-enc"), 16));
-  keys.mac_key = common::SecretBytes(crypto::hkdf(
-      crypto::ByteView{}, root, crypto::bytes_of("np-key-mac"), 32));
-  keys.binding_key = common::SecretBytes(crypto::hkdf(
-      crypto::ByteView{}, root, crypto::bytes_of("np-key-bind"), 16));
-  return keys;
+  const crypto::Hkdf kdf(crypto::ByteView{}, root);
+  return DeviceKeys{
+      common::SecretBytes(kdf.expand(crypto::bytes_of("np-key-enc"), 16)),
+      common::SecretBytes(kdf.expand(crypto::bytes_of("np-key-mac"), 32)),
+      common::SecretBytes(kdf.expand(crypto::bytes_of("np-key-bind"), 16))};
 }
 
 }  // namespace neuropuls::core

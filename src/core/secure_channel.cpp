@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "crypto/chacha20.hpp"
-#include "crypto/hmac.hpp"
 
 namespace neuropuls::core {
 
@@ -20,41 +20,53 @@ std::array<std::uint8_t, 12> nonce_for(std::uint64_t sequence) {
   crypto::put_u64_be(std::span<std::uint8_t>(nonce.data(), 8), sequence);
   return nonce;
 }
-}  // namespace
 
-common::SecretBytes SecureChannel::direction_key(
-    crypto::ByteView session_key, bool initiator_to_responder) {
-  return common::SecretBytes(crypto::hkdf(
-      crypto::ByteView{}, session_key,
-      initiator_to_responder ? crypto::bytes_of("np-sc-i2r")
-                             : crypto::bytes_of("np-sc-r2i"),
-      32));
+constexpr std::string_view kInitiatorToResponder = "np-sc-i2r";
+constexpr std::string_view kResponderToInitiator = "np-sc-r2i";
+
+// The HKDF context keyed on the 32-byte `kdf.expand(label)`: a direction
+// key (or its ratchet step), held only as its PRK context.
+crypto::Hkdf next_root(const crypto::Hkdf& kdf, std::string_view label) {
+  std::array<std::uint8_t, 32> key{};  // ctlint:secret
+  kdf.expand(crypto::bytes_of(label), key);
+  crypto::Hkdf root(crypto::ByteView{}, key);
+  crypto::secure_wipe(key.data(), key.size());
+  return root;
 }
 
-SecureChannel::DirectionKeys SecureChannel::make_direction_keys(
-    common::SecretBytes root) {
-  DirectionKeys keys{{},
-                     common::SecretBytes(crypto::hkdf(
-                         crypto::ByteView{}, root.reveal(),
-                         crypto::bytes_of("enc"), 32)),
-                     crypto::Cmac(crypto::hkdf_aes128(root.reveal(), "mac"))};
-  keys.root = std::move(root);
-  return keys;
-}
-
-SecureChannel::SecureChannel(common::SecretBytes session_key,
-                             bool is_initiator, SecureChannelConfig config)
-    : config_(config),
-      send_(make_direction_keys(
-          direction_key(session_key.reveal(), is_initiator))),
-      recv_(make_direction_keys(
-          direction_key(session_key.reveal(), !is_initiator))) {
-  // Checked after the keys exist (HKDF accepts any key length); a throw
-  // here still wipes them as the members unwind, and `session_key` wipes
-  // on scope exit (SecretBytes destructor).
-  if (session_key.empty()) {
+// The session key, refused before anything is derived from it.
+crypto::ByteView checked_session_key(const common::SecretBytes& key) {
+  if (key.empty()) {
     throw std::invalid_argument("SecureChannel: empty session key");
   }
+  return key.reveal();
+}
+}  // namespace
+
+SecureChannel::DirectionKeys SecureChannel::make_direction_keys(
+    const crypto::Hkdf& root) {
+  return DirectionKeys{
+      root, common::SecretBytes(root.expand(crypto::bytes_of("enc"), 32)),
+      crypto::Cmac(crypto::hkdf_aes128(root, "mac"))};
+}
+
+// `session_key` wipes on return (SecretBytes destructor); one extract of
+// it serves both directions.
+SecureChannel::SecureChannel(common::SecretBytes session_key,
+                             bool is_initiator, SecureChannelConfig config)
+    : SecureChannel(crypto::Hkdf(crypto::ByteView{},
+                                 checked_session_key(session_key)),
+                    is_initiator, config) {}
+
+SecureChannel::SecureChannel(const crypto::Hkdf& session, bool is_initiator,
+                             SecureChannelConfig config)
+    : config_(config),
+      send_(make_direction_keys(
+          next_root(session, is_initiator ? kInitiatorToResponder
+                                          : kResponderToInitiator))),
+      recv_(make_direction_keys(
+          next_root(session, is_initiator ? kResponderToInitiator
+                                          : kInitiatorToResponder))) {
   if (config_.rekey_interval == 0) {
     throw std::invalid_argument("SecureChannel: zero rekey interval");
   }
@@ -62,11 +74,10 @@ SecureChannel::SecureChannel(common::SecretBytes session_key,
 
 void SecureChannel::maybe_ratchet(DirectionKeys& keys, std::uint64_t seq) {
   if (seq != 0 && seq % config_.rekey_interval == 0) {
-    // Move-assignment wipes the pre-ratchet keys before installing the
-    // stepped ones — forward secrecy within the record stream.
-    keys = make_direction_keys(common::SecretBytes(crypto::hkdf(
-        crypto::ByteView{}, keys.root.reveal(),
-        crypto::bytes_of("np-sc-ratchet"), 32)));
+    // Assignment overwrites the pre-ratchet keys with the stepped ones
+    // (the enc key's move wipes it first) — forward secrecy within the
+    // record stream.
+    keys = make_direction_keys(next_root(keys.root, "np-sc-ratchet"));
   }
 }
 

@@ -21,6 +21,7 @@
 #include "common/secret.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/bytes.hpp"
+#include "crypto/hmac.hpp"
 
 namespace neuropuls::core {
 
@@ -59,15 +60,16 @@ class SecureChannel {
   /// and the CMAC subkeys with them — the seal/open hot path then runs
   /// only ChaCha20 + CMAC.
   struct DirectionKeys {
-    common::SecretBytes root;  // the ratcheting direction key
+    crypto::Hkdf root;  // the ratcheting direction key, as its PRK context
     common::SecretBytes enc;
     crypto::Cmac mac;  // the CMAC key, held as its schedule and subkeys
   };
 
+  SecureChannel(const crypto::Hkdf& session, bool is_initiator,
+                SecureChannelConfig config);
+
   void maybe_ratchet(DirectionKeys& keys, std::uint64_t seq);
-  static DirectionKeys make_direction_keys(common::SecretBytes root);
-  static common::SecretBytes direction_key(crypto::ByteView session_key,
-                                           bool initiator_to_responder);
+  static DirectionKeys make_direction_keys(const crypto::Hkdf& root);
 
   SecureChannelConfig config_;
   DirectionKeys send_;

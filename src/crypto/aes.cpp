@@ -400,50 +400,22 @@ void Cmac::tag(ByteView data,
   std::memcpy(out.data(), x.data(), x.size());
 }
 
-Bytes aes_cmac(const Aes& cipher, ByteView data) {
-  Bytes tag(Cmac::kTagSize);
-  Cmac(cipher).tag(data, std::span<std::uint8_t, Cmac::kTagSize>(tag));
-  return tag;
-}
-
-namespace {
-
-// HMAC keyed on PRK = HKDF-Extract(zero salt, ikm) (RFC 5869); the
-// context is the PRK's only holder.
-HmacSha256 hkdf_prk_mac(ByteView ikm) {
-  Bytes prk = hkdf_extract(ByteView{}, ikm);  // ctlint:secret
-  HmacSha256 mac(prk);
-  secure_wipe(prk);
-  return mac;
-}
-
-// The AES-128 schedule for HKDF-Expand(PRK, info, 16): the first half of
-// T(1) = HMAC(PRK, info || 0x01), with the PRK given as its HMAC context.
-Aes hkdf_expand_aes128(const HmacSha256& prk_mac, std::string_view info) {
-  static constexpr std::uint8_t kFirstBlock = 0x01;
-  HmacSha256 mac = prk_mac;
-  mac.update(ByteView(reinterpret_cast<const std::uint8_t*>(info.data()),
-                      info.size()));
-  mac.update(ByteView(&kFirstBlock, 1));
-  Bytes t1 = mac.finalize();  // ctlint:secret
-  Aes cipher(ByteView(t1).first(16));
-  secure_wipe(t1);
+Aes hkdf_aes128(const Hkdf& kdf, std::string_view info) {
+  std::array<std::uint8_t, 16> key{};  // ctlint:secret
+  kdf.expand(ByteView(reinterpret_cast<const std::uint8_t*>(info.data()),
+                      info.size()),
+             key);
+  Aes cipher(key);
+  secure_wipe(key.data(), key.size());
   return cipher;
-}
-
-}  // namespace
-
-Aes hkdf_aes128(ByteView ikm, std::string_view info) {
-  return hkdf_expand_aes128(hkdf_prk_mac(ikm), info);
 }
 
 // Independent sub-keys so the MAC key never touches the CTR keystream;
 // one extract serves both labels.
-CtrThenMac::CtrThenMac(ByteView key) : CtrThenMac(hkdf_prk_mac(key)) {}
+CtrThenMac::CtrThenMac(ByteView key) : CtrThenMac(Hkdf(ByteView{}, key)) {}
 
-CtrThenMac::CtrThenMac(const HmacSha256& prk_mac)
-    : enc_(hkdf_expand_aes128(prk_mac, "np-enc")),
-      mac_(hkdf_expand_aes128(prk_mac, "np-mac")) {}
+CtrThenMac::CtrThenMac(const Hkdf& kdf)
+    : enc_(hkdf_aes128(kdf, "np-enc")), mac_(hkdf_aes128(kdf, "np-mac")) {}
 
 Bytes CtrThenMac::seal(ByteView nonce16, ByteView plaintext) const {
   if (nonce16.size() != kNonceSize) {
@@ -473,15 +445,6 @@ Bytes CtrThenMac::open(ByteView frame) const {
   Bytes plaintext(body.begin() + kNonceSize, body.end());
   ctr_xor(enc_, body.data(), plaintext.data(), plaintext.size());
   return plaintext;
-}
-
-Bytes aes_ctr_then_mac_seal(ByteView key, ByteView nonce16,
-                            ByteView plaintext) {
-  return CtrThenMac(key).seal(nonce16, plaintext);
-}
-
-Bytes aes_ctr_then_mac_open(ByteView key, ByteView frame) {
-  return CtrThenMac(key).open(frame);
 }
 
 }  // namespace neuropuls::crypto

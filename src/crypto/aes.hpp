@@ -1,7 +1,7 @@
 // AES-128 encryption (FIPS 197) with CTR mode and CMAC (NIST SP 800-38B).
-// Every AES key in the stack is a 16-byte HKDF output (hkdf_aes128), so
-// there is one key schedule and one round count; 24- and 32-byte keys
-// are refused.
+// Every AES key in the stack is a 16-byte expand of an `Hkdf` context
+// (hkdf_aes128), so there is one key schedule and one round count; 24-
+// and 32-byte keys are refused.
 //
 // Table I of the paper specifies that the neural-network configuration,
 // inputs, and outputs cross the hardware boundary only in encrypted form.
@@ -93,32 +93,24 @@ class Cmac {
   std::array<std::uint8_t, 16> k2_{};
 };
 
-/// CMAC over `data` under `cipher`'s key, through a one-use Cmac. Returns
-/// a 16-byte tag. A caller that MACs many messages under one key keeps a
-/// Cmac instead.
-Bytes aes_cmac(const Aes& cipher, ByteView data);
+class Hkdf;
 
-/// The AES-128 schedule for HKDF-SHA256(empty salt, `ikm`, `info`) — how
-/// every AES key in the stack is derived. The 16-byte derived key is wiped
-/// once expanded, so the returned schedule is its only holder.
-Aes hkdf_aes128(ByteView ikm, std::string_view info);
+/// The AES-128 schedule for the 16-byte `kdf.expand(info)` — how every AES
+/// key in the stack is derived. The derived key is wiped once expanded,
+/// so the returned schedule is its only holder.
+Aes hkdf_aes128(const Hkdf& kdf, std::string_view info);
 
 /// The AES S-box lookup (exposed for the side-channel analyses, which
 /// model first-round S-box leakage).
 std::uint8_t aes_sbox(std::uint8_t x) noexcept;
 
-class HmacSha256;
-
 /// Authenticated encryption used at the accelerator hardware boundary:
-/// Encrypt-then-MAC with independent keys derived from one key via HKDF,
-/// hkdf_aes128(key, "np-enc") for AES-CTR and hkdf_aes128(key, "np-mac")
-/// for CMAC. Frame layout: nonce(16) || ciphertext || tag(16).
+/// Encrypt-then-MAC with independent keys expanded from one Hkdf(key)
+/// context, "np-enc" for AES-CTR and "np-mac" for CMAC. Frame layout:
+/// nonce(16) || ciphertext || tag(16).
 ///
-/// The context derives both keys once, at construction: one HKDF extract
-/// keys an HMAC on the PRK, which expands each label (11 SHA-256
-/// compressions where two hkdf_aes128 calls run 16). It holds the key
-/// only as the CTR schedule and the Cmac; the PRK and each expanded
-/// block are wiped before the constructor returns.
+/// The context derives both keys once, at construction, from one
+/// extract. It holds the key only as the CTR schedule and the Cmac.
 class CtrThenMac {
  public:
   static constexpr std::size_t kNonceSize = 16;
@@ -135,16 +127,10 @@ class CtrThenMac {
   Bytes open(ByteView frame) const;
 
  private:
-  explicit CtrThenMac(const HmacSha256& prk_mac);
+  explicit CtrThenMac(const Hkdf& kdf);
 
   Aes enc_;
   Cmac mac_;
 };
-
-/// One-shot CtrThenMac(key).seal(nonce16, plaintext).
-Bytes aes_ctr_then_mac_seal(ByteView key, ByteView nonce16, ByteView plaintext);
-
-/// One-shot CtrThenMac(key).open(frame).
-Bytes aes_ctr_then_mac_open(ByteView key, ByteView frame);
 
 }  // namespace neuropuls::crypto

@@ -19,6 +19,13 @@ inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
   c += d; b ^= c; b = std::rotl(b, 7);
 }
 
+// Lane width of the batched keystream kernel: 4 blocks' round state is
+// interleaved word-by-word (x[i][lane]) so the 20 rounds run as plain
+// elementwise loops the auto-vectorizer maps onto SSE2/AVX2/NEON — the
+// same restrict-pointer pattern as src/common/simd.hpp, and integer-only,
+// so lane output is trivially bit-identical to the scalar block function.
+constexpr std::size_t kChaCha20Lanes = 4;
+
 constexpr std::array<std::uint32_t, 4> kSigma = {0x61707865, 0x3320646e,
                                                  0x79622d32, 0x6b206574};
 
@@ -90,8 +97,8 @@ void chacha20_block_lanes(const std::array<std::uint32_t, 8>& key,
   }
 }
 
-}  // namespace
-
+// Raw ChaCha20 block function: fills `out` with the keystream block for
+// (key, counter, nonce).
 void chacha20_block(const std::array<std::uint32_t, 8>& key,
                     std::uint32_t counter,
                     const std::array<std::uint32_t, 3>& nonce,
@@ -119,6 +126,11 @@ void chacha20_block(const std::array<std::uint32_t, 8>& key,
   }
 }
 
+// Batched ChaCha20 keystream: fills `out` (64 * nblocks bytes) with the
+// keystream blocks for counters counter, counter+1, …, counter+nblocks-1.
+// Bit-identical to nblocks sequential chacha20_block calls (asserted in
+// tests/crypto/test_cipher.cpp); groups of kChaCha20Lanes blocks run the
+// interleaved-round kernel, the tail falls back to the scalar block.
 void chacha20_blocks(const std::array<std::uint32_t, 8>& key,
                      std::uint32_t counter,
                      const std::array<std::uint32_t, 3>& nonce,
@@ -134,6 +146,8 @@ void chacha20_blocks(const std::array<std::uint32_t, 8>& key,
                    std::span<std::uint8_t, 64>(out + 64 * done, 64));
   }
 }
+
+}  // namespace
 
 void chacha20_xor_inplace(ByteView key32, ByteView nonce12,
                           std::uint32_t counter,
@@ -162,13 +176,6 @@ void chacha20_xor_inplace(ByteView key32, ByteView nonce12,
     counter += static_cast<std::uint32_t>(blocks);
     detail::xor_keystream(data.data() + offset, keystream.data(), n);
   }
-}
-
-Bytes chacha20_xor(ByteView key32, ByteView nonce12, std::uint32_t counter,
-                   ByteView data) {
-  Bytes out(data.begin(), data.end());
-  chacha20_xor_inplace(key32, nonce12, counter, out);
-  return out;
 }
 
 ChaChaDrbg::ChaChaDrbg(ByteView seed) {
@@ -211,32 +218,6 @@ void ChaChaDrbg::generate_into(std::span<std::uint8_t> out) {
   }
 }
 
-void ChaChaDrbg::keystream_xor(std::span<std::uint8_t> data) {
-  std::size_t done = 0;
-  if (block_pos_ < 64 && done < data.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(64 - block_pos_, data.size() - done);
-    for (std::size_t i = 0; i < n; ++i) data[done + i] ^= block_[block_pos_ + i];
-    block_pos_ += n;
-    done += n;
-  }
-  std::array<std::uint8_t, 64 * kChaCha20Lanes> keystream;
-  while (data.size() - done >= 64) {
-    const std::size_t whole =
-        std::min<std::size_t>((data.size() - done) / 64, kChaCha20Lanes);
-    chacha20_blocks(key_, counter_, nonce_, keystream.data(), whole);
-    counter_ += static_cast<std::uint32_t>(whole);
-    for (std::size_t i = 0; i < whole * 64; ++i) data[done + i] ^= keystream[i];
-    done += whole * 64;
-  }
-  if (done < data.size()) {
-    refill();
-    const std::size_t n = data.size() - done;
-    for (std::size_t i = 0; i < n; ++i) data[done + i] ^= block_[i];
-    block_pos_ = n;
-  }
-}
-
 Bytes ChaChaDrbg::generate(std::size_t n) {
   Bytes out(n);
   generate_into(out);
@@ -264,23 +245,6 @@ std::uint64_t ChaChaDrbg::uniform(std::uint64_t bound) {
     v = next_u64();
   } while (v >= limit && limit != 0);
   return v % bound;
-}
-
-void ChaChaDrbg::reseed(ByteView extra) {
-  Bytes material;
-  material.reserve(32 + extra.size());
-  for (int i = 0; i < 8; ++i) {
-    std::uint8_t word[4];
-    store_le32(word, key_[static_cast<std::size_t>(i)]);
-    material.insert(material.end(), word, word + 4);
-  }
-  material.insert(material.end(), extra.begin(), extra.end());
-  const auto digest = Sha256::digest(material);
-  for (int i = 0; i < 8; ++i) {
-    key_[static_cast<std::size_t>(i)] = load_le32(digest.data() + 4 * i);
-  }
-  counter_ = 0;
-  block_pos_ = 64;
 }
 
 }  // namespace neuropuls::crypto

@@ -9,7 +9,9 @@
 // the `RNG(·)` function of the Fig. 4 protocol (challenge derivation
 // `c_{i+1} = RNG(r_i)`) and of the attestation random walk of §III-B —
 // both sides must derive identical streams from a shared seed, which this
-// deterministic construction guarantees.
+// deterministic construction guarantees. The cipher holds no key: the
+// record channel expands each direction's 32-byte ChaCha20 key from that
+// direction's `Hkdf` context (crypto/hmac.hpp).
 #pragma once
 
 #include <array>
@@ -19,38 +21,10 @@
 
 namespace neuropuls::crypto {
 
-/// Raw ChaCha20 block function: fills `out` with the keystream block for
-/// (key, counter, nonce).
-void chacha20_block(const std::array<std::uint32_t, 8>& key,
-                    std::uint32_t counter,
-                    const std::array<std::uint32_t, 3>& nonce,
-                    std::span<std::uint8_t, 64> out) noexcept;
-
-/// Lane width of the batched keystream kernel: 4 blocks' round state is
-/// interleaved word-by-word (x[i][lane]) so the 20 rounds run as plain
-/// elementwise loops the auto-vectorizer maps onto SSE2/AVX2/NEON — the
-/// same restrict-pointer pattern as src/common/simd.hpp, and integer-only,
-/// so lane output is trivially bit-identical to the scalar block function.
-inline constexpr std::size_t kChaCha20Lanes = 4;
-
-/// Batched ChaCha20 keystream: fills `out` (64 * nblocks bytes) with the
-/// keystream blocks for counters counter, counter+1, …, counter+nblocks-1.
-/// Bit-identical to nblocks sequential chacha20_block calls (asserted in
-/// tests/crypto/test_cipher.cpp); groups of kChaCha20Lanes blocks run the
-/// interleaved-round kernel, the tail falls back to the scalar block.
-void chacha20_blocks(const std::array<std::uint32_t, 8>& key,
-                     std::uint32_t counter,
-                     const std::array<std::uint32_t, 3>& nonce,
-                     std::uint8_t* out, std::size_t nblocks) noexcept;
-
-/// Encrypts/decrypts `data` with ChaCha20 (RFC 8439: 32-byte key, 12-byte
-/// nonce, 32-bit initial counter).
-Bytes chacha20_xor(ByteView key32, ByteView nonce12, std::uint32_t counter,
-                   ByteView data);
-
-/// In-place variant: XORs the keystream into `data` without an extra
-/// buffer copy — the bulk path `SecureChannel::seal/open` runs records
-/// through. Same keystream as chacha20_xor.
+/// Encrypts/decrypts `data` in place with ChaCha20 (RFC 8439: 32-byte
+/// key, 12-byte nonce, 32-bit initial counter) — the bulk path
+/// `SecureChannel::seal/open` runs records through. Throws
+/// std::invalid_argument on any other key or nonce length.
 void chacha20_xor_inplace(ByteView key32, ByteView nonce12,
                           std::uint32_t counter, std::span<std::uint8_t> data);
 
@@ -74,21 +48,12 @@ class ChaChaDrbg {
   /// byte-at-a-time path would (mixed call patterns stay reproducible).
   void generate_into(std::span<std::uint8_t> out);
 
-  /// XORs the next keystream bytes into `data` in place (bulk stream
-  /// encryption without materialising the keystream). Consumes the same
-  /// stream positions as generate_into over a span of equal length, so
-  /// keystream_xor(x) == x ^ generate(x.size()) byte for byte.
-  void keystream_xor(std::span<std::uint8_t> data);
-
   /// Uniform integer in [0, bound) by rejection sampling (no modulo bias).
   /// Throws std::invalid_argument when bound == 0.
   std::uint64_t uniform(std::uint64_t bound);
 
   /// Raw 64-bit output word.
   std::uint64_t next_u64();
-
-  /// Mixes additional entropy into the state.
-  void reseed(ByteView extra);
 
  private:
   void refill() noexcept;

@@ -32,11 +32,9 @@ constexpr const char* kModp2048Hex =
     "15728E5A 8AACAA68 FFFFFFFF FFFFFFFF";
 
 DhGroup make_group(const char* hex) {
-  DhGroup g;
-  g.prime = BigUint::from_hex(hex);
-  g.generator = BigUint(2);
-  g.prime_bytes = (g.prime.bit_length() + 7) / 8;
-  return g;
+  const BigUint prime = BigUint::from_hex(hex);
+  return DhGroup{prime, BigUint(2), (prime.bit_length() + 7) / 8,
+                 MontgomeryCtx(prime)};
 }
 
 }  // namespace
@@ -53,12 +51,13 @@ const DhGroup& DhGroup::modp2048() {
 
 DhKeyPair dh_generate(const DhGroup& group, ChaChaDrbg& rng) {
   // 256-bit short exponent (>= twice the 128-bit target security level).
-  Bytes exponent_bytes = rng.generate(32);
+  Bytes exponent_bytes = rng.generate(32);  // ctlint:secret
   exponent_bytes[0] |= 0x80;  // force full length
   exponent_bytes[31] |= 0x01; // never zero
   DhKeyPair pair;
   pair.secret = BigUint::from_bytes_be(exponent_bytes);
-  pair.public_value = modexp(group.generator, pair.secret, group.prime);
+  secure_wipe(exponent_bytes);
+  pair.public_value = group.mont.modexp(group.generator, pair.secret);
   return pair;
 }
 
@@ -74,7 +73,7 @@ Bytes dh_shared_secret(const DhGroup& group, const BigUint& secret,
   if (!dh_public_is_valid(group, peer_public)) {
     throw std::runtime_error("dh_shared_secret: invalid peer public value");
   }
-  BigUint shared = modexp(peer_public, secret, group.prime);
+  BigUint shared = group.mont.modexp(peer_public, secret);
   Bytes out = shared.to_bytes_be(group.prime_bytes);
   shared.wipe();
   return out;

@@ -16,11 +16,13 @@
 
 namespace neuropuls::crypto {
 
-/// A fixed DH group (safe prime p, generator g).
+/// A fixed DH group (safe prime p, generator g), with the Montgomery
+/// context for p built once with the group.
 struct DhGroup {
   BigUint prime;
   BigUint generator;
   std::size_t prime_bytes;  // serialised public-value length
+  MontgomeryCtx mont;
 
   /// RFC 3526 group 5: 1536-bit MODP.
   static const DhGroup& modp1536();

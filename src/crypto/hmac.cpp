@@ -1,5 +1,6 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace neuropuls::crypto {
@@ -52,42 +53,41 @@ Bytes hmac_sha256_parts(ByteView key, std::initializer_list<ByteView> parts) {
   return mac.finalize();
 }
 
-Bytes hkdf_extract(ByteView salt, ByteView ikm) {
-  // Per RFC 5869 an absent salt is a string of zero bytes of hash length.
+namespace {
+
+// HMAC keyed on PRK = HKDF-Extract(salt, ikm); the context is the PRK's
+// only holder.
+HmacSha256 extract(ByteView salt, ByteView ikm) {
   static constexpr std::array<std::uint8_t, Sha256::kDigestSize> kZeroSalt{};
-  return hmac_sha256(salt.empty() ? ByteView(kZeroSalt) : salt, ikm);
+  const ByteView key = salt.empty() ? ByteView(kZeroSalt) : salt;
+  Bytes prk = hmac_sha256(key, ikm);  // ctlint:secret
+  HmacSha256 mac(prk);
+  secure_wipe(prk);
+  return mac;
 }
 
-Bytes hkdf_expand(ByteView prk, ByteView info, std::size_t length) {
-  constexpr std::size_t kHashLen = Sha256::kDigestSize;
-  if (length > 255 * kHashLen) {
-    throw std::invalid_argument("hkdf_expand: length too large");
+}  // namespace
+
+Hkdf::Hkdf(ByteView salt, ByteView ikm) : prk_(extract(salt, ikm)) {}
+
+void Hkdf::expand(ByteView info, std::span<std::uint8_t> out) const {
+  if (out.size() > kMaxOutput) {
+    throw std::invalid_argument("Hkdf::expand: output too long");
   }
-  Bytes okm;
-  okm.reserve(length);
-  Bytes previous;  // ctlint:secret the last OKM block
+  Bytes block;  // ctlint:secret T(n)
   std::uint8_t counter = 1;
-  while (okm.size() < length) {
-    HmacSha256 mac(prk);
-    mac.update(previous);
+  for (std::size_t done = 0; done < out.size(); done += block.size()) {
+    HmacSha256 mac = prk_;
+    mac.update(block);
     mac.update(info);
     mac.update(ByteView(&counter, 1));
-    secure_wipe(previous);
-    previous = mac.finalize();
-    const std::size_t take =
-        std::min(kHashLen, length - okm.size());
-    okm.insert(okm.end(), previous.begin(), previous.begin() + static_cast<std::ptrdiff_t>(take));
     ++counter;
+    secure_wipe(block);
+    block = mac.finalize();
+    std::copy_n(block.begin(), std::min(block.size(), out.size() - done),
+                out.begin() + static_cast<std::ptrdiff_t>(done));
   }
-  secure_wipe(previous);
-  return okm;
-}
-
-Bytes hkdf(ByteView salt, ByteView ikm, ByteView info, std::size_t length) {
-  Bytes prk = hkdf_extract(salt, ikm);  // ctlint:secret
-  Bytes okm = hkdf_expand(prk, info, length);
-  secure_wipe(prk);
-  return okm;
+  secure_wipe(block);
 }
 
 }  // namespace neuropuls::crypto

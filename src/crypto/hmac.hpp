@@ -1,9 +1,12 @@
 // HMAC-SHA256 (RFC 2104 / FIPS 198-1) and HKDF (RFC 5869).
 //
 // The Fig. 4 mutual-authentication protocol signs every message with
-// `MAC(data, key)` where the key is the current PUF response r_i; HKDF is
-// used by the key-management service to derive independent sub-keys
-// (encryption, MAC, session) from a single fuzzy-extractor output.
+// `MAC(data, key)` where the key is the current PUF response r_i. Every
+// sub-key in the stack comes from one `Hkdf` context per secret: the
+// fuzzy-extracted root's Table I, MAC and binding keys, the EKE password
+// cipher and session key, the channel's direction keys and the
+// accelerator's Encrypt-then-MAC keys. The context runs Extract once and
+// holds the PRK only as a keyed HMAC, so each label costs one Expand.
 #pragma once
 
 #include "crypto/bytes.hpp"
@@ -37,14 +40,31 @@ class HmacSha256 {
   std::array<std::uint8_t, Sha256::kBlockSize> opad_key_{};
 };
 
-/// HKDF-Extract: PRK = HMAC(salt, ikm).
-Bytes hkdf_extract(ByteView salt, ByteView ikm);
+/// HKDF-SHA256 keyed on one secret. The constructor runs
+/// PRK = HKDF-Extract(salt, ikm) once (an empty salt is RFC 5869's
+/// hash-length string of zeros) and keeps the PRK only as a keyed
+/// HmacSha256; the PRK bytes are wiped. Each expand then starts every
+/// T(n) from a copy of that context, so deriving many labels from one
+/// secret extracts once.
+class Hkdf {
+ public:
+  static constexpr std::size_t kMaxOutput = 255 * Sha256::kDigestSize;
 
-/// HKDF-Expand: derives `length` bytes from PRK with context string `info`.
-/// Throws std::invalid_argument when length > 255 * 32.
-Bytes hkdf_expand(ByteView prk, ByteView info, std::size_t length);
+  Hkdf(ByteView salt, ByteView ikm);
 
-/// Convenience: extract-then-expand.
-Bytes hkdf(ByteView salt, ByteView ikm, ByteView info, std::size_t length);
+  /// HKDF-Expand(PRK, info) into `out`. Throws std::invalid_argument
+  /// when out is longer than kMaxOutput.
+  void expand(ByteView info, std::span<std::uint8_t> out) const;
+
+  /// The same, into a new buffer of `length` bytes.
+  Bytes expand(ByteView info, std::size_t length) const {
+    Bytes okm(length);
+    expand(info, okm);
+    return okm;
+  }
+
+ private:
+  HmacSha256 prk_;
+};
 
 }  // namespace neuropuls::crypto

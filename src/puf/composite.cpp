@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace neuropuls::puf {
@@ -9,7 +10,8 @@ namespace neuropuls::puf {
 EncryptedChallengePuf::EncryptedChallengePuf(std::unique_ptr<Puf> inner,
                                              const Response& weak_key)
     : inner_(std::move(inner)),
-      cipher_(crypto::hkdf_aes128(weak_key, "np-challenge-enc")) {
+      cipher_(crypto::hkdf_aes128(crypto::Hkdf(crypto::ByteView{}, weak_key),
+                                  "np-challenge-enc")) {
   if (!inner_) {
     throw std::invalid_argument("EncryptedChallengePuf: null inner PUF");
   }
@@ -36,7 +38,8 @@ CompositePuf::CompositePuf(std::unique_ptr<Puf> pic,
       // reference) SRAM pattern — in hardware this would be the
       // fuzzy-extracted key.
       asic_cipher_(crypto::hkdf_aes128(
-          asic_ ? asic_->evaluate_noiseless({}) : Response{},
+          crypto::Hkdf(crypto::ByteView{},
+                       asic_ ? asic_->evaluate_noiseless({}) : Response{}),
           "np-chip-binding")) {
   if (!pic_ || !asic_) {
     throw std::invalid_argument("CompositePuf: null chip");

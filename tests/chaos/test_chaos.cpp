@@ -444,9 +444,9 @@ TEST(ChaosAccel, MalformedAuthenticBlobCountsTowardDegradation) {
   // clean runtime_error, count toward degradation, and — exercised under
   // the ASan chaos flavor — wipe the decrypted plaintext on the way out.
   const crypto::Bytes junk = {0xDE, 0xAD, 0xBE, 0xEF};
+  const crypto::CtrThenMac sealer(key);
   EXPECT_THROW(
-      device.load_network(
-          crypto::aes_ctr_then_mac_seal(key, crypto::Bytes(16, 9), junk)),
+      device.load_network(sealer.seal(crypto::Bytes(16, 9), junk)),
       std::runtime_error);
   EXPECT_EQ(device.health(), accel::HealthState::kDegraded);
   EXPECT_EQ(device.consecutive_failures(), 1u);
@@ -455,8 +455,7 @@ TEST(ChaosAccel, MalformedAuthenticBlobCountsTowardDegradation) {
   device.load_network(
       accel::SecureAccelerator::encrypt_network(tiny_network(), key, 1));
   EXPECT_THROW(
-      device.execute_network(
-          crypto::aes_ctr_then_mac_seal(key, crypto::Bytes(16, 10), junk)),
+      device.execute_network(sealer.seal(crypto::Bytes(16, 10), junk)),
       std::runtime_error);
   EXPECT_EQ(device.health(), accel::HealthState::kDegraded);
   // A well-formed exchange heals as usual.

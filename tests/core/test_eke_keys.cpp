@@ -163,6 +163,23 @@ TEST(KeyManager, SramEnrollAndDerive) {
   }
 }
 
+// The three purpose keys of a fixed SRAM PUF enrolled with a fixed DRBG:
+// pins the HKDF split of the fuzzy-extracted root, label by label.
+TEST(KeyManager, SubKeysKnownAnswer) {
+  puf::SramPufConfig cfg;
+  cfg.cells = 1024;
+  puf::SramPuf weak_puf(cfg, 7);
+  KeyManager manager(weak_puf);
+  crypto::ChaChaDrbg rng(crypto::bytes_of("enroll"));
+  const auto keys = manager.derive(manager.enroll(rng));
+  ASSERT_TRUE(keys.has_value());
+  EXPECT_EQ(crypto::to_hex(keys->encryption_key.reveal()), "ba8414b47f471552c69d559ff1a59b8d");
+  EXPECT_EQ(crypto::to_hex(keys->mac_key.reveal()),
+            "886051b5cbdd6e04702171fd274a532cbdb0e1b8b7aa7e7910034a98bfe2d34b");
+  EXPECT_EQ(crypto::to_hex(keys->binding_key.reveal()),
+            "7bcb3932463c39b5b06d9d111c750851");
+}
+
 TEST(KeyManager, PhotonicWeakUsage) {
   puf::PhotonicPuf strong_puf(puf::small_photonic_config(), 91, 0);
   KeyManager manager(strong_puf);

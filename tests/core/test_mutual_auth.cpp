@@ -7,6 +7,7 @@
 
 #include "core/mutual_auth.hpp"
 #include "core/session_driver.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 
@@ -328,6 +329,44 @@ TEST(MutualAuth, ForgedConfirmRejectedWithoutRotation) {
 
   EXPECT_EQ(s.device->handle_confirm(*outcome.confirm), AuthStatus::kOk);
   EXPECT_FALSE(common::ct_equal(s.device->current_response(), before));
+  EXPECT_EQ(s.device->completed_sessions(), 1u);
+}
+
+// The device's response tag is HMAC(r_i, sid || m) with the session id
+// big-endian (Fig. 4's MAC, bound to the session), so a response cannot be
+// re-labelled for another session.
+TEST(MutualAuth, ResponseMacBindsSessionId) {
+  Harness s = make_harness();
+  const common::SecretBytes key = s.device->current_response().clone();
+  const auto response = s.device->handle_request(s.verifier->start(7, 0xAB));
+  ASSERT_TRUE(response.has_value());
+  const crypto::ByteView payload(response->payload);
+  const crypto::ByteView body = payload.first(payload.size() - 32);
+  crypto::Bytes sid(8);
+  crypto::put_u64_be(sid, 7);
+  EXPECT_EQ(crypto::to_hex(payload.subspan(body.size())),
+            crypto::to_hex(crypto::hmac_sha256_parts(key.reveal(), {sid, body})));
+}
+
+// A confirm whose MAC is genuine but whose header names another session
+// is refused as kBadSession, with no rotation; the genuine confirm still
+// completes the session.
+TEST(MutualAuth, ConfirmNamingAnotherSessionRejected) {
+  Harness s = make_harness();
+  const common::SecretBytes before = s.device->current_response().clone();
+  const auto response = s.device->handle_request(s.verifier->start(1, 0xAB));
+  ASSERT_TRUE(response.has_value());
+  const auto outcome = s.verifier->process_response(*response);
+  ASSERT_EQ(outcome.status, AuthStatus::kOk);
+  ASSERT_TRUE(outcome.confirm.has_value());
+
+  net::Message relabelled = *outcome.confirm;
+  relabelled.session_id = 2;
+  EXPECT_EQ(s.device->handle_confirm(relabelled), AuthStatus::kBadSession);
+  EXPECT_TRUE(common::ct_equal(s.device->current_response(), before));
+  EXPECT_EQ(s.device->completed_sessions(), 0u);
+
+  EXPECT_EQ(s.device->handle_confirm(*outcome.confirm), AuthStatus::kOk);
   EXPECT_EQ(s.device->completed_sessions(), 1u);
 }
 

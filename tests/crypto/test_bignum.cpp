@@ -2,12 +2,15 @@
 // groups and DH key agreement used by the EKE AKA service.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/bignum.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/montgomery_kernels.hpp"
 #include "crypto/prng.hpp"
+#include "crypto/sha256.hpp"
 
 namespace neuropuls::crypto {
 namespace {
@@ -364,6 +367,34 @@ TEST(Dh, RejectsDegeneratePublicValues) {
   EXPECT_TRUE(dh_public_is_valid(group, BigUint(2)));
   EXPECT_THROW(dh_shared_secret(group, BigUint(5), BigUint(1)),
                std::runtime_error);
+}
+
+// Twenty seeded key pairs per group, each agreeing with the previous
+// one's public value: one digest over every exponent, public value and
+// shared secret pins dh_generate and dh_shared_secret byte for byte.
+TEST(Dh, SeededKnownAnswers) {
+  const std::pair<const DhGroup*, const char*> cases[] = {
+      {&DhGroup::modp1536(),
+       "4f02a6480cee3e038a0e8204857e3705daf1e91a9799c9655bcc0ab1838a68ba"},
+      {&DhGroup::modp2048(),
+       "ee059f247700ce7eebfa7c807071ead4a3db82bbc2d397e96dc1e4c86d520413"},
+  };
+  for (const auto& [group, expected] : cases) {
+    Sha256 digest;
+    DhKeyPair previous;
+    for (int seed = 0; seed < 20; ++seed) {
+      ChaChaDrbg rng(bytes_of("dh-kat-" + std::to_string(seed)));
+      DhKeyPair pair = dh_generate(*group, rng);
+      digest.update(pair.secret.to_bytes_be(32));
+      digest.update(pair.public_value.to_bytes_be(group->prime_bytes));
+      if (seed > 0) {
+        digest.update(
+            dh_shared_secret(*group, pair.secret, previous.public_value));
+      }
+      previous = std::move(pair);
+    }
+    EXPECT_EQ(to_hex(digest.finalize()), expected) << group->prime_bytes;
+  }
 }
 
 TEST(Dh, DistinctSeedsDistinctKeys) {

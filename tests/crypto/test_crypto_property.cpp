@@ -47,16 +47,18 @@ TEST_P(MessageLengths, ChaChaInvolution) {
   const Bytes data = message();
   const Bytes key(32, 0x5A);
   const Bytes nonce(12, 0x01);
-  EXPECT_EQ(chacha20_xor(key, nonce, 3, chacha20_xor(key, nonce, 3, data)),
-            data);
+  Bytes twice = data;
+  chacha20_xor_inplace(key, nonce, 3, twice);
+  chacha20_xor_inplace(key, nonce, 3, twice);
+  EXPECT_EQ(twice, data);
 }
 
 TEST_P(MessageLengths, SealedFrameRoundTrip) {
   const Bytes data = message();
   const Bytes key = bytes_of("property key");
   const Bytes nonce(16, 0x07);
-  EXPECT_EQ(aes_ctr_then_mac_open(key, aes_ctr_then_mac_seal(key, nonce, data)),
-            data);
+  const CtrThenMac context(key);
+  EXPECT_EQ(context.open(context.seal(nonce, data)), data);
 }
 
 TEST_P(MessageLengths, CiphertextSameLengthAsPlaintext) {
@@ -76,12 +78,13 @@ TEST(TamperExhaustive, SealedFrameEveryBitPosition) {
   const Bytes key = bytes_of("tamper key");
   const Bytes nonce(16, 0x09);
   const Bytes plaintext = bytes_of("short secret");
-  const Bytes frame = aes_ctr_then_mac_seal(key, nonce, plaintext);
+  const CtrThenMac context(key);
+  const Bytes frame = context.seal(nonce, plaintext);
   for (std::size_t byte = 0; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       Bytes mutated = frame;
       mutated[byte] ^= static_cast<std::uint8_t>(1 << bit);
-      EXPECT_THROW(aes_ctr_then_mac_open(key, mutated), std::runtime_error)
+      EXPECT_THROW(context.open(mutated), std::runtime_error)
           << "byte " << byte << " bit " << bit;
     }
   }

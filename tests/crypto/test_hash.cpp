@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+#include <string>
 
 #include "crypto/block_kernels.hpp"
 #include "crypto/hmac.hpp"
@@ -137,14 +138,11 @@ TEST(HmacSha256, PartsMatchConcatenation) {
   EXPECT_EQ(hmac_sha256_parts(key, {}), hmac_sha256(key, Bytes{}));
 }
 
-// An HMAC context holds its key twice: as the opad block and as the SHA-256
-// midstate after the ipad block. Placement-new into a caller-owned buffer
-// lets the test read that storage after destruction, in the style of
-// Aes.DestructorWipesKeyFromCallerStorage.
-TEST(HmacSha256, DestructorWipesKeyFromCallerStorage) {
-  const Bytes key = from_hex(
-      "0b1c2d3e4f5061728394a5b6c7d8e9fa0b1c2d3e4f5061728394a5b6c7d8e9fa");
-  std::array<std::uint8_t, 64> opad{}, ipad{};
+// What an HmacSha256 keyed on `key` (at most 64 bytes) stores: the opad
+// block and the SHA-256 midstate after the ipad block, as byte strings.
+std::array<Bytes, 2> hmac_key_state(ByteView key) {
+  std::array<std::uint8_t, 64> ipad{};
+  Bytes opad(64);
   for (std::size_t i = 0; i < 64; ++i) {
     const std::uint8_t k = i < key.size() ? key[i] : 0;
     opad[i] = static_cast<std::uint8_t>(k ^ 0x5c);
@@ -154,56 +152,115 @@ TEST(HmacSha256, DestructorWipesKeyFromCallerStorage) {
                                0xa54ff53a, 0x510e527f, 0x9b05688c,
                                0x1f83d9ab, 0x5be0cd19};
   detail::sha256_blocks_portable(midstate, ipad.data(), 1);
-  std::uint8_t midstate_bytes[sizeof(midstate)];
-  std::memcpy(midstate_bytes, midstate, sizeof(midstate));
-
-  alignas(HmacSha256) std::uint8_t storage[sizeof(HmacSha256)];
-  const auto holds = [&](const std::uint8_t* first, const std::uint8_t* last) {
-    return std::search(storage, storage + sizeof(storage), first, last) !=
-           storage + sizeof(storage);
-  };
-  auto* mac = new (storage) HmacSha256(key);
-  ASSERT_TRUE(holds(opad.data(), opad.data() + opad.size()));
-  ASSERT_TRUE(holds(midstate_bytes, midstate_bytes + sizeof(midstate_bytes)));
-  mac->~HmacSha256();
-  EXPECT_FALSE(holds(opad.data(), opad.data() + opad.size()));
-  EXPECT_FALSE(holds(midstate_bytes, midstate_bytes + sizeof(midstate_bytes)));
+  Bytes midstate_bytes(sizeof(midstate));
+  std::memcpy(midstate_bytes.data(), midstate, sizeof(midstate));
+  return {opad, midstate_bytes};
 }
 
-// RFC 5869 test case 1.
+// Whether `storage` contains `secret` anywhere.
+template <std::size_t N>
+bool holds(const std::uint8_t (&storage)[N], const Bytes& secret) {
+  return std::search(storage, storage + N, secret.begin(), secret.end()) !=
+         storage + N;
+}
+
+// An HMAC context holds its key twice: as the opad block and as the SHA-256
+// midstate after the ipad block. Placement-new into a caller-owned buffer
+// lets the test read that storage after destruction, in the style of
+// Aes.DestructorWipesKeyFromCallerStorage.
+TEST(HmacSha256, DestructorWipesKeyFromCallerStorage) {
+  const Bytes key = from_hex(
+      "0b1c2d3e4f5061728394a5b6c7d8e9fa0b1c2d3e4f5061728394a5b6c7d8e9fa");
+  alignas(HmacSha256) std::uint8_t storage[sizeof(HmacSha256)];
+  auto* mac = new (storage) HmacSha256(key);
+  for (const Bytes& state : hmac_key_state(key)) {
+    ASSERT_TRUE(holds(storage, state));
+  }
+  mac->~HmacSha256();
+  for (const Bytes& state : hmac_key_state(key)) {
+    EXPECT_FALSE(holds(storage, state));
+  }
+}
+
+// RFC 5869 test case 1, through one Hkdf context.
 TEST(Hkdf, Rfc5869Case1) {
   const Bytes ikm(22, 0x0b);
   const Bytes salt = from_hex("000102030405060708090a0b0c");
   const Bytes info = from_hex("f0f1f2f3f4f5f6f7f8f9");
-  const Bytes prk = hkdf_extract(salt, ikm);
-  EXPECT_EQ(to_hex(prk),
-            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
-  const Bytes okm = hkdf_expand(prk, info, 42);
-  EXPECT_EQ(to_hex(okm),
+  EXPECT_EQ(to_hex(Hkdf(salt, ikm).expand(info, 42)),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
+}
+
+// RFC 5869 test case 2: 80-byte salt, IKM and info, 82-byte OKM. Three
+// T(n) blocks, so T(1) and T(2) each chain into the next block's HMAC.
+TEST(Hkdf, Rfc5869Case2LongInputs) {
+  Bytes ikm(80), salt(80), info(80);
+  for (std::size_t i = 0; i < 80; ++i) {
+    ikm[i] = static_cast<std::uint8_t>(i);
+    salt[i] = static_cast<std::uint8_t>(0x60 + i);
+    info[i] = static_cast<std::uint8_t>(0xb0 + i);
+  }
+  EXPECT_EQ(to_hex(Hkdf(salt, ikm).expand(info, 82)),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f1d87");
 }
 
 // RFC 5869 test case 3: empty salt and info.
 TEST(Hkdf, Rfc5869Case3EmptySaltInfo) {
   const Bytes ikm(22, 0x0b);
-  const Bytes okm = hkdf(ByteView{}, ikm, ByteView{}, 42);
-  EXPECT_EQ(to_hex(okm),
+  EXPECT_EQ(to_hex(Hkdf(ByteView{}, ikm).expand(ByteView{}, 42)),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
             "9d201395faa4b61a96c8");
 }
 
 TEST(Hkdf, RejectsOversizedRequest) {
-  const Bytes prk(32, 0x01);
-  EXPECT_THROW(hkdf_expand(prk, ByteView{}, 255 * 32 + 1),
+  const Hkdf kdf(ByteView{}, Bytes(32, 0x01));
+  EXPECT_THROW(kdf.expand(ByteView{}, Hkdf::kMaxOutput + 1),
                std::invalid_argument);
+  EXPECT_EQ(kdf.expand(ByteView{}, Hkdf::kMaxOutput).size(), Hkdf::kMaxOutput);
 }
 
 TEST(Hkdf, DistinctInfoGivesIndependentKeys) {
-  const Bytes ikm = bytes_of("puf-derived key material");
-  const Bytes k1 = hkdf(ByteView{}, ikm, bytes_of("enc"), 32);
-  const Bytes k2 = hkdf(ByteView{}, ikm, bytes_of("mac"), 32);
-  EXPECT_NE(k1, k2);
+  const Hkdf kdf(ByteView{}, bytes_of("puf-derived key material"));
+  EXPECT_NE(kdf.expand(bytes_of("enc"), 32), kdf.expand(bytes_of("mac"), 32));
+}
+
+// One context expands any number of labels, in any order, to the bytes a
+// fresh context per label gives: expand leaves the keyed PRK unchanged.
+TEST(Hkdf, ManyExpandsMatchFreshContexts) {
+  const Bytes salt = bytes_of("transcript");
+  const Bytes ikm = bytes_of("shared secret g^xy");
+  const Hkdf kdf(salt, ikm);
+  for (int round = 0; round < 2; ++round) {
+    for (const std::size_t length : {0u, 1u, 16u, 32u, 33u, 64u, 100u}) {
+      const Bytes info = bytes_of("label-" + std::to_string(length));
+      EXPECT_EQ(kdf.expand(info, length), Hkdf(salt, ikm).expand(info, length))
+          << "length " << length << " round " << round;
+    }
+  }
+}
+
+// The context holds the PRK only as an HMAC key: its opad block and the
+// midstate after the ipad block. The PRK itself is never stored, and the
+// destructor wipes both, as HmacSha256.DestructorWipesKeyFromCallerStorage
+// checks for a plain key. The PRK is RFC 5869 test case 1's.
+TEST(Hkdf, DestructorWipesPrkContext) {
+  const Bytes ikm(22, 0x0b);
+  const Bytes salt = from_hex("000102030405060708090a0b0c");
+  const Bytes prk = from_hex(
+      "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
+  alignas(Hkdf) std::uint8_t storage[sizeof(Hkdf)];
+  auto* kdf = new (storage) Hkdf(salt, ikm);
+  for (const Bytes& state : hmac_key_state(prk)) {
+    ASSERT_TRUE(holds(storage, state));
+  }
+  EXPECT_FALSE(holds(storage, prk));
+  kdf->~Hkdf();
+  for (const Bytes& state : hmac_key_state(prk)) {
+    EXPECT_FALSE(holds(storage, state));
+  }
 }
 
 // Reference vector from the SipHash paper (Appendix A).

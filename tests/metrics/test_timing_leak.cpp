@@ -86,9 +86,11 @@ TEST(TimingLeak, CmacTagVerificationIsConstantTime) {
   // not modulate the timing.
   const crypto::Aes cipher(crypto::Bytes(16, 0x0F));
   const crypto::Bytes message(256, 0x33);
-  const crypto::Bytes good_tag = crypto::aes_cmac(cipher, message);
+  std::array<std::uint8_t, crypto::Cmac::kTagSize> good_tag{};
+  crypto::Cmac(cipher).tag(message, good_tag);
   const TimingTarget target = [&](crypto::ByteView input) {
-    const crypto::Bytes tag = crypto::aes_cmac(cipher, input);
+    std::array<std::uint8_t, crypto::Cmac::kTagSize> tag{};
+    crypto::Cmac(cipher).tag(input, tag);
     volatile bool sink = crypto::ct_equal(tag, good_tag);
     (void)sink;
   };

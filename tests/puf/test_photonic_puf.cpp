@@ -162,6 +162,15 @@ TEST(EncryptedChallengePuf, ConsistentWithInnerOnTransformedChallenge) {
             reference.evaluate_noiseless(wrapped.transform(c)));
 }
 
+TEST(EncryptedChallengePuf, TransformKnownAnswer) {
+  EncryptedChallengePuf wrapped(
+      std::make_unique<PhotonicPuf>(small_photonic_config(), 13, 0),
+      crypto::bytes_of("weak puf key material"));
+  EXPECT_EQ(crypto::to_hex(wrapped.transform(Challenge(2, 0x42))), "79d0");
+  EXPECT_EQ(crypto::to_hex(wrapped.transform(Challenge{0x00, 0x01})), "387c");
+  EXPECT_EQ(crypto::to_hex(wrapped.transform(Challenge{0xff, 0xfe})), "3d55");
+}
+
 TEST(EncryptedChallengePuf, NullInnerThrows) {
   EXPECT_THROW(EncryptedChallengePuf(nullptr, crypto::bytes_of("k")),
                std::invalid_argument);
@@ -206,6 +215,20 @@ TEST(CompositePuf, SwappedAsicDetected) {
   const double d = crypto::fractional_hamming_distance(
       genuine.evaluate_noiseless(c), tampered.evaluate_noiseless(c));
   EXPECT_NEAR(d, 0.5, 0.2);  // keystream mask decorrelates completely
+}
+
+// The binding cipher's keystream, read as the composite response XOR the
+// bare PIC's: pins the key derived from the ASIC's SRAM pattern.
+TEST(CompositePuf, BindingMaskKnownAnswer) {
+  CompositePuf composite = make_composite(0, 100);
+  const PhotonicPuf pic(small_photonic_config(), 31, 0);
+  std::string masks;
+  for (const Challenge& c : {Challenge(2, 0x99), Challenge{0x00, 0x01}}) {
+    masks += crypto::to_hex(crypto::xor_bytes(composite.evaluate_noiseless(c),
+                                              pic.evaluate_noiseless(c)));
+    masks += ' ';
+  }
+  EXPECT_EQ(masks, "b58c1e82 cb68fda1 ");
 }
 
 TEST(CompositePuf, NullChipThrows) {
