@@ -126,6 +126,31 @@ void BM_Modexp2048(benchmark::State& state) {
 }
 BENCHMARK(BM_Modexp2048)->Unit(benchmark::kMillisecond);
 
+// g^x through the group's fixed-base comb, as EKE's initiate and respond
+// run it.
+void BM_DhGenerate2048(benchmark::State& state) {
+  const auto& group = crypto::DhGroup::modp2048();
+  crypto::ChaChaDrbg rng(crypto::bytes_of("dh-generate"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::dh_generate(group, rng));
+  }
+}
+BENCHMARK(BM_DhGenerate2048)->Unit(benchmark::kMillisecond);
+
+// peer^x through the group's held MontgomeryCtx, as EKE's confirm and
+// finalize run it.
+void BM_DhSharedSecret2048(benchmark::State& state) {
+  const auto& group = crypto::DhGroup::modp2048();
+  crypto::ChaChaDrbg rng(crypto::bytes_of("dh-shared"));
+  const auto mine = crypto::dh_generate(group, rng);
+  const auto peer = crypto::dh_generate(group, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::dh_shared_secret(group, mine.secret, peer.public_value));
+  }
+}
+BENCHMARK(BM_DhSharedSecret2048)->Unit(benchmark::kMillisecond);
+
 void BM_HscIotSession(benchmark::State& state) {
   puf::PhotonicPuf device_puf(puf::small_photonic_config(), 77, 1);
   crypto::ChaChaDrbg rng(crypto::bytes_of("e9b"));

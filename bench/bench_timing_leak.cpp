@@ -4,7 +4,8 @@
 // primitives — the constant-time comparator, CMAC tag verification,
 // HMAC-SHA256 verification, the AES block cipher on each kernel (AES-NI
 // and the portable table S-box, reported as measured), MODP modexp over a
-// secret exponent — against the deliberately variable-time control, then
+// secret exponent and the fixed-base comb dh_generate raises g with —
+// against the deliberately variable-time control, then
 // times the harness itself so its cost per audited primitive is known.
 #include <benchmark/benchmark.h>
 
@@ -115,6 +116,18 @@ void print_leak_table() {
                   const crypto::BigUint result = crypto::modexp(
                       group.generator,
                       crypto::BigUint::from_bytes_be(exponent), group.prime);
+                  volatile bool sink = result.is_zero();
+                  (void)sink;
+                },
+                low_weight, modexp_config));
+  print_row("g^x comb MODP-1536 (256b x)",
+            measure_timing_leak(
+                [&group](crypto::ByteView input) {
+                  crypto::Bytes exponent(input.begin(), input.end());
+                  exponent.front() |= 0x80;
+                  exponent.back() |= 0x01;
+                  const crypto::BigUint result = group.comb.pow(
+                      crypto::BigUint::from_bytes_be(exponent));
                   volatile bool sink = result.is_zero();
                   (void)sink;
                 },

@@ -290,14 +290,17 @@ fi
 BENCH_SMOKE_DIR="${SMOKE_BUILD}/bench-smoke"
 # BM_Modexp2048 and BM_EkeHandshake2048 (bench_aka_eke) gate the MODP
 # kernel dispatch: a silent fall-back to the portable Montgomery row is a
-# ~2.5x cliff that no test would notice. BM_AesCtr/16384, BM_AesCmac/1024,
+# ~2.5x cliff that no test would notice. BM_DhGenerate2048 gates the
+# fixed-base comb behind dh_generate (the general modexp is about 3x
+# slower), and BM_DhSharedSecret2048 the group's held context and its
+# dedicated squaring. BM_AesCtr/16384, BM_AesCmac/1024,
 # BM_Sha256/1024 and BM_HmacSha256/64 (bench_crypto) gate the AES-NI and
 # SHA-NI dispatch the same way: the portable kernels are 4-90x slower.
 # BM_CtrThenMacSeal/144 (bench_crypto) gates the keyed Encrypt-then-MAC
 # context: deriving its two keys per frame again is about 5x slower.
 # BM_FleetRotationSweepDurable (bench_fleet) gates the batched durable
 # take: one fsync-waiting take per device is about 9x slower.
-BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048|BM_AesCtr/16384|BM_AesCmac/1024|BM_Sha256/1024|BM_HmacSha256/64|BM_CtrThenMacSeal/144|BM_FleetRotationSweepDurable'
+BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048|BM_DhGenerate2048|BM_DhSharedSecret2048|BM_AesCtr/16384|BM_AesCmac/1024|BM_Sha256/1024|BM_HmacSha256/64|BM_CtrThenMacSeal/144|BM_FleetRotationSweepDurable'
 mkdir -p "${BENCH_SMOKE_DIR}"
 for bench in "${BENCH_BINS[@]}"; do
   bench_bin="${SMOKE_BUILD}/bench/${bench}"

@@ -94,6 +94,7 @@ class BigUint {
  private:
   void normalize() noexcept;
   friend class MontgomeryCtx;
+  friend class FixedBaseComb;
   std::vector<std::uint64_t> limbs_;
 };
 
@@ -121,15 +122,17 @@ inline constexpr std::size_t kMaxMontLimbs = 64;
 /// count, never on its bits or on the base. The exponent is scanned in
 /// fixed 5-bit windows over its full limb width; every window costs five
 /// squarings and one multiply, and reads its table entry by a masked scan
-/// of all 32 entries. The Montgomery product ends in a masked, branch-free
-/// final subtraction. All scratch lives on the stack and is wiped before
-/// `modexp` returns.
+/// of all 32 entries. Products and squarings both end in a masked,
+/// branch-free final subtraction, and the squaring's rows are a function
+/// of the modulus width alone. All scratch lives on the stack and is
+/// wiped before `modexp` returns.
 ///
 /// Kernel dispatch: for 24- and 32-limb moduli (the RFC 3526 1536- and
 /// 2048-bit groups) on an x86-64 CPU with BMI2 and ADX, checked once by
-/// CPUID, each product row runs on an unrolled mulx/adcx/adox kernel. Every
-/// other width and CPU uses the portable CIOS row, which is also the
-/// reference the fast kernel is tested against. Both give identical bits.
+/// CPUID, each product row and each squaring runs on unrolled
+/// mulx/adcx/adox rows. Every other width and CPU uses the portable CIOS
+/// row and the portable squaring, which are also the references the fast
+/// kernels are tested against. All give identical bits.
 class MontgomeryCtx {
  public:
   /// Throws std::invalid_argument unless modulus is odd, > 1 and at most
@@ -142,11 +145,63 @@ class MontgomeryCtx {
   const BigUint& modulus() const noexcept { return modulus_; }
 
  private:
+  friend class FixedBaseComb;
+  // Montgomery product and square of n-limb values below N; `t` is
+  // 2n+1 limbs of scratch and `out` may alias an input.
+  void mul(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* t,
+           std::uint64_t* out) const noexcept;
+  void sqr(const std::uint64_t* a, std::uint64_t* t,
+           std::uint64_t* out) const noexcept;
+  // out = x * R mod N for the `len` limbs at x, a value below N.
+  void to_mont(const std::uint64_t* x, std::size_t len, std::uint64_t* t,
+               std::uint64_t* out) const noexcept;
+  // result = acc * R^-1 mod N; `one` is n limbs of scratch. result must
+  // have capacity for n limbs, so this does not allocate.
+  void from_mont(std::uint64_t* acc, std::uint64_t* one, std::uint64_t* t,
+                 BigUint& result) const;
+
   BigUint modulus_;
   std::vector<std::uint64_t> r2_;  // R^2 mod N, n_ limbs
   std::uint64_t n0_inv_ = 0;       // -N^-1 mod 2^64
   std::size_t n_ = 0;              // limb count
   detail::MontRow row_ = nullptr;  // product-row kernel for n_
+  detail::MontSqr sqr_ = nullptr;  // squaring kernel for n_
+};
+
+/// base^x mod N for one base fixed in advance, such as a DH generator: a
+/// Lim–Lee comb (HAC Algorithm 14.109) with kTeeth teeth over exponents of
+/// up to `exponent_limbs` limbs. Entry j of its public table, built once,
+/// is the product of base^(2^(k*spacing)) over the set bits k of j, with
+/// spacing = ceil(64 * exponent_limbs / kTeeth). A call then costs
+/// spacing - 1 squarings and spacing - 1 multiplies: 84 products for a
+/// 256-bit exponent, against about 345 for `MontgomeryCtx::modexp`. Six
+/// teeth measured fastest at 2048 bits (DESIGN.md "Modexp"): more teeth
+/// shorten the column loop but double the table every column scans.
+///
+/// Constant-time contract, as for `modexp`: the sequence of operations
+/// and memory accesses is the same for every exponent the comb accepts.
+/// Each column reads its entry by a masked scan of all 2^kTeeth entries,
+/// every product ends in the masked final subtraction, and the stack
+/// scratch, the exponent's copy included, is wiped before `pow` returns.
+class FixedBaseComb {
+ public:
+  static constexpr std::size_t kTeeth = 6;
+  static constexpr std::size_t kEntries = std::size_t{1} << kTeeth;
+
+  /// Throws std::invalid_argument unless 1 <= exponent_limbs <=
+  /// kMaxMontLimbs.
+  FixedBaseComb(MontgomeryCtx ctx, const BigUint& base,
+                std::size_t exponent_limbs);
+
+  /// base^exponent mod N. Throws std::invalid_argument when the exponent
+  /// is wider than the comb's exponent_limbs.
+  BigUint pow(const BigUint& exponent) const;
+
+ private:
+  MontgomeryCtx ctx_;
+  std::size_t exponent_limbs_;
+  std::size_t spacing_ = 0;           // exponent bits between teeth
+  std::vector<std::uint64_t> table_;  // kEntries entries, Montgomery form
 };
 
 /// base^exponent mod modulus through MontgomeryCtx. Returns zero for

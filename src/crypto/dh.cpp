@@ -1,6 +1,7 @@
 #include "crypto/dh.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace neuropuls::crypto {
 
@@ -31,10 +32,17 @@ constexpr const char* kModp2048Hex =
     "DE2BCBF6 95581718 3995497C EA956AE5 15D22618 98FA0510"
     "15728E5A 8AACAA68 FFFFFFFF FFFFFFFF";
 
+// The short exponent dh_generate draws: 256 bits, at least twice the
+// 128-bit target security level.
+constexpr std::size_t kExponentBytes = 32;
+
 DhGroup make_group(const char* hex) {
   const BigUint prime = BigUint::from_hex(hex);
-  return DhGroup{prime, BigUint(2), (prime.bit_length() + 7) / 8,
-                 MontgomeryCtx(prime)};
+  const BigUint generator(2);
+  MontgomeryCtx mont(prime);
+  FixedBaseComb comb(mont, generator, kExponentBytes / 8);
+  return DhGroup{prime, generator, (prime.bit_length() + 7) / 8,
+                 std::move(mont), std::move(comb)};
 }
 
 }  // namespace
@@ -50,14 +58,13 @@ const DhGroup& DhGroup::modp2048() {
 }
 
 DhKeyPair dh_generate(const DhGroup& group, ChaChaDrbg& rng) {
-  // 256-bit short exponent (>= twice the 128-bit target security level).
-  Bytes exponent_bytes = rng.generate(32);  // ctlint:secret
+  Bytes exponent_bytes = rng.generate(kExponentBytes);  // ctlint:secret
   exponent_bytes[0] |= 0x80;  // force full length
-  exponent_bytes[31] |= 0x01; // never zero
+  exponent_bytes[kExponentBytes - 1] |= 0x01;  // never zero
   DhKeyPair pair;
   pair.secret = BigUint::from_bytes_be(exponent_bytes);
   secure_wipe(exponent_bytes);
-  pair.public_value = group.mont.modexp(group.generator, pair.secret);
+  pair.public_value = group.comb.pow(pair.secret);
   return pair;
 }
 

@@ -17,12 +17,16 @@
 namespace neuropuls::crypto {
 
 /// A fixed DH group (safe prime p, generator g), with the Montgomery
-/// context for p built once with the group.
+/// context for p and the fixed-base comb for g built once with the group.
+/// `dh_generate` computes g^x through the comb; `dh_shared_secret` raises
+/// the peer's value through `mont.modexp`. Both are constant-time in the
+/// exponent (bignum.hpp).
 struct DhGroup {
   BigUint prime;
   BigUint generator;
   std::size_t prime_bytes;  // serialised public-value length
   MontgomeryCtx mont;
+  FixedBaseComb comb;  // g^x for the 256-bit exponents dh_generate draws
 
   /// RFC 3526 group 5: 1536-bit MODP.
   static const DhGroup& modp1536();

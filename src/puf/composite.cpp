@@ -2,10 +2,24 @@
 
 #include <stdexcept>
 
+#include "common/secret.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace neuropuls::puf {
+
+namespace {
+// The chip-binding cipher, keyed from the ASIC's stable (noise-free
+// reference) SRAM pattern; in hardware this would be the fuzzy-extracted
+// key. The pattern is held only as a SecretBytes, so it is wiped once the
+// cipher is keyed.
+crypto::Aes binding_cipher(const SramPuf* asic) {
+  const common::SecretBytes pattern(asic ? asic->evaluate_noiseless({})
+                                         : Response{});
+  return crypto::hkdf_aes128(
+      crypto::Hkdf(crypto::ByteView{}, pattern.reveal()), "np-chip-binding");
+}
+}  // namespace
 
 EncryptedChallengePuf::EncryptedChallengePuf(std::unique_ptr<Puf> inner,
                                              const Response& weak_key)
@@ -34,13 +48,7 @@ CompositePuf::CompositePuf(std::unique_ptr<Puf> pic,
                            std::unique_ptr<SramPuf> asic)
     : pic_(std::move(pic)),
       asic_(std::move(asic)),
-      // The ASIC's binding key comes from its stable (noise-free
-      // reference) SRAM pattern — in hardware this would be the
-      // fuzzy-extracted key.
-      asic_cipher_(crypto::hkdf_aes128(
-          crypto::Hkdf(crypto::ByteView{},
-                       asic_ ? asic_->evaluate_noiseless({}) : Response{}),
-          "np-chip-binding")) {
+      asic_cipher_(binding_cipher(asic_.get())) {
   if (!pic_ || !asic_) {
     throw std::invalid_argument("CompositePuf: null chip");
   }

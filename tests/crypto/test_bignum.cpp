@@ -6,11 +6,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/alloc_probe.hpp"
 #include "crypto/bignum.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/montgomery_kernels.hpp"
 #include "crypto/prng.hpp"
 #include "crypto/sha256.hpp"
+
+NEUROPULS_DEFINE_ALLOC_PROBE()
 
 namespace neuropuls::crypto {
 namespace {
@@ -272,6 +275,162 @@ TEST(MontKernel, EveryWidthMatchesMulmodReference) {
               modexp_by_mulmod(base, exponent, modulus))
         << "n=" << n;
   }
+}
+
+// Pins a squaring kernel to the product kernel of the same family on
+// a*a: random values below the modulus, N - 1, and values just under it.
+void expect_square_matches_product(detail::MontSqr sqr, detail::MontRow row,
+                                   std::size_t n, rng::Xoshiro256& rng) {
+  std::vector<Limbs> moduli;
+  if (n == 24) moduli.push_back(padded(DhGroup::modp1536().prime, n));
+  if (n == 32) moduli.push_back(padded(DhGroup::modp2048().prime, n));
+  for (int k = 0; k < 3; ++k) {
+    Limbs m(n);
+    for (auto& limb : m) limb = rng.next();
+    m[0] |= 1;
+    m.back() |= std::uint64_t{1} << 63;
+    moduli.push_back(m);
+    for (std::size_t j = n / 2; j < n; ++j) m[j] = ~std::uint64_t{0};
+    moduli.push_back(m);
+  }
+  std::size_t over_n = 0;  // squares that needed the final subtraction
+  Limbs t(2 * n + 1), sq(n), product(n);
+  for (int pair = 0; pair < 2000; ++pair) {
+    const Limbs& mod = moduli[static_cast<std::size_t>(pair) % moduli.size()];
+    const BigUint modulus = from_limbs(mod);
+    Limbs a = random_below(mod, rng);
+    if (pair % 7 == 0) a = padded(modulus - BigUint(1), n);
+    if (pair % 13 == 0) a = padded(modulus - BigUint(rng.next() % 1000 + 2), n);
+    const std::uint64_t n0_inv = detail::mont_n0_inv(mod[0]);
+    detail::mont_mul(row, a.data(), a.data(), mod.data(), n0_inv, n, t.data(),
+                     product.data());
+    // In place, as modexp calls it.
+    sq = a;
+    sqr(sq.data(), mod.data(), n0_inv, n, t.data(), sq.data());
+    ASSERT_EQ(sq, product) << "n=" << n << " pair=" << pair;
+    ASSERT_LT(from_limbs(sq), modulus);
+    // The square before reduction's subtraction: (a^2 + M*N) / R >= N?
+    if (from_limbs(unreduced_product(row, a, a, mod)) >= modulus) ++over_n;
+  }
+  EXPECT_GT(over_n, 0u) << "no square exercised the final subtraction";
+}
+
+TEST(MontKernel, SquaringMatchesProductOnEachKernel) {
+  rng::Xoshiro256 rng(4096);
+  const std::size_t widths[] = {24, 32};
+  for (const std::size_t n : widths) {
+    expect_square_matches_product(&detail::mont_sqr_portable,
+                                  &detail::mont_row_portable, n, rng);
+  }
+  for (const std::size_t n : widths) {
+    const detail::MontSqr sqr = detail::mont_sqr_adx(n);
+    const detail::MontRow row = detail::mont_row_adx(n);
+    ASSERT_EQ(sqr == nullptr, row == nullptr);
+    if (sqr == nullptr) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    expect_square_matches_product(sqr, row, n, rng);
+  }
+}
+
+TEST(MontKernel, PortableSquaringMatchesProductAtOtherWidths) {
+  rng::Xoshiro256 rng(7);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, kMaxMontLimbs}) {
+    EXPECT_EQ(detail::mont_sqr_adx(n), nullptr) << n;
+    expect_square_matches_product(&detail::mont_sqr_portable,
+                                  &detail::mont_row_portable, n, rng);
+  }
+}
+
+// ---- Fixed-base comb --------------------------------------------------------
+
+// 256-bit exponents at the edges of the comb: few set bits, all set, a
+// set top bit over a zero low limb, and widths below the comb's.
+std::vector<BigUint> edge_exponents() {
+  return {
+      BigUint{},
+      BigUint(1),
+      BigUint(2),
+      BigUint::from_hex("80000000000000000000000000000000"
+                        "00000000000000000000000000000001"),
+      BigUint::from_hex("ffffffffffffffffffffffffffffffff"
+                        "ffffffffffffffffffffffffffffffff"),
+      BigUint::from_hex("80000000000000000000000000000000"
+                        "000000000000000f0000000000000000"),
+      BigUint::from_hex("ffffffffffffffff"),
+      BigUint::from_hex("1" + std::string(63, '0')),
+  };
+}
+
+TEST(FixedBaseComb, MatchesModexpOnModpGroups) {
+  for (const DhGroup* group : {&DhGroup::modp1536(), &DhGroup::modp2048()}) {
+    for (const BigUint& x : edge_exponents()) {
+      EXPECT_EQ(group->comb.pow(x), group->mont.modexp(group->generator, x))
+          << group->prime_bytes << " x=" << x.to_hex();
+    }
+    rng::Xoshiro256 rng(group->prime_bytes);
+    for (int i = 0; i < 1000; ++i) {
+      Bytes be;
+      for (int limb = 0; limb < 4; ++limb) append_u64_be(be, rng.next());
+      const BigUint x = BigUint::from_bytes_be(be);
+      ASSERT_EQ(group->comb.pow(x), group->mont.modexp(group->generator, x))
+          << group->prime_bytes << " x=" << x.to_hex();
+    }
+  }
+}
+
+TEST(FixedBaseComb, MatchesMulmodReferenceAtOtherWidths) {
+  rng::Xoshiro256 rng(99);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, kMaxMontLimbs}) {
+    Limbs m(n);
+    for (auto& limb : m) limb = rng.next();
+    m[0] |= 1;
+    m.back() |= std::uint64_t{1} << 63;
+    const BigUint modulus = from_limbs(m);
+    // A base wider than the modulus is reduced first.
+    const BigUint base = from_limbs({rng.next(), rng.next()}) << (64 * n);
+    for (const std::size_t exponent_limbs : {std::size_t{1}, std::size_t{3}}) {
+      const FixedBaseComb comb(MontgomeryCtx(modulus), base, exponent_limbs);
+      for (int i = 0; i < 4; ++i) {
+        Limbs e(exponent_limbs);
+        for (auto& limb : e) limb = rng.next();
+        const BigUint x = from_limbs(e);
+        EXPECT_EQ(comb.pow(x), modexp_by_mulmod(base, x, modulus))
+            << "n=" << n << " limbs=" << exponent_limbs;
+      }
+    }
+  }
+}
+
+TEST(FixedBaseComb, RejectsExponentsWiderThanItsTable) {
+  const DhGroup& group = DhGroup::modp1536();
+  EXPECT_THROW(group.comb.pow(BigUint(1) << 256), std::invalid_argument);
+  EXPECT_THROW(FixedBaseComb(group.mont, BigUint(2), 0),
+               std::invalid_argument);
+  EXPECT_THROW(FixedBaseComb(group.mont, BigUint(2), kMaxMontLimbs + 1),
+               std::invalid_argument);
+}
+
+// The comb allocates only its result, and modexp its result and the
+// reduced base, both before any secret reaches their stack scratch: the
+// counts are small and do not depend on the exponent.
+TEST(FixedBaseComb, PowAndModexpAllocateOnlyBeforeTheirScratch) {
+  const DhGroup& group = DhGroup::modp2048();
+  const BigUint x = BigUint::from_hex(
+      "9e3779b97f4a7c15f39cc0605cedc8341082276bf3a27251f86c6a11d0c18e95");
+  const BigUint y = BigUint::from_hex("8" + std::string(62, '0') + "1");
+  const BigUint peer = group.comb.pow(BigUint(12345));
+  const auto allocations_of = [](const auto& fn) {
+    const auto before = common::alloc_probe::allocations();
+    const BigUint value = fn();
+    EXPECT_FALSE(value.is_zero());
+    return common::alloc_probe::allocations() - before;
+  };
+  EXPECT_EQ(allocations_of([&] { return group.comb.pow(x); }), 1u);
+  EXPECT_EQ(allocations_of([&] { return group.comb.pow(y); }), 1u);
+  const auto modexp_allocations =
+      allocations_of([&] { return group.mont.modexp(peer, x); });
+  EXPECT_LE(modexp_allocations, 3u);
+  EXPECT_EQ(allocations_of([&] { return group.mont.modexp(peer, y); }),
+            modexp_allocations);
 }
 
 struct KnownAnswer {

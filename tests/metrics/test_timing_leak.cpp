@@ -165,6 +165,33 @@ TEST(TimingLeak, ModexpIsConstantTime) {
       << "modexp flagged: t=" << report.t_statistic;
 }
 
+TEST(TimingLeak, DhGenerateIsConstantTime) {
+  // The fixed-base comb behind dh_generate, on the same two classes as
+  // ModexpIsConstantTime: 0x80...01 against random 256-bit exponents with
+  // the top and bottom bits forced. A comb that skipped zero columns, or
+  // indexed its table directly, would give the sparse class fewer or
+  // cheaper steps.
+  const auto& group = crypto::DhGroup::modp1536();
+  crypto::Bytes fixed(32, 0);
+  fixed.front() = 0x80;
+  fixed.back() = 0x01;
+  const TimingTarget target = [&group](crypto::ByteView input) {
+    crypto::Bytes exponent(input.begin(), input.end());
+    exponent.front() |= 0x80;
+    exponent.back() |= 0x01;
+    const crypto::BigUint result =
+        group.comb.pow(crypto::BigUint::from_bytes_be(exponent));
+    volatile bool sink = result.is_zero();
+    (void)sink;
+  };
+  TimingLeakConfig config;
+  config.samples_per_class = 2000;
+  config.warmup = 64;
+  const auto report = best_of_three(target, fixed, config);
+  EXPECT_FALSE(report.leaking)
+      << "fixed-base comb flagged: t=" << report.t_statistic;
+}
+
 TEST(TimingLeak, ReportEchoesThreshold) {
   const crypto::Bytes fixed(64, 1);
   TimingLeakConfig config;
