@@ -8,13 +8,14 @@
 Side A is --base (default HEAD) and side B is --change (default WORKTREE:
 the tracked and untracked, not ignored, files of the work tree as they are
 now). Each side is exported with `git archive` (or, for WORKTREE, copied
-file by file) into <build-dir>/a and <build-dir>/b and built there with
-the same flags: RelWithDebInfo, plus CXXFLAGS from --cxx-flags when given.
-Nothing is built or written in the checkout itself.
+file by file) into <build-dir>/a and <build-dir>/b and built there the
+same way, RelWithDebInfo with the repo's own flags. Nothing is built or
+written in the checkout itself.
 
 A perfbench run is `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace X` inside each tree. A google-benchmark run is one
-binary of bench/ with --benchmark_filter, timed by its real_time per case.
+binary of bench/ with --benchmark_filter and --benchmark_min_time=0.5,
+timed by its real_time per case.
 Both sides are built and run once before the timed pairs. Pair i runs A
 then B when i is even and B then A when it is odd, so drift in the host's
 speed falls on both sides alike.
@@ -71,21 +72,15 @@ def export(rev, dest):
     return "work tree"
 
 
-def build_env(tree, cxx_flags):
-    env = dict(os.environ)
-    env["CARGO_TARGET_DIR"] = os.path.join(tree, ".bench_build")
-    if cxx_flags:
-        env["CXXFLAGS"] = cxx_flags
-    else:
-        env.pop("CXXFLAGS", None)
-    return env
+def build_env(tree):
+    return dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
 
 
 def run_perfbench(tree, args):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=tree, env=build_env(tree, args.cxx_flags),
+    proc = subprocess.run(cmd, cwd=tree, env=build_env(tree),
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -98,11 +93,11 @@ def run_perfbench(tree, args):
 
 def build_bench(tree, args):
     build = os.path.join(tree, "build")
-    env = build_env(tree, args.cxx_flags)
+    env = build_env(tree)
     subprocess.run(["cmake", "-S", tree, "-B", build,
                     "-DCMAKE_BUILD_TYPE=RelWithDebInfo"], env=env, check=True,
                    stdout=subprocess.DEVNULL)
-    subprocess.run(["cmake", "--build", build, "-j", str(args.jobs),
+    subprocess.run(["cmake", "--build", build, "-j", "4",
                     "--target", args.bench], env=env, check=True,
                    stdout=subprocess.DEVNULL)
 
@@ -111,7 +106,7 @@ def run_bench(tree, args):
     binary = os.path.join(tree, "build", "bench", args.bench)
     with tempfile.NamedTemporaryFile(suffix=".json") as out:
         subprocess.run([binary, "--benchmark_filter=" + args.filter,
-                        "--benchmark_min_time=%g" % args.min_time,
+                        "--benchmark_min_time=0.5",
                         "--benchmark_out=" + out.name,
                         "--benchmark_out_format=json"],
                        check=True, stdout=subprocess.DEVNULL,
@@ -207,10 +202,6 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--build-dir", default=os.path.join(ROOT, "build-ab"),
                         help="where both trees are exported and built")
-    parser.add_argument("--cxx-flags", default="",
-                        help="CXXFLAGS for both builds, e.g. "
-                             "-Wa,-mbranches-within-32B-boundaries")
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--workload", help="a perfbench workload")
     parser.add_argument("--seed", type=int, help="perfbench seed (required "
                         "with --workload; pick one not used while writing "
@@ -219,8 +210,6 @@ def main():
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
     parser.add_argument("--bench", help="a google-benchmark binary of bench/")
     parser.add_argument("--filter", help="its --benchmark_filter")
-    parser.add_argument("--min-time", type=float, default=0.5,
-                        help="--benchmark_min_time per run, in seconds")
     parser.add_argument("--raw", help="also write every run's metrics to "
                         "this JSON file, updated after each pair")
     args = parser.parse_args()
@@ -260,9 +249,7 @@ def main():
     what = ("perfbench %s, seed %d, %g s, trace %d" % (
         args.workload, args.seed, args.seconds, args.trace) if args.workload
         else "%s --benchmark_filter='%s'" % (args.bench, args.filter))
-    print("%s; %d alternating pairs%s\n" % (
-        what, args.pairs,
-        "; CXXFLAGS=" + args.cxx_flags if args.cxx_flags else ""))
+    print("%s; %d alternating pairs\n" % (what, args.pairs))
     report(samples["a"], samples["b"], labels["a"], labels["b"],
            lower_is_default=bool(args.bench))
     if not correct:

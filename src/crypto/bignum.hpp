@@ -197,6 +197,10 @@ class FixedBaseComb {
   /// is wider than the comb's exponent_limbs.
   BigUint pow(const BigUint& exponent) const;
 
+  /// The Montgomery context of the comb's modulus, for variable-base
+  /// `modexp` under the same modulus.
+  const MontgomeryCtx& ctx() const noexcept { return ctx_; }
+
  private:
   MontgomeryCtx ctx_;
   std::size_t exponent_limbs_;

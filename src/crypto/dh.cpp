@@ -39,10 +39,9 @@ constexpr std::size_t kExponentBytes = 32;
 DhGroup make_group(const char* hex) {
   const BigUint prime = BigUint::from_hex(hex);
   const BigUint generator(2);
-  MontgomeryCtx mont(prime);
-  FixedBaseComb comb(mont, generator, kExponentBytes / 8);
+  FixedBaseComb comb(MontgomeryCtx(prime), generator, kExponentBytes / 8);
   return DhGroup{prime, generator, (prime.bit_length() + 7) / 8,
-                 std::move(mont), std::move(comb)};
+                 std::move(comb)};
 }
 
 }  // namespace
@@ -80,7 +79,7 @@ Bytes dh_shared_secret(const DhGroup& group, const BigUint& secret,
   if (!dh_public_is_valid(group, peer_public)) {
     throw std::runtime_error("dh_shared_secret: invalid peer public value");
   }
-  BigUint shared = group.mont.modexp(peer_public, secret);
+  BigUint shared = group.comb.ctx().modexp(peer_public, secret);
   Bytes out = shared.to_bytes_be(group.prime_bytes);
   shared.wipe();
   return out;

@@ -16,16 +16,15 @@
 
 namespace neuropuls::crypto {
 
-/// A fixed DH group (safe prime p, generator g), with the Montgomery
-/// context for p and the fixed-base comb for g built once with the group.
-/// `dh_generate` computes g^x through the comb; `dh_shared_secret` raises
-/// the peer's value through `mont.modexp`. Both are constant-time in the
-/// exponent (bignum.hpp).
+/// A fixed DH group (safe prime p, generator g), with the fixed-base comb
+/// for g built once with the group. The comb holds the group's one
+/// Montgomery context for p. `dh_generate` computes g^x through the comb;
+/// `dh_shared_secret` raises the peer's value through `comb.ctx().modexp`.
+/// Both are constant-time in the exponent (bignum.hpp).
 struct DhGroup {
   BigUint prime;
   BigUint generator;
   std::size_t prime_bytes;  // serialised public-value length
-  MontgomeryCtx mont;
   FixedBaseComb comb;  // g^x for the 256-bit exponents dh_generate draws
 
   /// RFC 3526 group 5: 1536-bit MODP.
