@@ -300,7 +300,10 @@ BENCH_SMOKE_DIR="${SMOKE_BUILD}/bench-smoke"
 # context: deriving its two keys per frame again is about 5x slower.
 # BM_FleetRotationSweepDurable (bench_fleet) gates the batched durable
 # take: one fsync-waiting take per device is about 9x slower.
-BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048|BM_DhGenerate2048|BM_DhSharedSecret2048|BM_AesCtr/16384|BM_AesCmac/1024|BM_Sha256/1024|BM_HmacSha256/64|BM_CtrThenMacSeal/144|BM_FleetRotationSweepDurable'
+# BM_PhotonicEvaluate and BM_PhotonicEvaluateNoiseless (bench_puf_quality)
+# gate single PUF evaluations, which run as one-lane blocks of the same
+# analog core as the batch cases.
+BENCH_SMOKE_FILTER='BM_PhotonicEvaluate$|BM_PhotonicEvaluateNoiseless$|PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery|BM_Modexp2048|BM_EkeHandshake2048|BM_DhGenerate2048|BM_DhSharedSecret2048|BM_AesCtr/16384|BM_AesCmac/1024|BM_Sha256/1024|BM_HmacSha256/64|BM_CtrThenMacSeal/144|BM_FleetRotationSweepDurable'
 mkdir -p "${BENCH_SMOKE_DIR}"
 for bench in "${BENCH_BINS[@]}"; do
   bench_bin="${SMOKE_BUILD}/bench/${bench}"

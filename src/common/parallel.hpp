@@ -99,6 +99,13 @@ inline void parallel_for(std::size_t n,
   ThreadPool::global().parallel_for(n, fn);
 }
 
+/// parallel_for on `pool`, or on the process-global pool when `pool` is
+/// nullptr — for APIs whose callers may pass their own pool.
+inline void parallel_for(ThreadPool* pool, std::size_t n,
+                         const std::function<void(std::size_t)>& fn) {
+  (pool != nullptr ? *pool : ThreadPool::global()).parallel_for(n, fn);
+}
+
 /// Fixed-capacity work-stealing run queue. The owning worker pushes and
 /// pops at the bottom (LIFO — the session it just stepped is cache-warm
 /// and likely to be stepped again), thieves take from the top (FIFO —

@@ -27,8 +27,9 @@
 // fused vfmaddsub even under -ffp-contract=off.
 //
 // Lane k of a block therefore produces
-// the same response bytes as the serial scalar evaluation of item k; ctest
-// asserts this (tests/photonic/test_field_block.cpp, test_parallel.cpp).
+// the same fields as the circuit's scalar mode on item k, and the same
+// response bytes at every block width; ctest asserts this
+// (tests/photonic/test_field_block.cpp, test_parallel.cpp).
 #pragma once
 
 #include <cstddef>

@@ -13,9 +13,12 @@
 //
 // Layering: this header depends only on the PRNG primitives, so the
 // photonic and PUF layers can consume it without cycles. The hooks live
-// in `photonic::Adc` (stuck bits), `puf::PhotonicPuf::analog_core`
+// in `puf::PhotonicPuf::analog_block`, the PUF's one analog core
 // (photodiode/laser/thermal/phase faults, noisy path only — the
-// verifier-side noiseless model stays ideal by construction).
+// verifier-side noiseless model stays ideal by construction), and in
+// `photonic::Adc` (stuck bits), which only `photonic::ReadoutChain`
+// runs: the PUF thresholds photocurrents directly, so stuck ADC bits
+// never reach a PUF response.
 #pragma once
 
 #include <cstddef>

@@ -117,11 +117,7 @@ DistanceSamples gather_distance_samples(
           references[d], references[other]);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(devices, fill_device);
-  } else {
-    common::parallel_for(devices, fill_device);
-  }
+  common::parallel_for(pool, devices, fill_device);
   return samples;
 }
 

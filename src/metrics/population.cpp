@@ -8,19 +8,6 @@
 
 namespace neuropuls::metrics {
 
-namespace {
-
-void run_parallel(common::ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, fn);
-  } else {
-    common::parallel_for(n, fn);
-  }
-}
-
-}  // namespace
-
 double uniformity(crypto::ByteView response) {
   if (response.empty()) {
     throw std::invalid_argument("uniformity: empty response");
@@ -70,7 +57,7 @@ double uniqueness(const std::vector<crypto::Bytes>& device_responses,
   // chunk order, so the result is bit-identical at any thread count.
   const std::size_t chunks = std::min<std::size_t>(pairs, 128);
   std::vector<double> chunk_totals(chunks, 0.0);
-  run_parallel(pool, chunks, [&](std::size_t c) {
+  common::parallel_for(pool, chunks, [&](std::size_t c) {
     const std::size_t lo = pairs * c / chunks;
     const std::size_t hi = pairs * (c + 1) / chunks;
     if (lo >= hi) return;

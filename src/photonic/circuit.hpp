@@ -130,11 +130,13 @@ class ScramblerTables {
 /// win even single-threaded.
 ///
 /// Two execution modes share the tables:
-///   * scalar (lanes == 0): step_inplace/step on one PortVector;
 ///   * lane-parallel (lanes > 0): step_block on a FieldBlock of `lanes`
-///     independent challenges, every op vectorized across lanes. Noiseless
-///     lane results are bit-identical to the scalar mode (common/simd.hpp
-///     documents the argument; ctest asserts it).
+///     independent challenges, every op vectorized across lanes — the
+///     mode PhotonicPuf runs, one lane for a single evaluation;
+///   * scalar (lanes == 0): step_inplace/step on one PortVector — the
+///     reference the physics tests and scramble_series use. Lane results
+///     are bit-identical to it (common/simd.hpp documents the argument;
+///     tests/photonic/test_field_block.cpp asserts it).
 class TimeDomainScrambler {
  public:
   /// Freezes the static transfer constants at `op` and builds per-ring

@@ -6,12 +6,13 @@
 // (coupler mix, waveguide rotation, ring update) streams through all W
 // lanes of a port with unit stride — the layout the auto-vectorized
 // kernels in common/simd.hpp want. The AoS PortVector
-// (std::vector<std::complex<double>>) remains the single-evaluation
-// representation; FieldBlock is the batch-engine counterpart.
+// (std::vector<std::complex<double>>) is the scalar circuit mode's
+// representation; PhotonicPuf evaluates every challenge in a FieldBlock,
+// a single one as a one-lane block.
 //
 // Lanes are fully independent: no op ever mixes lane i with lane j, only
-// port planes within a lane. That is what makes noiseless lane results
-// bit-identical to the serial scalar path (see common/simd.hpp).
+// port planes within a lane. That is what makes lane results
+// bit-identical to the scalar circuit mode (see common/simd.hpp).
 #pragma once
 
 #include <cstddef>

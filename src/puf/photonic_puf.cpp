@@ -23,15 +23,6 @@ namespace {
 // without letting a long scan grow the cache unboundedly.
 constexpr std::size_t kMaxOperatingTables = 8;
 
-void run_parallel(common::ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, fn);
-  } else {
-    common::parallel_for(n, fn);
-  }
-}
-
 }  // namespace
 
 PhotonicPuf::PhotonicPuf(PhotonicPufConfig config, std::uint64_t wafer_seed,
@@ -102,300 +93,224 @@ void PhotonicPuf::calibrate() {
     challenges.push_back(calib_rng.generate(challenge_bytes()));
   }
 
-  // Transpose as we go: each evaluation's (window, pair) matrix scatters
-  // straight into one flat slot-major buffer, so the per-slot medians run
-  // on contiguous spans and no per-challenge nested sample structures are
-  // ever retained. (Exact medians need every sample, so the flat buffer
-  // is the irreducible footprint; the former layout added one heap
-  // vector per challenge per window on top of it.)
-  const std::size_t windows = config_.challenge_bits;
-  const std::size_t pairs = config_.design.ports / 2;
-  std::vector<double> slot_samples(windows * pairs * count);
-  const std::size_t lanes = simd::kDefaultLanes;
-  const std::size_t blocks = (count + lanes - 1) / lanes;
-  common::parallel_for(blocks, [&](std::size_t blk) {
-    const std::size_t begin = blk * lanes;
-    const std::size_t n = std::min(lanes, count - begin);
-    const auto analog = analog_core_block(challenges.data() + begin, n,
-                                          /*noisy=*/false, nullptr,
-                                          config_.temperature);
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t w = 0; w < windows; ++w) {
-        for (std::size_t p = 0; p < pairs; ++p) {
-          slot_samples[(w * pairs + p) * count + begin + j] = analog[j][w][p];
-        }
-      }
-    }
-  });
+  // Transpose as we go: each evaluation's slots scatter straight into one
+  // flat slot-major buffer, so the per-slot medians run on contiguous
+  // spans. With no thresholds yet, the core's margins are the raw current
+  // differences.
+  const std::size_t slots = response_bits();
+  std::vector<double> slot_samples(slots * count);
+  for_each_block(challenges.data(), count, /*noisy=*/false, 0,
+                 config_.temperature, nullptr,
+                 [&](std::size_t i, const double* margins) {
+                   for (std::size_t slot = 0; slot < slots; ++slot) {
+                     slot_samples[slot * count + i] = margins[slot];
+                   }
+                 });
 
-  thresholds_.assign(windows, std::vector<double>(pairs, 0.0));
-  for (std::size_t w = 0; w < windows; ++w) {
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const auto begin =
-          slot_samples.begin() +
-          static_cast<std::ptrdiff_t>((w * pairs + p) * count);
-      const auto end = begin + static_cast<std::ptrdiff_t>(count);
-      std::nth_element(begin, begin + static_cast<std::ptrdiff_t>(count / 2),
-                       end);
-      thresholds_[w][p] = begin[count / 2];
-    }
+  thresholds_.resize(slots);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const auto begin =
+        slot_samples.begin() + static_cast<std::ptrdiff_t>(slot * count);
+    const auto mid = begin + static_cast<std::ptrdiff_t>(count / 2);
+    std::nth_element(begin, mid, begin + static_cast<std::ptrdiff_t>(count));
+    thresholds_[slot] = *mid;
   }
 }
 
-void PhotonicPuf::subtract_thresholds(
-    std::vector<std::vector<double>>& analog) const {
-  if (thresholds_.empty()) return;
-  for (std::size_t w = 0; w < analog.size(); ++w) {
-    for (std::size_t p = 0; p < analog[w].size(); ++p) {
-      analog[w][p] -= thresholds_[w][p];
-    }
-  }
-}
-
-std::vector<std::vector<double>> PhotonicPuf::analog_core(
-    const Challenge& challenge, bool noisy, std::uint64_t noise_seed,
-    double temperature, std::uint64_t eval_index) const {
-  if (challenge.size() != challenge_bytes()) {
-    throw std::invalid_argument("PhotonicPuf: wrong challenge size");
-  }
-
-  // Device faults perturb only the physical measurement path, never the
-  // verifier-side model: the noiseless branch always sees a healthy chip.
-  const faults::DeviceFaultModel* fm =
-      (noisy && fault_model_) ? fault_model_.get() : nullptr;
-  if (fm != nullptr) {
-    temperature += fm->temperature_offset(eval_index);
-  }
-
-  const OperatingPoint op{config_.laser.wavelength, temperature};
-  const std::size_t ports = config_.design.ports;
-  const std::size_t pairs = ports / 2;
-  const std::size_t spb = config_.samples_per_bit;
-
-  // Source chain. The noiseless path replaces the laser with an ideal
-  // constant carrier but keeps the (deterministic) MZM dynamics.
-  photonic::LaserParameters laser_params = config_.laser;
-  laser_params.power_mw *= config_.laser_power_scale;
-  if (fm != nullptr) {
-    laser_params.power_mw *= fm->laser_scale(eval_index);
-  }
-  photonic::Laser laser(laser_params, config_.sample_rate_hz,
-                        rng::derive_seed(noise_seed, 0x11));
-  photonic::MachZehnderModulator mzm(config_.modulator);
-  const double ideal_amp = laser.mean_amplitude();
-
-  // Static transfer constants come from the per-operating-point cache and
-  // are shared across every concurrent evaluation; only the ring delay
-  // lines (the scrambler's mutable state) are built per call.
-  const auto tables = operating_tables(op);
-  photonic::TimeDomainScrambler scrambler(tables->scrambler);
-  const photonic::PortVector* taps_ptr =
-      &tables->scrambler->input_coefficients();
-  // Phase-shifter aging rotates each input tap; pointer swap so the
-  // healthy path never copies the vector. Degraded photodiodes scale the
-  // detected photocurrent per port (the Photodiode ctor rejects
-  // responsivity <= 0, so a dead diode lives here as a post-detect 0.0).
-  photonic::PortVector aged_taps;
-  std::vector<double> pd_scale;
-  if (fm != nullptr) {
-    aged_taps = *taps_ptr;
-    for (std::size_t p = 0; p < ports; ++p) {
-      aged_taps[p] *= std::polar(1.0, fm->phase_drift(eval_index, p));
-    }
-    taps_ptr = &aged_taps;
-    pd_scale.resize(ports);
-    for (std::size_t p = 0; p < ports; ++p) {
-      pd_scale[p] = fm->photodiode_scale(p);
-    }
-  }
-  const photonic::PortVector& taps = *taps_ptr;
-
-  // Per-port detectors. The noiseless path needs no per-port noise
-  // streams — mean_current is parameter-only — so one detector serves
-  // every port.
-  std::vector<photonic::Photodiode> pds;
-  if (noisy) {
-    pds.reserve(ports);
-    for (std::size_t p = 0; p < ports; ++p) {
-      pds.emplace_back(config_.photodiode,
-                       rng::derive_seed(noise_seed, 0x20 + p));
-    }
-  }
-  const photonic::Photodiode mean_pd(config_.photodiode, 0);
-
-  std::vector<std::vector<double>> analog(
-      config_.challenge_bits, std::vector<double>(pairs, 0.0));
-
-  photonic::PortVector state(ports, Complex{0.0, 0.0});
-  std::vector<double> window_current(ports, 0.0);
-
-  for (std::size_t bit_index = 0; bit_index < config_.challenge_bits;
-       ++bit_index) {
-    const bool bit =
-        (challenge[bit_index / 8] >> (7 - bit_index % 8)) & 1;
-    std::fill(window_current.begin(), window_current.end(), 0.0);
-
-    for (std::size_t s = 0; s < spb; ++s) {
-      const Complex carrier =
-          noisy ? laser.sample() : Complex{ideal_amp, 0.0};
-      const Complex modulated = mzm.modulate(carrier, bit);
-      // Fig. 2: the modulated beam is first split across all paths; the
-      // scrambler then transforms the state buffer in place — no per-
-      // sample allocation.
-      for (std::size_t p = 0; p < ports; ++p) state[p] = modulated * taps[p];
-      scrambler.step_inplace(state);
-      for (std::size_t p = 0; p < ports; ++p) {
-        double current =
-            noisy ? pds[p].detect(state[p]) : mean_pd.mean_current(state[p]);
-        if (fm != nullptr) current *= pd_scale[p];
-        window_current[p] += current;
-      }
-    }
-
-    for (std::size_t pair = 0; pair < pairs; ++pair) {
-      analog[bit_index][pair] =
-          (window_current[2 * pair] - window_current[2 * pair + 1]) /
-          static_cast<double>(spb);
-    }
-  }
-  return analog;
-}
-
-std::vector<std::vector<std::vector<double>>> PhotonicPuf::analog_core_block(
-    const Challenge* challenges, std::size_t lane_count, bool noisy,
-    const std::uint64_t* noise_seeds, double temperature) const {
-  if (lane_count == 0) {
+void PhotonicPuf::analog_block(const Challenge* challenges, std::size_t w,
+                               bool noisy, std::uint64_t first_counter,
+                               double temperature, double* margins) const {
+  if (w == 0) {
     throw std::invalid_argument("PhotonicPuf: empty lane block");
   }
-  for (std::size_t lane = 0; lane < lane_count; ++lane) {
+  for (std::size_t lane = 0; lane < w; ++lane) {
     if (challenges[lane].size() != challenge_bytes()) {
       throw std::invalid_argument("PhotonicPuf: wrong challenge size");
     }
   }
 
+  // Device faults perturb only the physical measurement path, never the
+  // verifier-side model: a noiseless block always sees a healthy chip.
+  const faults::DeviceFaultModel* fm = noisy ? fault_model_.get() : nullptr;
+  if (fm != nullptr) {
+    if (w != 1) {
+      throw std::logic_error("PhotonicPuf: a faulted block has one lane");
+    }
+    temperature += fm->temperature_offset(first_counter);
+  }
+
   const OperatingPoint op{config_.laser.wavelength, temperature};
   const std::size_t ports = config_.design.ports;
   const std::size_t pairs = ports / 2;
   const std::size_t spb = config_.samples_per_bit;
-  const std::size_t w = lane_count;
+  const std::size_t bits = response_bits();
 
   // Per-lane source chains. The MZM is deterministic but stateful (one-
-  // pole drive filter), so every lane carries its own; the noisy path
-  // additionally gives each lane its own Laser and per-port Photodiodes,
-  // seeded exactly as the serial path seeds them from that lane's noise
-  // seed — so each lane consumes the same RNG streams in the same order.
+  // pole drive filter), so every lane carries its own; a noisy lane also
+  // gets its own Laser and per-port Photodiodes, seeded from its
+  // evaluation counter. The noiseless path replaces the laser with an
+  // ideal constant carrier and needs one parameter-only detector.
   photonic::LaserParameters laser_params = config_.laser;
   laser_params.power_mw *= config_.laser_power_scale;
   const double ideal_amp = std::sqrt(laser_params.power_mw * 1e-3);
-  std::vector<photonic::MachZehnderModulator> mzms;
-  mzms.reserve(w);
+  std::vector<photonic::MachZehnderModulator> mzms(
+      w, photonic::MachZehnderModulator(config_.modulator));
   std::vector<photonic::Laser> lasers;
   std::vector<photonic::Photodiode> pds;  // [lane * ports + port]
   if (noisy) {
     lasers.reserve(w);
     pds.reserve(w * ports);
-  }
-  for (std::size_t lane = 0; lane < w; ++lane) {
-    mzms.emplace_back(config_.modulator);
-    if (noisy) {
-      lasers.emplace_back(laser_params, config_.sample_rate_hz,
-                          rng::derive_seed(noise_seeds[lane], 0x11));
+    for (std::size_t lane = 0; lane < w; ++lane) {
+      const std::uint64_t counter = first_counter + lane;
+      const std::uint64_t seed = rng::derive_seed(device_seed_, counter);
+      photonic::LaserParameters lane_params = laser_params;
+      if (fm != nullptr) lane_params.power_mw *= fm->laser_scale(counter);
+      lasers.emplace_back(lane_params, config_.sample_rate_hz,
+                          rng::derive_seed(seed, 0x11));
       for (std::size_t p = 0; p < ports; ++p) {
-        pds.emplace_back(config_.photodiode,
-                         rng::derive_seed(noise_seeds[lane], 0x20 + p));
+        pds.emplace_back(config_.photodiode, rng::derive_seed(seed, 0x20 + p));
       }
     }
   }
   const photonic::Photodiode mean_pd(config_.photodiode, 0);
 
+  // Static transfer constants come from the per-operating-point cache and
+  // are shared across every concurrent evaluation; only the ring delay
+  // lines (the scrambler's mutable state) are built per block. Phase-
+  // shifter aging rotates each input tap.
   const auto tables = operating_tables(op);
   photonic::TimeDomainScrambler scrambler(tables->scrambler, w);
-  const photonic::PortVector& taps = tables->scrambler->input_coefficients();
-
-  std::vector<std::vector<std::vector<double>>> analog(
-      w, std::vector<std::vector<double>>(config_.challenge_bits,
-                                          std::vector<double>(pairs, 0.0)));
-
-  photonic::FieldBlock block(ports, w);
-  // SoA lane planes for the per-sample modulated carriers and the
-  // per-port integrate-and-dump accumulators ([port][lane]).
-  simd::AlignedVector<double> mod_re(w, 0.0);
-  simd::AlignedVector<double> mod_im(w, 0.0);
-  simd::AlignedVector<double> window_current(ports * w, 0.0);
-  std::vector<std::uint8_t> bits(w, 0);
-
-  for (std::size_t bit_index = 0; bit_index < config_.challenge_bits;
-       ++bit_index) {
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      bits[lane] =
-          (challenges[lane][bit_index / 8] >> (7 - bit_index % 8)) & 1;
+  const photonic::PortVector* taps = &tables->scrambler->input_coefficients();
+  photonic::PortVector aged_taps;
+  if (fm != nullptr) {
+    aged_taps = *taps;
+    for (std::size_t p = 0; p < ports; ++p) {
+      aged_taps[p] *= std::polar(1.0, fm->phase_drift(first_counter, p));
     }
-    std::fill(window_current.begin(), window_current.end(), 0.0);
+    taps = &aged_taps;
+  }
 
+  // SoA lane planes in one buffer: the per-sample modulated carriers, the
+  // per-port integrate-and-dump accumulators ([port][lane]) and the per-
+  // port photocurrent scale. A degraded photodiode scales its detected
+  // current (the Photodiode ctor rejects responsivity <= 0, so a dead
+  // diode is a post-detect 0.0); a healthy port's scale is 1.0, which
+  // multiplies exactly.
+  simd::AlignedVector<double> scratch((2 + ports) * w + ports);
+  double* mod_re = scratch.data();
+  double* mod_im = mod_re + w;
+  double* window_current = mod_im + w;
+  double* pd_scale = window_current + ports * w;
+  for (std::size_t p = 0; p < ports; ++p) {
+    pd_scale[p] = fm != nullptr ? fm->photodiode_scale(p) : 1.0;
+  }
+  photonic::FieldBlock block(ports, w);
+
+  for (std::size_t window = 0; window < config_.challenge_bits; ++window) {
+    std::fill(window_current, window_current + ports * w, 0.0);
     for (std::size_t s = 0; s < spb; ++s) {
       for (std::size_t lane = 0; lane < w; ++lane) {
+        const bool bit =
+            (challenges[lane][window / 8] >> (7 - window % 8)) & 1;
         const Complex carrier =
             noisy ? lasers[lane].sample() : Complex{ideal_amp, 0.0};
-        const Complex modulated =
-            mzms[lane].modulate(carrier, bits[lane] != 0);
+        const Complex modulated = mzms[lane].modulate(carrier, bit);
         mod_re[lane] = modulated.real();
         mod_im[lane] = modulated.imag();
       }
+      // Fig. 2: the modulated beam is first split across all paths; the
+      // scrambler then transforms the block in place.
       for (std::size_t p = 0; p < ports; ++p) {
-        simd::complex_fanout(mod_re.data(), mod_im.data(), taps[p].real(),
-                             taps[p].imag(), block.re(p), block.im(p), w);
+        simd::complex_fanout(mod_re, mod_im, (*taps)[p].real(),
+                             (*taps)[p].imag(), block.re(p), block.im(p), w);
       }
       scrambler.step_block(block);
-      if (noisy) {
-        for (std::size_t p = 0; p < ports; ++p) {
-          double* acc = window_current.data() + p * w;
+      for (std::size_t p = 0; p < ports; ++p) {
+        double* acc = window_current + p * w;
+        if (noisy) {
           for (std::size_t lane = 0; lane < w; ++lane) {
-            acc[lane] += pds[lane * ports + p].detect(block.at(p, lane));
+            acc[lane] +=
+                pds[lane * ports + p].detect(block.at(p, lane)) * pd_scale[p];
           }
-        }
-      } else {
-        for (std::size_t p = 0; p < ports; ++p) {
-          mean_pd.accumulate_mean_block(block.re(p), block.im(p),
-                                        window_current.data() + p * w, w);
+        } else {
+          mean_pd.accumulate_mean_block(block.re(p), block.im(p), acc, w);
         }
       }
     }
 
     for (std::size_t lane = 0; lane < w; ++lane) {
       for (std::size_t pair = 0; pair < pairs; ++pair) {
-        analog[lane][bit_index][pair] =
+        const std::size_t slot = window * pairs + pair;
+        const double threshold =
+            thresholds_.empty() ? 0.0 : thresholds_[slot];
+        margins[lane * bits + slot] =
             (window_current[2 * pair * w + lane] -
              window_current[(2 * pair + 1) * w + lane]) /
-            static_cast<double>(spb);
+                static_cast<double>(spb) -
+            threshold;
       }
     }
   }
-  return analog;
 }
 
-Response PhotonicPuf::threshold_bits(
-    const std::vector<std::vector<double>>& analog) const {
+template <typename Sink>
+void PhotonicPuf::for_each_block(const Challenge* challenges,
+                                 std::size_t count, bool noisy,
+                                 std::uint64_t first_counter,
+                                 double temperature, common::ThreadPool* pool,
+                                 const Sink& sink) const {
+  // A thermal spike moves one evaluation's operating point, so a faulted
+  // noisy run evaluates one lane per block. Lane j of block b is item
+  // b*W + j, so seeds bind to item index, never to scheduling order.
+  const std::size_t lanes =
+      noisy && fault_model_ ? 1 : simd::kDefaultLanes;
+  const std::size_t bits = response_bits();
+  const std::size_t blocks = (count + lanes - 1) / lanes;
+  const auto run = [&](std::size_t blk) {
+    const std::size_t begin = blk * lanes;
+    const std::size_t n = std::min(lanes, count - begin);
+    std::vector<double> margins(n * bits);
+    analog_block(challenges + begin, n, noisy, first_counter + begin,
+                 temperature, margins.data());
+    for (std::size_t j = 0; j < n; ++j) sink(begin + j, &margins[j * bits]);
+  };
+  if (blocks == 1) {
+    run(0);
+  } else {
+    common::parallel_for(pool, blocks, run);
+  }
+}
+
+Response PhotonicPuf::threshold_bits(const double* margins) const {
   Response out(response_bytes(), 0);
-  std::size_t bit = 0;
-  for (const auto& row : analog) {
-    for (double delta : row) {
-      if (delta > 0.0) {
-        out[bit / 8] |= static_cast<std::uint8_t>(1u << (7 - bit % 8));
-      }
-      ++bit;
+  for (std::size_t bit = 0; bit < response_bits(); ++bit) {
+    if (margins[bit] > 0.0) {
+      out[bit / 8] |= static_cast<std::uint8_t>(1u << (7 - bit % 8));
     }
   }
   return out;
 }
 
+std::vector<Response> PhotonicPuf::respond(const Challenge* challenges,
+                                           std::size_t count, bool noisy,
+                                           std::uint64_t first_counter,
+                                           double temperature,
+                                           common::ThreadPool* pool) const {
+  std::vector<Response> responses(count);
+  for_each_block(challenges, count, noisy, first_counter, temperature, pool,
+                 [&](std::size_t i, const double* margins) {
+                   responses[i] = threshold_bits(margins);
+                 });
+  return responses;
+}
+
 Response PhotonicPuf::evaluate(const Challenge& challenge) {
   const std::uint64_t counter =
       eval_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t seed = rng::derive_seed(device_seed_, counter);
-  auto margins = analog_core(challenge, /*noisy=*/true, seed,
-                             config_.temperature, counter);
-  subtract_thresholds(margins);
-  return threshold_bits(margins);
+  return std::move(
+      respond(&challenge, 1, /*noisy=*/true, counter, config_.temperature,
+              nullptr)
+          .front());
 }
 
 std::vector<Response> PhotonicPuf::evaluate_batch(
@@ -405,92 +320,41 @@ std::vector<Response> PhotonicPuf::evaluate_batch(
   // batch bit-identical to the equivalent serial evaluate() sequence.
   const std::uint64_t base = eval_counter_.fetch_add(
       challenges.size(), std::memory_order_relaxed);
-  if (fault_model_) {
-    // Fault-model path: the SoA block engine shares one operating point
-    // (temperature) across all lanes, which a per-evaluation thermal
-    // transient would violate. Route each item through the scalar core —
-    // still parallel across the pool, still seeded by item index, so the
-    // batch stays bit-identical to the serial evaluate() sequence.
-    std::vector<Response> responses_scalar(challenges.size());
-    run_parallel(pool, challenges.size(), [&](std::size_t i) {
-      const std::uint64_t counter = base + static_cast<std::uint64_t>(i) + 1;
-      auto margins = analog_core(challenges[i], /*noisy=*/true,
-                                 rng::derive_seed(device_seed_, counter),
-                                 config_.temperature, counter);
-      subtract_thresholds(margins);
-      responses_scalar[i] = threshold_bits(margins);
-    });
-    return responses_scalar;
-  }
-  // Each pool task evaluates one lane block of kDefaultLanes challenges
-  // through the SoA engine; lane j of block b is item b*W + j, so seeds
-  // still bind to item index, never to scheduling order.
-  const std::size_t lanes = simd::kDefaultLanes;
-  const std::size_t blocks = (challenges.size() + lanes - 1) / lanes;
-  std::vector<Response> responses(challenges.size());
-  run_parallel(pool, blocks, [&](std::size_t blk) {
-    const std::size_t begin = blk * lanes;
-    const std::size_t count = std::min(lanes, challenges.size() - begin);
-    std::vector<std::uint64_t> seeds(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      seeds[j] = rng::derive_seed(
-          device_seed_, base + static_cast<std::uint64_t>(begin + j) + 1);
-    }
-    auto analog = analog_core_block(challenges.data() + begin, count,
-                                    /*noisy=*/true, seeds.data(),
-                                    config_.temperature);
-    for (std::size_t j = 0; j < count; ++j) {
-      subtract_thresholds(analog[j]);
-      responses[begin + j] = threshold_bits(analog[j]);
-    }
-  });
-  return responses;
+  return respond(challenges.data(), challenges.size(), /*noisy=*/true,
+                 base + 1, config_.temperature, pool);
 }
 
 std::vector<Response> PhotonicPuf::evaluate_noiseless_batch(
     const std::vector<Challenge>& challenges, common::ThreadPool* pool) const {
-  const std::size_t lanes = simd::kDefaultLanes;
-  const std::size_t blocks = (challenges.size() + lanes - 1) / lanes;
-  std::vector<Response> responses(challenges.size());
-  run_parallel(pool, blocks, [&](std::size_t blk) {
-    const std::size_t begin = blk * lanes;
-    const std::size_t count = std::min(lanes, challenges.size() - begin);
-    auto analog = analog_core_block(challenges.data() + begin, count,
-                                    /*noisy=*/false, nullptr,
-                                    config_.temperature);
-    for (std::size_t j = 0; j < count; ++j) {
-      subtract_thresholds(analog[j]);
-      responses[begin + j] = threshold_bits(analog[j]);
-    }
-  });
-  return responses;
+  return respond(challenges.data(), challenges.size(), /*noisy=*/false, 0,
+                 config_.temperature, pool);
 }
 
 Response PhotonicPuf::evaluate_noiseless(const Challenge& challenge) const {
-  auto margins = analog_core(challenge, /*noisy=*/false, 0,
-                             config_.temperature, 0);
-  subtract_thresholds(margins);
-  return threshold_bits(margins);
+  return evaluate_noiseless_at(challenge, config_.temperature);
 }
 
 Response PhotonicPuf::evaluate_noiseless_at(const Challenge& challenge,
                                             double temperature_kelvin) const {
-  auto margins =
-      analog_core(challenge, /*noisy=*/false, 0, temperature_kelvin, 0);
-  subtract_thresholds(margins);
-  return threshold_bits(margins);
+  return std::move(respond(&challenge, 1, /*noisy=*/false, 0,
+                           temperature_kelvin, nullptr)
+                       .front());
 }
 
 std::vector<std::vector<double>> PhotonicPuf::evaluate_analog(
     const Challenge& challenge, bool noisy) {
   const std::uint64_t counter =
       noisy ? eval_counter_.fetch_add(1, std::memory_order_relaxed) + 1 : 0;
-  const std::uint64_t seed =
-      noisy ? rng::derive_seed(device_seed_, counter) : 0;
-  auto margins =
-      analog_core(challenge, noisy, seed, config_.temperature, counter);
-  subtract_thresholds(margins);
-  return margins;
+  const std::size_t pairs = config_.design.ports / 2;
+  std::vector<std::vector<double>> rows(config_.challenge_bits);
+  for_each_block(&challenge, 1, noisy, counter, config_.temperature, nullptr,
+                 [&](std::size_t, const double* margins) {
+                   for (std::size_t w = 0; w < rows.size(); ++w) {
+                     rows[w].assign(margins + w * pairs,
+                                    margins + (w + 1) * pairs);
+                   }
+                 });
+  return rows;
 }
 
 double PhotonicPuf::response_throughput_bps() const noexcept {

@@ -7,7 +7,15 @@
 //      memory mixes past bits into present ones)
 //   -> photodiode array (square law: amplitude AND phase collapse into
 //      intensity because the paths are coherent)
-//   -> TIA -> ADC -> differential thresholding into response bits.
+//   -> integrate-and-dump per bit window -> differential thresholding
+//      into response bits. The figure's TIA and ADC are standalone models
+//      (photonic::ReadoutChain); thresholding the photocurrent difference
+//      needs neither.
+//
+// Every evaluation runs on one analog core, the lane-block engine of
+// photonic/field_block.hpp: batches and calibration are chunked into
+// blocks of simd::kDefaultLanes challenges, and a single evaluation is a
+// one-lane block.
 //
 // Response format: for each challenge bit window w and each port pair
 // (2p, 2p+1), one bit = [current difference I_{2p} - I_{2p+1}] above that
@@ -73,8 +81,6 @@ struct PhotonicPufConfig {
   /// reverts to raw zero-threshold differential readout).
   std::size_t calibration_challenges = 63;
   photonic::PhotodiodeParameters photodiode;
-  photonic::TiaParameters tia;
-  photonic::AdcParameters adc{10, 2.0, 0.0};
   double temperature = photonic::kReferenceTemperature;
   /// Laser-power alteration factor (1.0 = nominal). §IV studies attacks
   /// that "alter laser power levels to produce responses that provide
@@ -180,30 +186,36 @@ class PhotonicPuf final : public Puf {
   std::shared_ptr<const OperatingTables> operating_tables(
       const photonic::OperatingPoint& op) const;
 
-  // `eval_index` is the evaluation-counter value of this measurement —
-  // the key the attached fault model uses for laser droop, thermal
-  // transients, and phase aging. Noiseless (model) evaluations pass 0 and
-  // never see faults.
-  std::vector<std::vector<double>> analog_core(const Challenge& challenge,
-                                               bool noisy,
-                                               std::uint64_t noise_seed,
-                                               double temperature,
-                                               std::uint64_t eval_index) const;
-  // Lane-parallel counterpart of analog_core: evaluates `lane_count`
-  // independent challenges through one SoA FieldBlock, vectorizing the
-  // field transport (fan-out, couplers, waveguides, rings) and the
-  // noiseless square-law integration across lanes. Per-lane sources stay
-  // scalar: each lane gets its own MZM, and — when noisy — its own Laser
-  // and per-port Photodiodes seeded from noise_seeds[lane], preserving the
-  // exact RNG draw order of the serial path. Returns one (window x pair)
-  // analog matrix per lane; lane j is bit-identical to
-  // analog_core(challenges[j], ...). noise_seeds may be null when !noisy.
-  std::vector<std::vector<std::vector<double>>> analog_core_block(
-      const Challenge* challenges, std::size_t lane_count, bool noisy,
-      const std::uint64_t* noise_seeds, double temperature) const;
-  void subtract_thresholds(std::vector<std::vector<double>>& analog) const;
-  Response threshold_bits(
-      const std::vector<std::vector<double>>& margins) const;
+  // The analog core. Evaluates `lanes` challenges as one lane block
+  // through the SoA FieldBlock engine (a single evaluation is a one-lane
+  // block) and writes lane j's margins — current difference minus the
+  // calibrated threshold, window-major, response_bits() doubles — to
+  // margins + j * response_bits(). A noisy lane j is evaluation-counter
+  // value first_counter + j: its Laser and per-port Photodiodes are seeded
+  // from that value, and the attached fault model's laser droop, tap phase
+  // drift, photodiode scale and thermal offset are read at it. A thermal
+  // offset moves the block's operating point, so a faulted noisy block
+  // must have one lane. Noiseless (model) blocks never see faults.
+  void analog_block(const Challenge* challenges, std::size_t lanes,
+                    bool noisy, std::uint64_t first_counter,
+                    double temperature, double* margins) const;
+  // The one lane-block loop: chunks `count` challenges into blocks of
+  // kDefaultLanes (one lane when a fault model is attached to a noisy
+  // run), runs the blocks across `pool` (global pool when nullptr; a
+  // single block runs on the caller) and calls sink(i, margins_of_item_i)
+  // for every item. Item i is counter value first_counter + i.
+  template <typename Sink>
+  void for_each_block(const Challenge* challenges, std::size_t count,
+                      bool noisy, std::uint64_t first_counter,
+                      double temperature, common::ThreadPool* pool,
+                      const Sink& sink) const;
+  Response threshold_bits(const double* margins) const;
+  // Responses of `count` challenges through the lane-block loop.
+  std::vector<Response> respond(const Challenge* challenges,
+                                std::size_t count, bool noisy,
+                                std::uint64_t first_counter,
+                                double temperature,
+                                common::ThreadPool* pool) const;
   void calibrate();
 
   PhotonicPufConfig config_;
@@ -218,9 +230,10 @@ class PhotonicPuf final : public Puf {
   mutable common::Mutex tables_mutex_;
   mutable std::vector<std::shared_ptr<const OperatingTables>> tables_cache_
       NP_GUARDED_BY(tables_mutex_);
-  // Per-(window, pair) median current differences from enrollment
-  // calibration; empty when calibration is disabled.
-  std::vector<std::vector<double>> thresholds_;
+  // Median current difference of every (window, pair) slot from
+  // enrollment calibration, window-major; empty when calibration is
+  // disabled.
+  std::vector<double> thresholds_;
   // Optional device-fault oracle (faults::DeviceFaultModel); null =
   // healthy device. Shared-const so concurrent evaluations read it
   // without synchronisation.

@@ -6,19 +6,6 @@
 
 namespace neuropuls::puf {
 
-namespace {
-
-void run_parallel(common::ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, fn);
-  } else {
-    common::parallel_for(n, fn);
-  }
-}
-
-}  // namespace
-
 PufPopulation::PufPopulation(const PhotonicPufConfig& config,
                              std::uint64_t wafer_seed,
                              std::size_t device_count,
@@ -28,7 +15,7 @@ PufPopulation::PufPopulation(const PhotonicPufConfig& config,
   if (device_count == 0) {
     throw std::invalid_argument("PufPopulation: need at least one device");
   }
-  run_parallel(pool_, device_count, [&](std::size_t d) {
+  common::parallel_for(pool_, device_count, [&](std::size_t d) {
     devices_[d] = std::make_unique<PhotonicPuf>(
         config, wafer_seed, first_device_index + static_cast<std::uint64_t>(d));
   });
@@ -37,7 +24,7 @@ PufPopulation::PufPopulation(const PhotonicPufConfig& config,
 std::vector<Response> PufPopulation::evaluate_noiseless_all(
     const Challenge& challenge) const {
   std::vector<Response> responses(devices_.size());
-  run_parallel(pool_, devices_.size(), [&](std::size_t d) {
+  common::parallel_for(pool_, devices_.size(), [&](std::size_t d) {
     responses[d] = devices_[d]->evaluate_noiseless(challenge);
   });
   return responses;
@@ -46,7 +33,7 @@ std::vector<Response> PufPopulation::evaluate_noiseless_all(
 std::vector<std::vector<Response>> PufPopulation::evaluate_repeats(
     const Challenge& challenge, std::size_t repeats) {
   std::vector<std::vector<Response>> readings(devices_.size());
-  run_parallel(pool_, devices_.size(), [&](std::size_t d) {
+  common::parallel_for(pool_, devices_.size(), [&](std::size_t d) {
     // evaluate_batch assigns this device's counter values by item index,
     // so the readings match a serial re-read loop bit for bit. The inner
     // batch call is already inside a parallel region, so its lane blocks

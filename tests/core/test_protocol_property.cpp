@@ -4,6 +4,9 @@
 // lengths.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/aka_eke.hpp"
 #include "core/mutual_auth.hpp"
 #include "core/session_driver.hpp"
@@ -132,6 +135,15 @@ struct EkeCase {
   bool big_group;
 };
 
+std::string eke_case_name(const EkeCase& c) {
+  return "len" + std::to_string(c.secret_len) +
+         (c.big_group ? "_g2048" : "_g1536");
+}
+
+// gtest would otherwise print the struct's raw bytes, padding included, and
+// the uninitialised padding would change the test names between builds.
+void PrintTo(const EkeCase& c, std::ostream* os) { *os << eke_case_name(c); }
+
 class EkeSweep : public ::testing::TestWithParam<EkeCase> {};
 
 TEST_P(EkeSweep, AgreementAcrossSecretLengthsAndGroups) {
@@ -149,8 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EkeCase{1, false}, EkeCase{4, false}, EkeCase{32, false},
                       EkeCase{255, false}, EkeCase{32, true}),
     [](const ::testing::TestParamInfo<EkeCase>& info) {
-      return "len" + std::to_string(info.param.secret_len) +
-             (info.param.big_group ? "_g2048" : "_g1536");
+      return eke_case_name(info.param);
     });
 
 }  // namespace

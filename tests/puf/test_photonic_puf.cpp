@@ -3,9 +3,13 @@
 // §IV chip-binding / challenge-encryption constructions.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "crypto/chacha20.hpp"
+#include "crypto/sha256.hpp"
+#include "faults/device_faults.hpp"
 
 #include "puf/composite.hpp"
 #include "puf/photonic_puf.hpp"
@@ -174,6 +178,181 @@ TEST(EncryptedChallengePuf, TransformKnownAnswer) {
 TEST(EncryptedChallengePuf, NullInnerThrows) {
   EXPECT_THROW(EncryptedChallengePuf(nullptr, crypto::bytes_of("k")),
                std::invalid_argument);
+}
+
+// ---- Known answers for every entry point -----------------------------------
+
+// SHA-256 over the output of each PhotonicPuf entry point on a fresh
+// device, with and without an active fault model, on the small and the
+// default configuration. Response bytes are hashed as they are, analog
+// margins as the raw bytes of their doubles, so any change in an operation
+// tree, a noise-draw order or a fault hook shows up here. The digests were
+// recorded on the implementation that evaluated single challenges through a
+// scalar core and batches through lane blocks; one core must reproduce
+// both.
+
+std::shared_ptr<const faults::DeviceFaultModel> kat_fault_model() {
+  faults::DeviceFaultConfig config;
+  config.photodiodes.push_back({1, 0.0});  // dead photodiode on port 1
+  config.thermal = {0.5, 4.0};
+  config.laser_droop = {0.02, 0.6};
+  config.phase_aging = {0.01, 0.3};
+  return std::make_shared<const faults::DeviceFaultModel>(config, 0x4b4154);
+}
+
+struct KatDigests {
+  std::string evaluate;
+  std::string evaluate_noiseless;
+  std::string evaluate_noiseless_at;
+  std::string evaluate_analog_noisy;
+  std::string evaluate_analog_model;
+  std::string evaluate_batch_1;
+  std::string evaluate_batch_7;
+  std::string evaluate_batch_17;
+};
+
+std::string digest_hex(crypto::Sha256& h) {
+  const auto d = h.finalize();
+  return crypto::to_hex(crypto::ByteView(d.data(), d.size()));
+}
+
+void absorb_margins(crypto::Sha256& h,
+                    const std::vector<std::vector<double>>& margins) {
+  for (const auto& row : margins) {
+    crypto::Bytes raw(row.size() * sizeof(double));
+    std::memcpy(raw.data(), row.data(), raw.size());
+    h.update(raw);
+  }
+}
+
+KatDigests kat_digests(const PhotonicPufConfig& config, bool faulted) {
+  const auto model = faulted ? kat_fault_model() : nullptr;
+  auto fresh = [&] {
+    auto device = std::make_unique<PhotonicPuf>(config, 0x6b6174, 3);
+    device->set_fault_model(model);
+    return device;
+  };
+  crypto::ChaChaDrbg rng(crypto::bytes_of("photonic-puf-known-answers"));
+  const std::size_t challenge_bytes = fresh()->challenge_bytes();
+  std::vector<Challenge> challenges;
+  for (int i = 0; i < 17; ++i) {
+    challenges.push_back(rng.generate(challenge_bytes));
+  }
+
+  KatDigests out;
+  {
+    auto device = fresh();
+    crypto::Sha256 h;
+    for (int i = 0; i < 12; ++i) h.update(device->evaluate(challenges[i]));
+    out.evaluate = digest_hex(h);
+  }
+  {
+    auto device = fresh();
+    crypto::Sha256 h;
+    for (int i = 0; i < 6; ++i) {
+      h.update(device->evaluate_noiseless(challenges[i]));
+    }
+    out.evaluate_noiseless = digest_hex(h);
+  }
+  {
+    auto device = fresh();
+    crypto::Sha256 h;
+    for (const double dt : {2.5, -4.0}) {
+      for (int i = 0; i < 6; ++i) {
+        h.update(device->evaluate_noiseless_at(
+            challenges[i], photonic::kReferenceTemperature + dt));
+      }
+    }
+    out.evaluate_noiseless_at = digest_hex(h);
+  }
+  for (const bool noisy : {true, false}) {
+    auto device = fresh();
+    crypto::Sha256 h;
+    for (int i = 0; i < 4; ++i) {
+      absorb_margins(h, device->evaluate_analog(challenges[i], noisy));
+    }
+    (noisy ? out.evaluate_analog_noisy : out.evaluate_analog_model) =
+        digest_hex(h);
+  }
+  for (const std::size_t size : {1, 7, 17}) {
+    auto device = fresh();
+    crypto::Sha256 h;
+    // One evaluation first, so the batch starts past counter value 1.
+    h.update(device->evaluate(challenges[16]));
+    const std::vector<Challenge> batch(challenges.begin(),
+                                       challenges.begin() +
+                                           static_cast<std::ptrdiff_t>(size));
+    for (const auto& r : device->evaluate_batch(batch)) h.update(r);
+    (size == 1 ? out.evaluate_batch_1
+               : size == 7 ? out.evaluate_batch_7 : out.evaluate_batch_17) =
+        digest_hex(h);
+  }
+  return out;
+}
+
+void expect_digests(const KatDigests& got, const KatDigests& want) {
+  EXPECT_EQ(got.evaluate, want.evaluate);
+  EXPECT_EQ(got.evaluate_noiseless, want.evaluate_noiseless);
+  EXPECT_EQ(got.evaluate_noiseless_at, want.evaluate_noiseless_at);
+  EXPECT_EQ(got.evaluate_analog_noisy, want.evaluate_analog_noisy);
+  EXPECT_EQ(got.evaluate_analog_model, want.evaluate_analog_model);
+  EXPECT_EQ(got.evaluate_batch_1, want.evaluate_batch_1);
+  EXPECT_EQ(got.evaluate_batch_7, want.evaluate_batch_7);
+  EXPECT_EQ(got.evaluate_batch_17, want.evaluate_batch_17);
+}
+
+// The noiseless entries never see the fault model, so they repeat the
+// healthy digests in the faulted cases.
+TEST(PhotonicPufKnownAnswer, SmallConfigHealthy) {
+  expect_digests(
+      kat_digests(small_photonic_config(), false),
+      {"38918cac029ca69e73b4fb4c5541aaf8e14fec1b5b98db869d7fb14daa52e855",
+       "d4ae0b0479ce364913b5217b79d5ac787c59d893191e517dfdf0469f41afcbcc",
+       "73c8a6e603ae13cccff31e86eafed3d9266f3a14c000e4e790e2681eabaaa275",
+       "eef9594c77dfe16ae843fe0a63f124967f8c7a3d1e19f01cba22cefb109e007a",
+       "f41bd3220def2d58590e1138a6ba88d8eba92b0a3d4e30058357d87101208f58",
+       "8a33c5cb89b8e1d9220f7256531d1e930468513ea7ee2c5c937bda44b0390793",
+       "9598cebfcea121ec340105b882cee96465386f885fb35a3875e2389390b79e19",
+       "c27f496fabee6c5b30f7ca056585736dc62e08e8b8cfaff16bde3c55d387186b"});
+}
+
+TEST(PhotonicPufKnownAnswer, SmallConfigFaulted) {
+  expect_digests(
+      kat_digests(small_photonic_config(), true),
+      {"f8b9a704a945aa52d1d0d4d8eceac47815b261cf05cce33cca54257579013668",
+       "d4ae0b0479ce364913b5217b79d5ac787c59d893191e517dfdf0469f41afcbcc",
+       "73c8a6e603ae13cccff31e86eafed3d9266f3a14c000e4e790e2681eabaaa275",
+       "79b179d9e3cd56bb8bc7aca27347bf0f5005555b269ffcce5e657fe880879560",
+       "f41bd3220def2d58590e1138a6ba88d8eba92b0a3d4e30058357d87101208f58",
+       "5f940793a3ad833c2c93d8971b50b04b6a0c3cff4c4c9baccbd0073f8095b469",
+       "5c1ad1a63bf5bc5c74fce96145c1c0dbfecb10b45977232c471006f24bda8d4c",
+       "0861fa1a4fcd300ceec86b613d75c2a3297f1ef1518e19c02c0aedcdaa359d94"});
+}
+
+TEST(PhotonicPufKnownAnswer, DefaultConfigHealthy) {
+  expect_digests(
+      kat_digests(PhotonicPufConfig{}, false),
+      {"deeb8591711fa2f8299d6c1cebce5c56514d0a2e9b9273e8f6d913da9cb7ba1b",
+       "2c27af69d1c3296f83b7ff6bf596bd5d9dc91c382aad9449c710e92a533b1cf4",
+       "7250ee8d6af561249ed2f0aa0c6fb4da5143739afb7538788f2446acd3e5c748",
+       "c9350b439296d092c95bc57e43dfc260643c937b53278d1c562bf2110e8a5a7f",
+       "3541850c356c7ce47afd82e5d49a9ebcd1052d7b6c55c92ec96f0ba481572ca7",
+       "50724a33584829bce8b520dc8a8de1ba5fd7d8659fe59ee0707aaf426ff9b3e4",
+       "2ec0f494be3095bc19d28b94126d6558d3e5327f205d7fa5de588e3d80fdf973",
+       "e9528342b71cf1aa7e3ef7b4acada4c6f9ed1a3b4dd4e4b3a936ed276af255ee"});
+}
+
+TEST(PhotonicPufKnownAnswer, DefaultConfigFaulted) {
+  expect_digests(
+      kat_digests(PhotonicPufConfig{}, true),
+      {"d43ecd9f30f4ff80b8bafa884f63891e392372a4d52938d229c1c167a7539c07",
+       "2c27af69d1c3296f83b7ff6bf596bd5d9dc91c382aad9449c710e92a533b1cf4",
+       "7250ee8d6af561249ed2f0aa0c6fb4da5143739afb7538788f2446acd3e5c748",
+       "0f1ff908646ecce99b8b80f305e1173f3300299b11ce6ce237e773ffe0f0112b",
+       "3541850c356c7ce47afd82e5d49a9ebcd1052d7b6c55c92ec96f0ba481572ca7",
+       "00f483d1beb506c4f80875e4fdb2e9a120383049ee202be519b56fd65a2b9b36",
+       "a64ea7aa80a6e23a01f795978144123410f115f2e04258c2aa11c8bb74998e37",
+       "b2e74c59245cd7e4bda9c139d00a885efd75fbfe88c213f58a5fe3729229def5"});
 }
 
 // ---- Composite PIC+ASIC -------------------------------------------------------
