@@ -10,7 +10,8 @@
 //      estimate, and the peak-memory column (alloc-probe high-water +
 //      VmHWM) asserted against a hard budget — the run aborts if the
 //      bounded-memory promise breaks.
-//   2. Batch vs naive — the same enrollment through the pre-fleet
+//   2. Batch vs naive — 1000 devices (at every fleet scale) enrolled
+//      through the chunked batch path and through the pre-fleet
 //      per-device path (virtual evaluate, per-CRP insert, per-device
 //      sync). Acceptance: the chunked batch path is >= 5x at 4 threads.
 //   3. Threads x shards matrix — enrollments/sec as the worker pool and
@@ -136,8 +137,12 @@ void print_tables() {
   }
 
   // ---- Table 2: chunked batch path vs naive per-device path ----
-  const std::size_t naive_devices = std::min<std::size_t>(
-      2000, std::max<std::size_t>(scale / 500, 64));
+  // Fixed size, not derived from the fleet scale: at a few dozen devices
+  // the durable store's open and the host's fsync latency set the ratio,
+  // not the two enrollment paths the 5x gate compares. At 1000 devices
+  // the ratio read 37-57x on a 4-vCPU host, and the naive path's per-
+  // device syncs take about a fifth of a second.
+  const std::size_t naive_devices = 1000;
   std::printf("\n  [2] batch vs naive per-device enrollment — %zu devices "
               "x 2 CRPs, durable, 4 threads\n", naive_devices);
   double batch_rate = 0.0;

@@ -1,6 +1,5 @@
 #include "accel/secure_api.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/aes.hpp"
@@ -38,95 +37,75 @@ SecureAccelerator::SecureAccelerator(std::unique_ptr<MvmEngine> engine,
   }
 }
 
-void SecureAccelerator::require_service() const {
-  const common::ReadLock lock(health_mutex_);
-  if (health_ == HealthState::kLockedOut) throw LockedOutError();
-}
-
-void SecureAccelerator::note_success() {
-  // LockedOut is sticky (only reset_health() clears it), so a success can
-  // only be observed in Healthy/Degraded — both recover fully.
-  const common::WriteLock lock(health_mutex_);
-  consecutive_failures_ = 0;
-  health_ = HealthState::kHealthy;
-}
-
-void SecureAccelerator::note_failure() {
-  const common::WriteLock lock(health_mutex_);
-  ++consecutive_failures_;
+HealthState SecureAccelerator::health() const {
+  const common::MutexLock lock(mutex_);
   if (consecutive_failures_ >= health_policy_.lockout_after) {
-    health_ = HealthState::kLockedOut;
-  } else if (consecutive_failures_ >= health_policy_.degrade_after) {
-    health_ = HealthState::kDegraded;
+    return HealthState::kLockedOut;
+  }
+  if (consecutive_failures_ >= health_policy_.degrade_after) {
+    return HealthState::kDegraded;
+  }
+  return HealthState::kHealthy;
+}
+
+void SecureAccelerator::require_service() const {
+  if (consecutive_failures_ >= health_policy_.lockout_after) {
+    throw LockedOutError();
   }
 }
+
+void SecureAccelerator::note_success() { consecutive_failures_ = 0; }
+
+void SecureAccelerator::note_failure() { ++consecutive_failures_; }
+
+// Plaintext hygiene throughout this file: every transient plaintext is a
+// SecretBytes or SecretVector carrying the lint's secret annotation, so
+// its destructor wipes it on every exit ("never leave plaintext in the
+// memory after execution").
 
 crypto::Bytes SecureAccelerator::encrypt_network(const MlpNetwork& network,
                                                  crypto::ByteView key,
                                                  std::uint64_t nonce) {
-  // Plaintext hygiene throughout this file: every transient plaintext
-  // buffer carries the lint's secret annotation and is cleared with
-  // crypto::secure_wipe before it goes out of scope ("never leave
-  // plaintext in the memory after execution").
-  crypto::Bytes plaintext = serialize_network(network);  // ctlint:secret
-  crypto::Bytes sealed =
-      crypto::CtrThenMac(key).seal(nonce16(nonce), plaintext);
-  crypto::secure_wipe(plaintext);
-  return sealed;
+  const common::SecretBytes plaintext(  // ctlint:secret(plaintext)
+      serialize_network(network));
+  return crypto::CtrThenMac(key).seal(nonce16(nonce), plaintext.reveal());
 }
 
 crypto::Bytes SecureAccelerator::encrypt_input(
     const std::vector<double>& input, crypto::ByteView key,
     std::uint64_t nonce) {
-  crypto::Bytes plaintext = serialize_vector(input);  // ctlint:secret
-  crypto::Bytes sealed =
-      crypto::CtrThenMac(key).seal(nonce16(nonce), plaintext);
-  crypto::secure_wipe(plaintext);
-  return sealed;
+  const common::SecretBytes plaintext(  // ctlint:secret(plaintext)
+      serialize_vector(input));
+  return crypto::CtrThenMac(key).seal(nonce16(nonce), plaintext.reveal());
 }
 
 std::vector<double> SecureAccelerator::decrypt_output(
     crypto::ByteView ciphered_output, crypto::ByteView key) {
-  // ctlint:secret(plaintext)
-  crypto::Bytes plaintext = crypto::CtrThenMac(key).open(ciphered_output);
-  std::vector<double> output;
+  const common::SecretBytes plaintext(  // ctlint:secret(plaintext)
+      crypto::CtrThenMac(key).open(ciphered_output));
+  return deserialize_vector(plaintext.reveal());
+}
+
+template <typename Parse>
+auto SecureAccelerator::open_parsed(crypto::ByteView blob, Parse parse) {
+  // Decrypt-and-verify happens "in hardware" — inside this boundary. A
+  // tampered blob or a wrong/degraded key fails the MAC; a malformed
+  // plaintext that passed it (e.g. a version-skewed peer with the right
+  // key) fails the parse. Both count toward degradation.
   try {
-    output = deserialize_vector(plaintext);
-  } catch (...) {
-    crypto::secure_wipe(plaintext);
+    const common::SecretBytes plaintext(  // ctlint:secret(plaintext)
+        device_keys_.open(blob));
+    return parse(plaintext.reveal());
+  } catch (const std::exception&) {
+    note_failure();
     throw;
   }
-  crypto::secure_wipe(plaintext);
-  return output;
 }
 
 void SecureAccelerator::load_network(crypto::ByteView ciphered_network) {
-  const common::MutexLock entry(mutex_);  // mutex_ > health_mutex_
+  const common::MutexLock entry(mutex_);
   require_service();
-  crypto::Bytes plaintext;  // ctlint:secret
-  try {
-    // Decrypt-and-verify happens "in hardware" — inside this boundary.
-    plaintext = device_keys_.open(ciphered_network);
-  } catch (const std::runtime_error&) {
-    // Authentication failure: tampered blob or wrong/degraded key. Count
-    // it toward degradation, then surface the original error.
-    note_failure();
-    throw;
-  }
-  // The weights plaintext must be wiped on *every* exit path: a malformed
-  // blob that passed the MAC (e.g. a version-skewed peer with the right
-  // key) still counts toward degradation and must not leave decrypted
-  // secrets behind in freed memory.
-  MlpNetwork network;
-  try {
-    network = deserialize_network(plaintext);
-  } catch (...) {
-    crypto::secure_wipe(plaintext);
-    note_failure();
-    throw;
-  }
-  crypto::secure_wipe(plaintext);
-  accelerator_.load(std::move(network));
+  accelerator_.load(open_parsed(ciphered_network, deserialize_network));
   note_success();
 }
 
@@ -136,45 +115,21 @@ crypto::Bytes SecureAccelerator::seal(crypto::ByteView plaintext) {
 
 crypto::Bytes SecureAccelerator::execute_network(
     crypto::ByteView ciphered_input) {
-  const common::MutexLock entry(mutex_);  // mutex_ > health_mutex_
+  const common::MutexLock entry(mutex_);
   require_service();
   if (!accelerator_.loaded()) {
     // Caller bug, not a device/crypto failure — never counts toward
     // degradation.
     throw std::logic_error("SecureAccelerator: no network loaded");
   }
-  crypto::Bytes plaintext;  // ctlint:secret
-  try {
-    plaintext = device_keys_.open(ciphered_input);
-  } catch (const std::runtime_error&) {
-    note_failure();
-    throw;
-  }
-  std::vector<double> input;  // ctlint:secret
-  try {
-    input = deserialize_vector(plaintext);
-  } catch (...) {
-    crypto::secure_wipe(plaintext);
-    note_failure();
-    throw;
-  }
-  crypto::secure_wipe(plaintext);
+  const common::SecretVector<double> input(  // ctlint:secret(input)
+      open_parsed(ciphered_input, deserialize_vector));
   note_success();
-
-  std::vector<double> output;  // ctlint:secret
-  try {
-    output = accelerator_.infer(input);
-  } catch (...) {
-    crypto::secure_wipe(input);
-    throw;
-  }
-  crypto::secure_wipe(input);
-
-  crypto::Bytes serialized = serialize_vector(output);  // ctlint:secret
-  crypto::secure_wipe(output);
-  crypto::Bytes sealed = seal(serialized);
-  crypto::secure_wipe(serialized);
-  return sealed;
+  const common::SecretVector<double> output(  // ctlint:secret(output)
+      accelerator_.infer(input.reveal()));
+  const common::SecretBytes serialized(  // ctlint:secret(serialized)
+      serialize_vector(output.reveal()));
+  return seal(serialized.reveal());
 }
 
 }  // namespace neuropuls::accel

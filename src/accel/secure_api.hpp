@@ -8,7 +8,9 @@
 // ... primitives that never leave plaintext in the memory after
 // execution." The class below is that hardware boundary: the only public
 // entry points take and return ciphertext, the device key lives inside,
-// and intermediate plaintext buffers are wiped before returning. The
+// and every intermediate plaintext is held in a self-wiping type
+// (common::SecretBytes / common::SecretVector), so it is wiped on every
+// exit, normal or by exception. The
 // tests assert both the functional property (round-trip correctness) and
 // the security property (tampered or wrongly-keyed blobs are rejected
 // before any plaintext is produced).
@@ -53,11 +55,9 @@ class LockedOutError : public std::runtime_error {
                            "authentication failures") {}
 };
 
-/// Thread-safe: the ciphered entry points serialize on mutex_ (the
-/// engine and nonce counter are single-stream hardware state); the
-/// health machine lives under its own reader/writer lock so monitors can
-/// poll health()/consecutive_failures() without queueing behind a long
-/// inference. Lock order: mutex_ > health_mutex_.
+/// Thread-safe: one mutex_ serializes the ciphered entry points (the
+/// engine and nonce counter are single-stream hardware state) and guards
+/// the health machine's failure count, which those entry points update.
 class SecureAccelerator {
  public:
   /// `device_key` is the PUF-derived encryption key (from
@@ -95,18 +95,16 @@ class SecureAccelerator {
   /// Health model: consecutive crypto (authentication) failures walk
   /// Healthy -> Degraded -> LockedOut; a success in Healthy/Degraded
   /// resets to Healthy. LockedOut is sticky — only an explicit operator
-  /// reset_health() (re-provisioning) restores service.
-  HealthState health() const NP_EXCLUDES(health_mutex_) {
-    const common::ReadLock lock(health_mutex_);
-    return health_;
-  }
-  std::uint32_t consecutive_failures() const NP_EXCLUDES(health_mutex_) {
-    const common::ReadLock lock(health_mutex_);
+  /// reset_health() (re-provisioning) restores service. The state is a
+  /// function of the failure count and the policy: a locked-out device
+  /// refuses before recording any outcome, so its count stays put.
+  HealthState health() const NP_EXCLUDES(mutex_);
+  std::uint32_t consecutive_failures() const NP_EXCLUDES(mutex_) {
+    const common::MutexLock lock(mutex_);
     return consecutive_failures_;
   }
-  void reset_health() NP_EXCLUDES(health_mutex_) {
-    const common::WriteLock lock(health_mutex_);
-    health_ = HealthState::kHealthy;
+  void reset_health() NP_EXCLUDES(mutex_) {
+    const common::MutexLock lock(mutex_);
     consecutive_failures_ = 0;
   }
 
@@ -124,11 +122,17 @@ class SecureAccelerator {
 
  private:
   crypto::Bytes seal(crypto::ByteView plaintext) NP_REQUIRES(mutex_);
-  void require_service() const NP_EXCLUDES(health_mutex_);
-  void note_success() NP_EXCLUDES(health_mutex_);
-  void note_failure() NP_EXCLUDES(health_mutex_);
+  /// Opens `blob` under the device keys and returns `parse` of its
+  /// plaintext, which wipes itself on the way out. A failure of either
+  /// step counts toward degradation before it propagates.
+  template <typename Parse>
+  auto open_parsed(crypto::ByteView blob, Parse parse) NP_REQUIRES(mutex_);
+  void require_service() const NP_REQUIRES(mutex_);
+  void note_success() NP_REQUIRES(mutex_);
+  void note_failure() NP_REQUIRES(mutex_);
 
-  /// Serializes the ciphered entry points and guards the engine + nonce.
+  /// Serializes the ciphered entry points and guards the engine, the
+  /// nonce and the failure count.
   mutable common::Mutex mutex_;
   Accelerator accelerator_ NP_GUARDED_BY(mutex_);
   /// The device key, held only as its derived CTR schedule and CMAC
@@ -136,10 +140,8 @@ class SecureAccelerator {
   const crypto::CtrThenMac device_keys_;
   std::uint64_t nonce_counter_ NP_GUARDED_BY(mutex_) =
       0x80000000ULL;  // device-side nonce space
-  HealthPolicy health_policy_;  // immutable after construction
-  mutable common::SharedMutex health_mutex_;
-  HealthState health_ NP_GUARDED_BY(health_mutex_) = HealthState::kHealthy;
-  std::uint32_t consecutive_failures_ NP_GUARDED_BY(health_mutex_) = 0;
+  const HealthPolicy health_policy_;
+  std::uint32_t consecutive_failures_ NP_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace neuropuls::accel

@@ -2,11 +2,11 @@
 //
 // Every lock-holding component (puf::CrpDatabase shards, the
 // common::parallel scheduler primitives, core::SessionEngine,
-// core::KeyManager, accel::SecureAccelerator's health machine, the
-// PhotonicPuf table cache) holds a common::Mutex / common::SharedMutex
-// and scopes critical sections with MutexLock / ReadLock / WriteLock, so
-// Clang's capability analysis (src/common/thread_annotations.hpp) can
-// prove every NP_GUARDED_BY field is only touched under its lock. The wrappers add
+// core::KeyManager, accel::SecureAccelerator, the PhotonicPuf table
+// cache) holds a common::Mutex and scopes critical sections with
+// MutexLock, so Clang's capability analysis
+// (src/common/thread_annotations.hpp) can prove every NP_GUARDED_BY field
+// is only touched under its lock. The wrappers add
 // nothing at runtime over the std primitives they hold; on non-Clang
 // compilers they ARE the std primitives, one forwarding call deep.
 //
@@ -17,7 +17,8 @@
 //   Reactor::sched_mutex  >  ParkingLot::mutex_
 //   Reactor::admit_mutex is a leaf: admission decides and evicts only
 //   after releasing it.
-//   SecureAccelerator::mutex_   >  SecureAccelerator::health_mutex_
+//   SecureAccelerator::mutex_ is a leaf: the Table I boundary runs its
+//   crypto, parse and inference under it and takes no other lock.
 //   CrpDatabase Shard locks are leaves: nothing is ever acquired under
 //   one, and they must never be taken while an engine lock is held.
 #pragma once
@@ -25,7 +26,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.hpp"
 
@@ -130,58 +130,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-class ReadLock;
-class WriteLock;
-
-/// Annotated reader/writer mutex (std::shared_mutex underneath): many
-/// concurrent shared holders or one exclusive holder. Reads of a field
-/// guarded by a SharedMutex need at least a ReadLock; writes need a
-/// WriteLock — the analysis distinguishes the two.
-class NP_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() NP_ACQUIRE() { mu_.lock(); }
-  void unlock() NP_RELEASE() { mu_.unlock(); }
-  void lock_shared() NP_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() NP_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  friend class ReadLock;
-  friend class WriteLock;
-  std::shared_mutex mu_;
-};
-
-/// Scoped shared (reader) lock over a SharedMutex.
-class NP_SCOPED_CAPABILITY ReadLock {
- public:
-  explicit ReadLock(SharedMutex& mu) NP_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.mu_.lock_shared();
-  }
-  ReadLock(const ReadLock&) = delete;
-  ReadLock& operator=(const ReadLock&) = delete;
-  ~ReadLock() NP_RELEASE() { mu_.mu_.unlock_shared(); }
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped exclusive (writer) lock over a SharedMutex.
-class NP_SCOPED_CAPABILITY WriteLock {
- public:
-  explicit WriteLock(SharedMutex& mu) NP_ACQUIRE(mu) : mu_(mu) {
-    mu_.mu_.lock();
-  }
-  WriteLock(const WriteLock&) = delete;
-  WriteLock& operator=(const WriteLock&) = delete;
-  ~WriteLock() NP_RELEASE() { mu_.mu_.unlock(); }
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace neuropuls::common

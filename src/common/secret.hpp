@@ -17,13 +17,18 @@
 //   * Reading the bytes requires a visible `reveal()` call — the audit
 //     point `tools/ctlint` keys on.
 //
+// `SecretVector<T>` is the same self-wiping guarantee for a transient
+// plaintext of non-byte elements (the accelerator's decrypted input and
+// its inference output).
+//
 // The static lint (`tools/ctlint`) closes the remaining gap: it flags
 // `==`/`memcmp`/`std::equal` on buffers carrying the lint's secret
-// annotation that have NOT been migrated to this type yet.
+// annotation that have NOT been migrated to these types yet.
 #pragma once
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "crypto/bytes.hpp"
 
@@ -84,6 +89,27 @@ class SecretBytes {
 
  private:
   crypto::Bytes data_;
+};
+
+/// Move-in, read-only holder of a transient plaintext vector that wipes
+/// it through `crypto::secure_wipe` on destruction, so every exit of the
+/// owning scope, normal or by exception, zeroises it. Not copyable; the
+/// contents are read through `reveal()`, as with SecretBytes.
+template <typename T>
+class SecretVector {
+ public:
+  explicit SecretVector(std::vector<T> values) noexcept
+      : values_(std::move(values)) {}
+
+  SecretVector(const SecretVector&) = delete;
+  SecretVector& operator=(const SecretVector&) = delete;
+
+  ~SecretVector() { crypto::secure_wipe(values_); }
+
+  const std::vector<T>& reveal() const noexcept { return values_; }
+
+ private:
+  std::vector<T> values_;
 };
 
 /// Constant-time comparisons — the only way secrets compare.

@@ -28,15 +28,14 @@
 #endif
 
 /// Marks a class as a capability (a lockable resource). The string names
-/// the capability kind in diagnostics ("mutex", "shared_mutex").
+/// the capability kind in diagnostics ("mutex").
 #define NP_CAPABILITY(x) NP_THREAD_ANNOTATION(capability(x))
 
 /// Marks an RAII class whose constructor acquires and destructor releases
 /// a capability (common::MutexLock and friends).
 #define NP_SCOPED_CAPABILITY NP_THREAD_ANNOTATION(scoped_lockable)
 
-/// Field may only be read/written while holding capability `x`
-/// (shared suffices for reads when `x` is a shared capability).
+/// Field may only be read/written while holding capability `x`.
 #define NP_GUARDED_BY(x) NP_THREAD_ANNOTATION(guarded_by(x))
 
 /// Pointer field whose *pointee* is guarded by capability `x`.
@@ -47,28 +46,20 @@
 #define NP_ACQUIRED_BEFORE(...) NP_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define NP_ACQUIRED_AFTER(...) NP_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
-/// Caller must hold the listed capabilities exclusively / shared.
+/// Caller must hold the listed capabilities.
 #define NP_REQUIRES(...) NP_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define NP_REQUIRES_SHARED(...) \
-  NP_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires the listed capabilities (held on return).
 #define NP_ACQUIRE(...) NP_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define NP_ACQUIRE_SHARED(...) \
-  NP_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the listed capabilities (held on entry).
 #define NP_RELEASE(...) NP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define NP_RELEASE_SHARED(...) \
-  NP_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define NP_RELEASE_GENERIC(...) \
   NP_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
 
 /// Function tries to acquire; first argument is the success return value.
 #define NP_TRY_ACQUIRE(...) \
   NP_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define NP_TRY_ACQUIRE_SHARED(...) \
-  NP_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the listed capabilities (deadlock guard for
 /// non-reentrant locks).

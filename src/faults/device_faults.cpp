@@ -50,10 +50,6 @@ double DeviceFaultModel::photodiode_scale(std::size_t port) const noexcept {
   return scale;
 }
 
-std::uint32_t DeviceFaultModel::apply_adc(std::uint32_t code) const noexcept {
-  return (code | config_.adc.or_mask) & config_.adc.and_mask;
-}
-
 double DeviceFaultModel::laser_scale(std::uint64_t eval_index) const noexcept {
   const LaserDroopFault& droop = config_.laser_droop;
   if (droop.droop_per_eval <= 0.0) return 1.0;
@@ -98,8 +94,7 @@ bool DeviceFaultModel::quiet() const noexcept {
                   [](const PhotodiodeFault& f) {
                     return f.responsivity_scale == 1.0;
                   });
-  return pd_quiet && config_.adc.quiet() &&
-         config_.laser_droop.droop_per_eval <= 0.0 &&
+  return pd_quiet && config_.laser_droop.droop_per_eval <= 0.0 &&
          (config_.thermal.spike_probability <= 0.0 ||
           config_.thermal.magnitude_kelvin == 0.0) &&
          config_.phase_aging.drift_rad_per_eval <= 0.0;

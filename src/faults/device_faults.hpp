@@ -3,9 +3,9 @@
 // The paper's security services assume a healthy PIC + ASIC, but SerIOS
 // (PAPERS.md) argues resilience of optoelectronic primitives under device
 // degradation is the gating deployment concern: photodiodes die or lose
-// responsivity, ADC bits get stuck, laser power droops with age and bias
-// drift, thermal transients flip marginal PUF bits, and phase shifters
-// drift as they age. This module makes every one of those failures a
+// responsivity, laser power droops with age and bias drift, thermal
+// transients flip marginal PUF bits, and phase shifters drift as they
+// age. This module makes every one of those failures a
 // first-class, *seeded* input: the model is a pure function of
 // (config, seed, evaluation index, port), so the same seed reproduces the
 // same fault schedule bit-for-bit — the determinism contract the chaos
@@ -15,10 +15,11 @@
 // photonic and PUF layers can consume it without cycles. The hooks live
 // in `puf::PhotonicPuf::analog_block`, the PUF's one analog core
 // (photodiode/laser/thermal/phase faults, noisy path only — the
-// verifier-side noiseless model stays ideal by construction), and in
-// `photonic::Adc` (stuck bits), which only `photonic::ReadoutChain`
-// runs: the PUF thresholds photocurrents directly, so stuck ADC bits
-// never reach a PUF response.
+// verifier-side noiseless model stays ideal by construction). Stuck ADC
+// bits are not part of this model: the PUF thresholds photocurrents
+// directly and has no ADC, so they are injected straight into
+// `photonic::Adc` (`set_stuck_bits`, forwarded by
+// `photonic::ReadoutChain`).
 #pragma once
 
 #include <cstddef>
@@ -35,18 +36,6 @@ namespace neuropuls::faults {
 struct PhotodiodeFault {
   std::size_t port = 0;
   double responsivity_scale = 0.0;
-};
-
-/// Stuck ADC bits: `or_mask` bits read as stuck-at-1, bits cleared in
-/// `and_mask` read as stuck-at-0. Applied inside the code range after
-/// quantisation.
-struct AdcStuckBits {
-  std::uint32_t or_mask = 0;
-  std::uint32_t and_mask = 0xFFFFFFFFu;
-
-  bool quiet() const noexcept {
-    return or_mask == 0 && and_mask == 0xFFFFFFFFu;
-  }
 };
 
 /// Laser power droop: emitted power decays linearly with the evaluation
@@ -77,7 +66,6 @@ struct PhaseAgingFault {
 
 struct DeviceFaultConfig {
   std::vector<PhotodiodeFault> photodiodes;
-  AdcStuckBits adc;
   LaserDroopFault laser_droop;
   ThermalTransientFault thermal;
   PhaseAgingFault phase_aging;
@@ -122,9 +110,6 @@ class DeviceFaultModel {
 
   /// Multiplier on the photocurrent detected at `port` (1.0 = healthy).
   double photodiode_scale(std::size_t port) const noexcept;
-
-  /// Applies the stuck-bit masks to an ADC output code.
-  std::uint32_t apply_adc(std::uint32_t code) const noexcept;
 
   /// Multiplier on the laser output power for evaluation `eval_index`.
   double laser_scale(std::uint64_t eval_index) const noexcept;

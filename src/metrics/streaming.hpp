@@ -4,27 +4,21 @@
 // bench populations of a few hundred devices. A million-device campaign
 // needs bounded-memory equivalents:
 //
-//   * ReservoirSampler — Vitter's Algorithm R over an unbounded stream,
-//     seeded and fully deterministic for a fixed (seed, insertion order).
-//     The fleet layer samples device *responses* into a reservoir and
-//     runs the exact pairwise metrics on the sample.
 //   * GkQuantileSketch — Greenwald–Khanna epsilon-approximate quantile
 //     summary. Mergeable: worker-local sketches combine into one fleet
 //     sketch. After k-way merge of same-eps sketches the rank error is
 //     bounded by 2*eps (merge keeps every tuple; only add()/compress()
 //     discard information).
-//   * MeanAccumulator — exact streaming mean/count, mergeable.
 //   * hash_sample — order-independent Bernoulli selection: a device is
 //     in the sample iff a keyed mix of (seed, id) falls under the rate
-//     threshold. Unlike a reservoir, the selected *set* is independent
-//     of iteration order, so parallel workers agree without
+//     threshold. The fleet layer picks its uniqueness cohort this way
+//     and runs the exact pairwise metrics on it; the selected *set* is
+//     independent of iteration order, so parallel workers agree without
 //     coordination.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "crypto/prng.hpp"
 
 namespace neuropuls::metrics {
 
@@ -48,51 +42,6 @@ inline bool hash_sample(std::uint64_t seed, std::uint64_t id,
       static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < rate;
 }
-
-/// Vitter's Algorithm R: a uniform sample of `capacity` items from a
-/// stream of unknown length. Deterministic for a fixed seed and
-/// insertion order; O(capacity) memory regardless of stream length.
-template <typename T>
-class ReservoirSampler {
- public:
-  ReservoirSampler(std::size_t capacity, std::uint64_t seed)
-      : capacity_(capacity), state_(seed) {
-    sample_.reserve(capacity_);
-  }
-
-  void add(T value) {
-    ++count_;
-    if (sample_.size() < capacity_) {
-      sample_.push_back(std::move(value));
-      return;
-    }
-    // Replace slot j with probability capacity/count: draw j uniform in
-    // [0, count) and keep the newcomer iff j lands inside the reservoir.
-    const std::uint64_t j = bounded(count_);
-    if (j < capacity_) {
-      sample_[static_cast<std::size_t>(j)] = std::move(value);
-    }
-  }
-
-  const std::vector<T>& sample() const noexcept { return sample_; }
-  std::uint64_t count() const noexcept { return count_; }
-  std::size_t capacity() const noexcept { return capacity_; }
-
- private:
-  // Debiased uniform draw in [0, bound) via rejection (Lemire's method
-  // without the multiply shortcut: reject the ragged top interval).
-  std::uint64_t bounded(std::uint64_t bound) {
-    const std::uint64_t limit = ~std::uint64_t{0} - ~std::uint64_t{0} % bound;
-    std::uint64_t draw = rng::splitmix64_next(state_);
-    while (draw >= limit) draw = rng::splitmix64_next(state_);
-    return draw % bound;
-  }
-
-  std::size_t capacity_;
-  std::uint64_t state_;
-  std::uint64_t count_ = 0;
-  std::vector<T> sample_;
-};
 
 /// Greenwald–Khanna epsilon-approximate quantile summary.
 ///
@@ -143,27 +92,6 @@ class GkQuantileSketch {
   mutable std::vector<double> buffer_;
   mutable std::vector<Tuple> tuples_;
   mutable std::uint64_t count_ = 0;
-};
-
-/// Exact streaming mean, mergeable across workers.
-class MeanAccumulator {
- public:
-  void add(double value) noexcept {
-    sum_ += value;
-    ++count_;
-  }
-  void merge(const MeanAccumulator& other) noexcept {
-    sum_ += other.sum_;
-    count_ += other.count_;
-  }
-  double mean() const noexcept {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-  std::uint64_t count() const noexcept { return count_; }
-
- private:
-  double sum_ = 0.0;
-  std::uint64_t count_ = 0;
 };
 
 }  // namespace neuropuls::metrics

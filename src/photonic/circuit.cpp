@@ -200,12 +200,20 @@ TimeDomainScrambler::TimeDomainScrambler(
   if (lanes_ == 0) {
     throw std::invalid_argument("TimeDomainScrambler: lanes must be > 0");
   }
-  ring_blocks_.resize(tables_->layers_);
   if (tables_->with_rings_) {
-    for (std::size_t layer = 0; layer < tables_->layers_; ++layer) {
-      ring_blocks_[layer].reserve(tables_->ports_);
-      for (const auto& constants : tables_->ring_constants_[layer]) {
-        ring_blocks_[layer].emplace_back(constants, lanes_);
+    std::size_t state_size = 0;
+    for (const auto& layer : tables_->ring_constants_) {
+      for (const auto& constants : layer) {
+        state_size += RingTimeDomainBlock::state_size(constants, lanes_);
+      }
+    }
+    ring_state_.assign(state_size, 0.0);
+    ring_blocks_.reserve(tables_->layers_ * tables_->ports_);
+    double* state = ring_state_.data();
+    for (const auto& layer : tables_->ring_constants_) {
+      for (const auto& constants : layer) {
+        ring_blocks_.emplace_back(constants, lanes_, state);
+        state += RingTimeDomainBlock::state_size(constants, lanes_);
       }
     }
   }
@@ -277,7 +285,7 @@ void TimeDomainScrambler::step_block(FieldBlock& block) {
                           transfers[port].real(), transfers[port].imag(), w);
     }
     if (t.with_rings_) {
-      auto& rings = ring_blocks_[layer];
+      RingTimeDomainBlock* rings = ring_blocks_.data() + layer * t.ports_;
       for (std::size_t port = 0; port < t.ports_; ++port) {
         rings[port].step(block.re(port), block.im(port));
       }
@@ -309,9 +317,7 @@ void TimeDomainScrambler::reset() noexcept {
   for (auto& layer : ring_states_) {
     for (auto& ring : layer) ring.reset();
   }
-  for (auto& layer : ring_blocks_) {
-    for (auto& ring : layer) ring.reset();
-  }
+  for (auto& ring : ring_blocks_) ring.reset();
 }
 
 std::shared_ptr<const ScramblerTables> make_scrambler_tables(

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "photonic/components.hpp"
 #include "photonic/field_block.hpp"
 #include "photonic/ring.hpp"
@@ -127,7 +128,9 @@ class ScramblerTables {
 /// The instance owns only the mutable ring state; the static constants
 /// live in a (possibly shared) ScramblerTables. Instances are cheap to
 /// stamp out from cached tables, which is what makes batched evaluation
-/// win even single-threaded.
+/// win even single-threaded: a lane-parallel instance holds every ring's
+/// delay lines in one aligned buffer. Move-only, because its ring blocks
+/// point into that buffer.
 ///
 /// Two execution modes share the tables:
 ///   * lane-parallel (lanes > 0): step_block on a FieldBlock of `lanes`
@@ -146,6 +149,11 @@ class TimeDomainScrambler {
 
   /// Builds only the scalar ring state around precomputed shared tables.
   explicit TimeDomainScrambler(std::shared_ptr<const ScramblerTables> tables);
+
+  TimeDomainScrambler(const TimeDomainScrambler&) = delete;
+  TimeDomainScrambler& operator=(const TimeDomainScrambler&) = delete;
+  TimeDomainScrambler(TimeDomainScrambler&&) noexcept = default;
+  TimeDomainScrambler& operator=(TimeDomainScrambler&&) noexcept = default;
 
   /// Lane-parallel mode: builds block ring state for `lanes` independent
   /// challenges around precomputed shared tables. Throws
@@ -186,7 +194,10 @@ class TimeDomainScrambler {
   std::shared_ptr<const ScramblerTables> tables_;
   std::size_t lanes_ = 0;  // 0 = scalar mode
   std::vector<std::vector<RingTimeDomain>> ring_states_;
-  std::vector<std::vector<RingTimeDomainBlock>> ring_blocks_;
+  // Lane mode: ring (layer, port) is ring_blocks_[layer * ports + port],
+  // stepping over its slice of ring_state_.
+  std::vector<RingTimeDomainBlock> ring_blocks_;
+  simd::AlignedVector<double> ring_state_;
 };
 
 /// Convenience factory for a shareable operating-point table set.

@@ -98,7 +98,7 @@ class Adc {
   /// Quantizes a voltage to a code in [0, 2^bits - 1].
   std::uint32_t quantize(double volts) const noexcept;
 
-  /// Fault injection (faults::AdcStuckBits): bits set in `or_mask` read as
+  /// Fault injection (stuck ADC bits): bits set in `or_mask` read as
   /// stuck-at-1, bits cleared in `and_mask` as stuck-at-0. The defaults
   /// (0, all-ones) are the identity, so an unconfigured Adc stays
   /// bit-identical to the pre-fault-model behaviour.

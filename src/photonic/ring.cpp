@@ -5,6 +5,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "common/simd.hpp"
+
 namespace neuropuls::photonic {
 
 namespace {
@@ -156,31 +158,31 @@ void RingTimeDomain::reset() noexcept {
 }
 
 RingTimeDomainBlock::RingTimeDomainBlock(
-    const RingTimeDomainConstants& constants, std::size_t lanes)
+    const RingTimeDomainConstants& constants, std::size_t lanes,
+    double* state)
     : t_(constants.t),
       k_(constants.k),
       feedback_re_(constants.feedback.real()),
       feedback_im_(constants.feedback.imag()),
       lanes_(lanes),
       rows_(constants.delay_samples),
-      delay_re_(constants.delay_samples * lanes, 0.0),
-      delay_im_(constants.delay_samples * lanes, 0.0) {
+      delay_re_(state),
+      delay_im_(state + constants.delay_samples * lanes) {
   if (lanes == 0) {
     throw std::invalid_argument("RingTimeDomainBlock: lanes must be > 0");
   }
 }
 
 void RingTimeDomainBlock::step(double* re, double* im) noexcept {
-  double* dre = delay_re_.data() + head_ * lanes_;
-  double* dim = delay_im_.data() + head_ * lanes_;
+  double* dre = delay_re_ + head_ * lanes_;
+  double* dim = delay_im_ + head_ * lanes_;
   simd::ring_step(re, im, dre, dim, t_, k_, feedback_re_, feedback_im_,
                   lanes_);
   head_ = head_ + 1 == rows_ ? 0 : head_ + 1;
 }
 
 void RingTimeDomainBlock::reset() noexcept {
-  std::fill(delay_re_.begin(), delay_re_.end(), 0.0);
-  std::fill(delay_im_.begin(), delay_im_.end(), 0.0);
+  std::fill(delay_re_, delay_re_ + 2 * rows_ * lanes_, 0.0);
   head_ = 0;
 }
 

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "photonic/components.hpp"
 
 namespace neuropuls::photonic {
@@ -137,10 +136,22 @@ class RingTimeDomain {
 /// it performs exactly the scalar step's operation tree (see
 /// simd::ring_step), which keeps noiseless block evaluation bit-identical
 /// to the serial path.
+///
+/// The block owns no memory: it steps over a caller-owned slice, so a
+/// scrambler keeps every ring's rows in one buffer.
 class RingTimeDomainBlock {
  public:
+  /// Doubles of state one ring needs at `lanes` lanes: the real rows,
+  /// then the imaginary rows, one row of `lanes` doubles per delay sample.
+  static std::size_t state_size(const RingTimeDomainConstants& constants,
+                                std::size_t lanes) noexcept {
+    return 2 * constants.delay_samples * lanes;
+  }
+
+  /// `state` points at state_size(constants, lanes) zeroed doubles that
+  /// outlive the block. Throws std::invalid_argument when lanes == 0.
   RingTimeDomainBlock(const RingTimeDomainConstants& constants,
-                      std::size_t lanes);
+                      std::size_t lanes, double* state);
 
   /// Steps every lane once, in place on the port planes (`re`/`im` are
   /// `lanes()` contiguous doubles).
@@ -160,8 +171,8 @@ class RingTimeDomainBlock {
   std::size_t lanes_;
   std::size_t rows_;  // delay in samples
   std::size_t head_ = 0;
-  simd::AlignedVector<double> delay_re_;  // [row][lane]
-  simd::AlignedVector<double> delay_im_;
+  double* delay_re_;  // [row][lane], then delay_im_ in the same slice
+  double* delay_im_;
 };
 
 }  // namespace neuropuls::photonic

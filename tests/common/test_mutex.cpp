@@ -2,7 +2,7 @@
 // The Clang capability analysis proves lock *discipline* at compile time
 // (tests/negative_compile/); these tests pin down the wrappers' dynamic
 // semantics — exclusion, the relock toggle, the try-first contention
-// probe, CondVar wakeups, and reader sharing — on every compiler,
+// probe and CondVar wakeups — on every compiler,
 // including the GCC builds where the annotations are no-ops.
 #include <gtest/gtest.h>
 
@@ -121,43 +121,6 @@ TEST(CondVarTest, NotifyAllWakesEveryWaiter) {
   cv.notify_all();
   for (auto& t : waiters) t.join();
   EXPECT_EQ(awake.load(), 3);
-}
-
-TEST(SharedMutexTest, ReadersShare) {
-  SharedMutex smu;
-  std::atomic<bool> reader_in{false};
-  std::atomic<bool> release{false};
-  std::thread reader([&] {
-    const ReadLock lock(smu);
-    reader_in.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!reader_in.load()) std::this_thread::yield();
-  {
-    // A second reader must enter while the first still holds its lock;
-    // if ReadLock were exclusive this would deadlock (and time out).
-    const ReadLock lock(smu);
-  }
-  release.store(true);
-  reader.join();
-}
-
-TEST(SharedMutexTest, WriterExcludesReaders) {
-  SharedMutex smu;
-  int value = 0;
-  std::thread reader;
-  {
-    const WriteLock lock(smu);
-    reader = std::thread([&] {
-      const ReadLock rlock(smu);
-      // The reader cannot enter until the writer released, so it must
-      // observe the completed write, never the intermediate state.
-      EXPECT_EQ(value, 42);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    value = 42;
-  }
-  reader.join();
 }
 
 }  // namespace

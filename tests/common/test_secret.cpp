@@ -5,6 +5,7 @@
 
 #include <concepts>
 #include <type_traits>
+#include <vector>
 
 #include "common/secret.hpp"
 
@@ -25,6 +26,13 @@ static_assert(!std::is_copy_assignable_v<SecretBytes>,
 static_assert(std::is_nothrow_move_constructible_v<SecretBytes>);
 static_assert(std::is_nothrow_move_assignable_v<SecretBytes>);
 static_assert(!std::is_convertible_v<crypto::Bytes, SecretBytes>,
+              "plain buffers must not silently become secrets");
+// SecretVector's one wipe is its destructor's: no copy, and no move that
+// would leave a second owner of the buffer.
+static_assert(!std::is_copy_constructible_v<SecretVector<double>>);
+static_assert(!std::is_move_constructible_v<SecretVector<double>>);
+static_assert(!std::is_convertible_v<std::vector<double>,
+                                     SecretVector<double>>,
               "plain buffers must not silently become secrets");
 
 TEST(SecretBytes, AdoptingConstructorTakesOwnership) {

@@ -41,7 +41,6 @@ TEST(DeviceFaultModel, QuietByDefaultAndIdentity) {
   EXPECT_DOUBLE_EQ(model.laser_scale(1000), 1.0);
   EXPECT_DOUBLE_EQ(model.temperature_offset(1000), 0.0);
   EXPECT_DOUBLE_EQ(model.phase_drift(1000, 3), 0.0);
-  EXPECT_EQ(model.apply_adc(0x2A5u), 0x2A5u);
 }
 
 TEST(DeviceFaultModel, PhotodiodeScaleTargetsOnePort) {

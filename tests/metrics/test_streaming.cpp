@@ -2,8 +2,8 @@
 //
 // The fleet simulator's memory contract rests on three properties tested
 // here against exact references:
-//   * reservoir/hash sampling is deterministic under a fixed seed (any
-//     worker, any chunking selects the same sample),
+//   * hash sampling is deterministic under a fixed seed (any worker, any
+//     chunking selects the same sample),
 //   * the GK sketch answers quantiles within its documented rank error
 //     on a million-sample stream,
 //   * GK merge is associative (merge defers compression), so worker-
@@ -33,43 +33,6 @@ std::vector<double> splitmix_stream(std::uint64_t seed, std::size_t n) {
                 0x1.0p-53;
   }
   return values;
-}
-
-TEST(ReservoirSampler, DeterministicUnderFixedSeed) {
-  ReservoirSampler<std::uint64_t> a(64, 0x5EED);
-  ReservoirSampler<std::uint64_t> b(64, 0x5EED);
-  for (std::uint64_t i = 0; i < 10'000; ++i) {
-    a.add(i);
-    b.add(i);
-  }
-  EXPECT_EQ(a.count(), 10'000u);
-  EXPECT_EQ(a.sample(), b.sample());
-  EXPECT_EQ(a.sample().size(), 64u);
-
-  // A different seed keeps a different subset (overwhelmingly likely
-  // for 64-of-10000).
-  ReservoirSampler<std::uint64_t> c(64, 0x5EED + 1);
-  for (std::uint64_t i = 0; i < 10'000; ++i) c.add(i);
-  EXPECT_NE(a.sample(), c.sample());
-}
-
-TEST(ReservoirSampler, KeepsWholeStreamBelowCapacity) {
-  ReservoirSampler<int> s(16, 1);
-  for (int i = 0; i < 10; ++i) s.add(i);
-  EXPECT_EQ(s.sample(), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-}
-
-TEST(ReservoirSampler, SampleIsUnbiasedAcrossStream) {
-  // Every element must be eligible: the mean index of a uniform sample
-  // of [0, n) concentrates near n/2. A broken bounded-draw (e.g. a
-  // modulo-biased one that favours small indices) shifts it.
-  ReservoirSampler<std::uint64_t> s(512, 0xABCDEF);
-  const std::uint64_t n = 100'000;
-  for (std::uint64_t i = 0; i < n; ++i) s.add(i);
-  double mean = 0.0;
-  for (const std::uint64_t v : s.sample()) mean += static_cast<double>(v);
-  mean /= static_cast<double>(s.sample().size());
-  EXPECT_NEAR(mean, n / 2.0, n * 0.06);
 }
 
 TEST(HashSample, OrderAndChunkingIndependent) {
@@ -170,20 +133,6 @@ TEST(GkQuantileSketch, HandComputedSmallStream) {
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 3.0);
   EXPECT_THROW(GkQuantileSketch(0.0), std::invalid_argument);
   EXPECT_THROW(GkQuantileSketch(0.1).quantile(0.5), std::invalid_argument);
-}
-
-TEST(MeanAccumulator, MergeMatchesSingleStream) {
-  MeanAccumulator whole;
-  MeanAccumulator left;
-  MeanAccumulator right;
-  for (int i = 1; i <= 100; ++i) {
-    whole.add(i);
-    (i <= 37 ? left : right).add(i);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_DOUBLE_EQ(left.mean(), whole.mean());
-  EXPECT_DOUBLE_EQ(whole.mean(), 50.5);
 }
 
 // --- chunked-parallel uniqueness (metrics/population.cpp) ---

@@ -2,8 +2,9 @@
 // kernels against their scalar std::complex equivalents, RingTimeDomainBlock
 // state handling, TimeDomainScrambler::step_block vs step_inplace, the
 // scramble_series streaming path, and the end-to-end contract that block
-// batch evaluation of a PhotonicPuf is bit-identical to the serial scalar
-// path at every batch size (full blocks, tail blocks, single lanes).
+// batch evaluation of a PhotonicPuf is bit-identical to its one-lane
+// single evaluation at every batch size (full blocks, tail blocks, single
+// lanes).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -152,7 +153,9 @@ TEST(RingBlock, MatchesScalarRingPerLane) {
   constants.feedback = Complex{0.7, -0.55};
   constants.delay_samples = 3;
 
-  RingTimeDomainBlock block_ring(constants, kLanes);
+  simd::AlignedVector<double> state(
+      RingTimeDomainBlock::state_size(constants, kLanes));
+  RingTimeDomainBlock block_ring(constants, kLanes, state.data());
   std::vector<RingTimeDomain> scalar_rings(kLanes,
                                            RingTimeDomain(constants));
 
@@ -179,7 +182,9 @@ TEST(RingBlock, ResetClearsStateBetweenBlocks) {
   constants.t = 0.8;
   constants.k = 0.6;
   constants.feedback = Complex{0.9, 0.1};
-  RingTimeDomainBlock ring(constants, 4);
+  simd::AlignedVector<double> state(
+      RingTimeDomainBlock::state_size(constants, 4));
+  RingTimeDomainBlock ring(constants, 4, state.data());
 
   simd::AlignedVector<double> re(4), im(4);
   auto run_block = [&]() {

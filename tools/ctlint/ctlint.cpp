@@ -27,11 +27,11 @@
 //                       identifier (cache-timing oracle)
 //   missing-wipe        a secret-marked buffer whose enclosing scope never
 //                       wipes it (secure_wipe(name) / name.wipe());
-//                       SecretBytes-typed declarations are exempt (they
-//                       wipe on destruction)
+//                       SecretBytes- and SecretVector-typed declarations
+//                       are exempt (they wipe on destruction)
 //
 // Concurrency rules (keyed on the annotated wrappers in common/mutex.hpp
-// — MutexLock/ShardLock/ReadLock/WriteLock declarations are acquisitions,
+// — MutexLock/ShardLock declarations are acquisitions,
 // `.unlock()`/`.lock()` toggle them, scope exit releases them; the
 // analysis is lexical, per function — call-graph effects are TSan's job):
 //   lock-order          builds the static acquisition graph (held lock ->
@@ -102,6 +102,10 @@ const std::set<std::string> kBannedRandom = {
     "rand", "srand", "rand_r", "random", "srandom", "drand48", "lrand48"};
 
 const std::set<std::string> kBannedWipe = {"memset", "bzero"};
+
+// common/secret.hpp types whose destructor wipes the buffer they hold.
+const std::set<std::string> kSelfWipingTypes = {"SecretBytes",
+                                                "SecretVector"};
 
 struct Violation {
   std::string file;  // as given on the command line / relative path
@@ -294,13 +298,8 @@ struct SecretDecl {
   std::string name;
   std::size_t line = 0;   // 1-based declaration line
   int depth = 0;          // brace depth of the declaration
-  bool self_wiping = false;  // SecretBytes-typed: wipes on destruction
+  bool self_wiping = false;  // wipes on destruction (kSelfWipingTypes)
 };
-
-bool line_has_token(const Line& line, const std::string& token) {
-  return std::any_of(line.tokens.begin(), line.tokens.end(),
-                     [&](const Token& t) { return t.text == token; });
-}
 
 bool allowed(const ParsedFile& file, std::size_t line_no,
              const std::string& rule) {
@@ -322,7 +321,9 @@ void check_file(const std::string& display_path, const ParsedFile& file,
     decl.line = ann.line;
     decl.depth = decl_line.depth_before;
     decl.name = !ann.name.empty() ? ann.name : guess_declared_name(decl_line);
-    decl.self_wiping = line_has_token(decl_line, "SecretBytes");
+    decl.self_wiping = std::any_of(
+        decl_line.tokens.begin(), decl_line.tokens.end(),
+        [](const Token& t) { return kSelfWipingTypes.count(t.text) > 0; });
     if (decl.name.empty()) {
       out.push_back({display_path, ann.line, "missing-wipe",
                      "ctlint:secret annotation names no variable (use "
@@ -450,8 +451,8 @@ void check_file(const std::string& display_path, const ParsedFile& file,
 // Concurrency passes.
 //
 // All three key on the annotated wrapper types from common/mutex.hpp. A
-// declaration `MutexLock name(arg...)` (likewise ShardLock / ReadLock /
-// WriteLock) is an acquisition; the lock's graph node is the last
+// declaration `MutexLock name(arg...)` (likewise ShardLock) is an
+// acquisition; the lock's graph node is the last
 // identifier of the first constructor argument (`mutex_`, `loop->m` ->
 // `m`, `shard.mutex` -> `mutex`), i.e. the mutex member name — the same
 // vocabulary the lock-order comment in common/mutex.hpp uses. Tracking
@@ -459,8 +460,7 @@ void check_file(const std::string& display_path, const ParsedFile& file,
 // lock dies when the brace depth drops below its declaration depth, and
 // `name.unlock()` / `name.lock()` toggle it in between.
 
-const std::set<std::string> kScopedLockTypes = {"MutexLock", "ShardLock",
-                                                "ReadLock", "WriteLock"};
+const std::set<std::string> kScopedLockTypes = {"MutexLock", "ShardLock"};
 
 // Session-runtime locks that must never be held when entering the CRP
 // store: shard locks are leaves of the documented order.

@@ -36,6 +36,18 @@ void secret_bytes_is_exempt() {
   (void)vault.size();
 }
 
+void secret_vector_is_exempt() {
+  // So does SecretVector, the holder for non-byte plaintext.
+  const neuropuls::common::SecretVector<double> output(  // ctlint:secret(output)
+      std::vector<double>(4, 0.5));
+  (void)output.reveal();
+}
+
+void plain_double_vector_is_not() {
+  std::vector<double> output(4, 0.5);  // ctlint:secret  // ctlint:expect(missing-wipe)
+  (void)output;
+}
+
 void method_wipe_counts() {
   neuropuls::common::SecretBytes sk;
   neuropuls::crypto::Bytes mirror(16, 1);  // ctlint:secret
